@@ -752,7 +752,9 @@ def train(env_factory, hyper: Hyperparameters,
                     trajs.append(traj)
                     rewards.append(reward)
                 break
-            except Exception as exc:     # worker failure: one retry, then raise
+            # a failed rollout (I/O, a crashed worker) is retried once; the
+            # package's own errors are deterministic, so they propagate
+            except (OSError, RuntimeError) as exc:
                 last_error = exc
                 trajs = None
         if trajs is None:

@@ -35,6 +35,9 @@ class PolicyKind(enum.Enum):
 
 
 HEURISTIC_KINDS = tuple(k for k in PolicyKind if k is not PolicyKind.RL)
+# kinds whose score ignores `now`; the aging kinds WFP3 and UNICEF are left out
+TIME_INVARIANT_KINDS = frozenset(HEURISTIC_KINDS) - {PolicyKind.WFP3,
+                                                     PolicyKind.UNICEF}
 
 # fitted constants used verbatim by the F1-F4 formulas
 _F1_C = 8.70e2

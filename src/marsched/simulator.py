@@ -4,12 +4,30 @@ The clock jumps between events (arrivals, completions); between jumps a
 scheduling cycle starts whatever the active policy picks. Completions at a
 given instant are processed before arrivals at the same instant so freed
 processors are visible immediately; remaining ties break by job id.
+
+Ready set. ``ClusterState.ready`` holds the dependency-ready pending jobs in
+arrival order, and the events keep it current: a job enters when it arrives
+with its dependencies finished, or when its last unfinished dependency
+completes (it then takes its arrival position); it leaves when it starts.
+``ready_jobs`` returns it without rescanning ``pending``, and ``start_job``
+and ``backfill_easy`` test membership in it. Jobs without dependencies, which
+is every SWF job, enter on arrival, so for them pending equals ready.
+
+One sort per heuristic cycle. Within a cycle the clock and the finished set
+are fixed, so every score is fixed, and the order (score, submit time, id) is
+total. Starting a job only removes it from the sorted list; the others keep
+their order. Sorting once and walking the list therefore starts exactly the
+jobs that re-sorting after every start would, and the outputs are
+byte-identical. Scores that do not depend on the clock
+(``heuristics.TIME_INVARIANT_KINDS``) are computed once per job per run;
+WFP3 and UNICEF are rescored every cycle.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from . import heuristics, metrics
@@ -37,6 +55,9 @@ class ClusterState:
     free_procs: int
     clock: float = 0.0
     pending: dict[int, Job] = field(default_factory=dict)     # arrival order
+    ready: dict[int, Job] = field(default_factory=dict)       # arrival order
+    unmet: dict[int, int] = field(default_factory=dict)       # id -> unfinished deps
+    dependents: dict[int, list[Job]] = field(default_factory=dict)
     running: dict[int, Job] = field(default_factory=dict)
     run_heap: list[tuple[float, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
@@ -76,7 +97,25 @@ def deps_met(state: ClusterState, job: Job) -> bool:
 
 def ready_jobs(state: ClusterState) -> list[Job]:
     """Dependency-ready pending jobs, in arrival order."""
-    return [j for j in state.pending.values() if deps_met(state, j)]
+    return list(state.ready.values())
+
+
+def _arrival_key(job: Job) -> tuple[float, int]:
+    return job.submit_time, job.id
+
+
+def _release_dependents(state: ClusterState, job: Job) -> None:
+    """Count the finished job off its dependents; the last one makes them ready."""
+    for dep in state.dependents.pop(job.id, ()):
+        state.unmet[dep.id] -= 1
+        if state.unmet[dep.id]:
+            continue
+        del state.unmet[dep.id]
+        last = next(reversed(state.ready.values()), None)
+        state.ready[dep.id] = dep
+        if last is not None and _arrival_key(dep) < _arrival_key(last):
+            state.ready = dict(sorted(state.ready.items(),
+                                      key=lambda item: _arrival_key(item[1])))
 
 
 def start_job(state: ClusterState, job: Job, now: float) -> bool:
@@ -85,9 +124,10 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
         raise ContractError(f"job {job.id} is not pending")
     if now < job.submit_time:
         raise ContractError(f"job {job.id} cannot start before submission")
-    if job.requested_procs > state.free_procs or not deps_met(state, job):
+    if job.requested_procs > state.free_procs or job.id not in state.ready:
         return False
     del state.pending[job.id]
+    del state.ready[job.id]
     job.start_time = now
     job.status = JobStatus.RUNNING
     state.free_procs -= job.requested_procs
@@ -96,39 +136,44 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
     return True
 
 
-def has_future_event(state: ClusterState) -> bool:
-    return bool(state.run_heap) or state.next_arrival < len(state.arrivals)
-
-
-def _peek_next_event(state: ClusterState) -> SimEvent:
-    candidates = []
-    if state.run_heap:
-        t, jid = state.run_heap[0]
-        candidates.append(SimEvent(t, EventKind.COMPLETION, jid))
+def next_event_time(state: ClusterState) -> float:
+    """Time of the next event; inf when there is none."""
+    t = state.run_heap[0][0] if state.run_heap else math.inf
     if state.next_arrival < len(state.arrivals):
-        j = state.arrivals[state.next_arrival]
-        candidates.append(SimEvent(j.submit_time, EventKind.ARRIVAL, j.id))
-    if not candidates:
-        raise SchedulingError("no future events")
-    return min(candidates, key=lambda e: (e.time, e.kind, e.job_id))
+        t = min(t, state.arrivals[state.next_arrival].submit_time)
+    return t
 
 
 def advance_to_next_event(state: ClusterState) -> SimEvent:
     """Jump the clock to the next event and apply it."""
-    event = _peek_next_event(state)
-    state.clock = event.time
-    if event.kind is EventKind.COMPLETION:
-        heapq.heappop(state.run_heap)
-        job = state.running.pop(event.job_id)
+    heap = state.run_heap
+    arriving = (state.arrivals[state.next_arrival]
+                if state.next_arrival < len(state.arrivals) else None)
+    if heap and (arriving is None or heap[0][0] <= arriving.submit_time):
+        t, jid = heapq.heappop(heap)
+        state.clock = t
+        job = state.running.pop(jid)
         job.status = JobStatus.FINISHED
         state.free_procs += job.requested_procs
         state.finished.append(job)
-        state.finished_ids.add(job.id)
+        state.finished_ids.add(jid)
+        if state.dependents:
+            _release_dependents(state, job)
+        return SimEvent(t, EventKind.COMPLETION, jid)
+    job = arriving
+    if job is None:
+        raise SchedulingError("no future events")
+    state.clock = job.submit_time
+    state.next_arrival += 1
+    state.pending[job.id] = job
+    if deps_met(state, job):
+        state.ready[job.id] = job       # every ready job arrived before it
     else:
-        job = state.arrivals[state.next_arrival]
-        state.next_arrival += 1
-        state.pending[job.id] = job
-    return event
+        waiting_on = {d for d in job.dependencies if d not in state.finished_ids}
+        state.unmet[job.id] = len(waiting_on)
+        for d in waiting_on:
+            state.dependents.setdefault(d, []).append(job)
+    return SimEvent(job.submit_time, EventKind.ARRIVAL, job.id)
 
 
 def schedule_cycle(state: ClusterState, selector) -> list[int]:
@@ -185,17 +230,19 @@ def backfill_easy(state: ClusterState, ordered_ids: list[int],
     """
     queue = [state.pending[i] for i in ordered_ids if i in state.pending]
     started: list[int] = []
-    while queue and deps_met(state, queue[0]) \
-            and queue[0].requested_procs <= state.free_procs:
-        head = queue.pop(0)
-        start_job(state, head, state.clock)
-        started.append(head.id)
-    if not queue:
+    n = 0
+    while n < len(queue) and queue[n].id in state.ready \
+            and queue[n].requested_procs <= state.free_procs:
+        start_job(state, queue[n], state.clock)
+        started.append(queue[n].id)
+        n += 1
+    if n == len(queue):
         return started
-    head = queue[0]
+    head = queue[n]
     shadow, extra = compute_reservation(state, head)
-    for cand in queue[1:]:
-        if cand.requested_procs > state.free_procs or not deps_met(state, cand):
+    for cand in queue[n + 1:]:
+        if cand.requested_procs > state.free_procs \
+                or cand.id not in state.ready:
             continue
         fits_window = state.clock + cand.requested_time <= shadow
         if not (fits_window or cand.requested_procs <= extra):
@@ -227,28 +274,40 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_heuristic(self, kind: PolicyKind) -> None:
+    def _priority_key(self, kind: PolicyKind):
+        """Sort key of one run's cycles (see the module docstring)."""
         state = self.state
-        while True:
-            ready = ready_jobs(state)
-            if not ready:
-                return
-            ready.sort(key=lambda j: heuristics.sort_key(j, state.clock, kind))
-            head = ready[0]
-            if head.requested_procs <= state.free_procs:
-                start_job(state, head, state.clock)
-                self.stats.started += 1
-                continue
-            if self.stats.first_blocked_head is None:
-                self.stats.first_blocked_head = head.id
-            if head.requested_procs > state.total_procs:
-                raise SchedulingError(
-                    f"job {head.id} requests {head.requested_procs} processors, "
-                    f"system has {state.total_procs}: it can never start")
-            if self.backfill:
-                started = backfill_easy(state, [j.id for j in ready], self.stats)
-                self.stats.started += len(started)
+        if kind not in heuristics.TIME_INVARIANT_KINDS:
+            return lambda j: heuristics.sort_key(j, state.clock, kind)
+        # score every job once, up front; an int rank compares faster than
+        # the (score, submit, id) tuple it stands for
+        order = sorted(state.arrivals,
+                       key=lambda j: heuristics.sort_key(j, state.clock, kind))
+        rank = {j.id: r for r, j in enumerate(order)}
+        return lambda j: rank[j.id]
+
+    def _schedule_heuristic(self, key) -> None:
+        """Start ready jobs in priority order until the head does not fit,
+        then hand the rest of the sorted queue to EASY."""
+        state = self.state
+        ready = ready_jobs(state)
+        ready.sort(key=key)
+        for n, head in enumerate(ready):
+            if head.requested_procs > state.free_procs:
+                break
+            start_job(state, head, state.clock)
+            self.stats.started += 1
+        else:
             return
+        if self.stats.first_blocked_head is None:
+            self.stats.first_blocked_head = head.id
+        if head.requested_procs > state.total_procs:
+            raise SchedulingError(
+                f"job {head.id} requests {head.requested_procs} processors, "
+                f"system has {state.total_procs}: it can never start")
+        if self.backfill:
+            started = backfill_easy(state, [j.id for j in ready[n:]], self.stats)
+            self.stats.started += len(started)
 
     def _schedule_selector(self, selector) -> None:
         started = schedule_cycle(self.state, selector)
@@ -280,16 +339,15 @@ class Simulation:
     # -- event loop ------------------------------------------------------
 
     def _drain_next_time(self) -> None:
-        event = advance_to_next_event(self.state)
-        self.stats.events += 1
-        if self.on_event is not None:
-            self.on_event(self.state, event)
-        while has_future_event(self.state) \
-                and _peek_next_event(self.state).time == self.state.clock:
-            event = advance_to_next_event(self.state)
+        """Apply every event at the next event time."""
+        state = self.state
+        while True:
+            event = advance_to_next_event(state)
             self.stats.events += 1
             if self.on_event is not None:
-                self.on_event(self.state, event)
+                self.on_event(state, event)
+            if next_event_time(state) != state.clock:
+                return
 
     def run(self, policy) -> list[Job]:
         """Drive the episode to completion; returns finished jobs in end order."""
@@ -298,7 +356,8 @@ class Simulation:
             kind = PolicyKind.from_name(policy) if isinstance(policy, str) else policy
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
-            schedule = lambda: self._schedule_heuristic(kind)
+            key = self._priority_key(kind)
+            schedule = lambda: self._schedule_heuristic(key)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)
         else:
@@ -308,7 +367,7 @@ class Simulation:
             schedule()
             if len(state.finished) >= self.total_jobs:
                 break
-            if has_future_event(state):
+            if next_event_time(state) < math.inf:
                 self._drain_next_time()
             elif state.pending:
                 if not self.allow_forced_start:

@@ -154,6 +154,9 @@ class SwfField(enum.IntEnum):
     STATUS = 10
 
 SWF_FIELD_COUNT = 18
+_SWF_READ_FIELDS = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
+                    SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
+                    SwfField.REQUESTED_TIME)
 
 
 def parse_swf(text: str, name: str = "") -> WorkloadTrace:
@@ -162,8 +165,9 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     Field mapping: 1 -> id, 2 -> submit_time, 4 -> run_time, 5 -> procs
     (falling back to field 8 when -1), 9 -> requested_time (falling back to
     run_time when -1). Jobs with nonpositive run_time or proc count are
-    dropped and counted. Malformed lines are recorded with their line number
-    and skipped; a trace with zero valid jobs is a hard error.
+    dropped and counted. Malformed lines, including a nan or infinite value
+    in any of those fields, are recorded with their line number and skipped;
+    a trace with zero valid jobs is a hard error.
     """
     jobs: list[Job] = []
     dropped = 0
@@ -179,7 +183,7 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
             if header.lower().startswith("maxprocs:"):
                 try:
                     max_procs_header = int(float(header.split(":", 1)[1].strip()))
-                except ValueError:
+                except (ValueError, OverflowError):
                     line_errors.append((lineno, "unreadable MaxProcs header"))
             continue
         tokens = line.split()
@@ -190,6 +194,9 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
             values = [float(t) for t in tokens]
         except ValueError:
             line_errors.append((lineno, "non-numeric field"))
+            continue
+        if not all(math.isfinite(values[f]) for f in _SWF_READ_FIELDS):
+            line_errors.append((lineno, "non-finite field"))
             continue
 
         job_id = int(values[SwfField.JOB_ID])

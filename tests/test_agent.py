@@ -523,6 +523,19 @@ def test_train_worker_failure_retried_once():
         train(broken_env, hyper)
 
 
+def test_train_does_not_retry_contract_errors():
+    hyper = Hyperparameters(slots=4, hidden=(8,), epochs=2, seed=0)
+    calls = {"n": 0}
+
+    def buggy_env(w, e):
+        calls["n"] += 1
+        raise ContractError("program bug")
+
+    with pytest.raises(ContractError):
+        train(buggy_env, hyper)
+    assert calls["n"] == 1                  # propagated on the first attempt
+
+
 def test_hyperparameter_validation():
     with pytest.raises(ConfigError):
         Hyperparameters(gamma=0.0).validate()

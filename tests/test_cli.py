@@ -107,6 +107,17 @@ def test_malformed_trace_exit_2(tmp_path):
     assert run_cli("simulate", "--trace", str(bad)) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [0, 1, 3, 4, 8])
+def test_non_finite_trace_field_exit_2(tmp_path, field, bad):
+    fields = ["1", "0", "-1", "100", "4", "-1", "-1", "4", "200"] + ["-1"] * 9
+    fields[field] = bad
+    path = tmp_path / "bad.swf"
+    path.write_text(" ".join(fields) + "\n")
+    assert run_cli("simulate", "--trace", str(path),
+                   "--out", str(tmp_path / "o")) == 2
+
+
 def test_procs_override_validation(tmp_path, trace_file):
     assert run_cli("simulate", "--trace", trace_file, "--procs", "1",
                    "--out", str(tmp_path / "z")) == 2

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import make_job
 from marsched.errors import ContractError
-from marsched.heuristics import (HEURISTIC_KINDS, PolicyKind, score,
-                                 select_next, sort_key)
+from marsched.heuristics import (HEURISTIC_KINDS, TIME_INVARIANT_KINDS,
+                                 PolicyKind, score, select_next, sort_key)
 
 # -- oracle: same math, written from the formulas, no shared helpers --------
 
@@ -94,6 +94,18 @@ def test_fcfs_and_sjf_reduce_to_fields():
     j = make_job(1, submit=42, run=100, req_time=300)
     assert score(j, 1000, PolicyKind.FCFS) == 42
     assert score(j, 1000, PolicyKind.SJF) == 300
+
+
+@given(st.floats(0, 1e6), st.floats(1, 1e5), st.integers(1, 512),
+       st.floats(0, 1e7), st.floats(0, 1e7))
+@settings(max_examples=200)
+def test_time_invariant_kinds_ignore_now(submit, req, procs, t1, t2):
+    # the simulator scores these kinds once per run and reuses the order
+    job = make_job(1, submit=submit, run=req, procs=procs)
+    for kind in TIME_INVARIANT_KINDS:
+        assert score(job, t1, kind) == score(job, t2, kind)
+    assert set(HEURISTIC_KINDS) - TIME_INVARIANT_KINDS == \
+        {PolicyKind.WFP3, PolicyKind.UNICEF}
 
 
 def test_wait_clamped_at_zero():

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import make_job, make_trace
+from marsched.agent import make_random_selector
 from marsched.errors import ConfigError, ContractError, SchedulingError
-from marsched.heuristics import PolicyKind
+from marsched.heuristics import HEURISTIC_KINDS, PolicyKind
 from marsched.simulator import (EventKind, Simulation, backfill_easy,
                                 compute_reservation, job_csv_rows,
-                                new_cluster, run_episode, schedule_cycle,
-                                start_job, write_jobs_csv)
+                                new_cluster, ready_jobs, run_episode,
+                                schedule_cycle, start_job, write_jobs_csv)
 from marsched.workload import JobStatus, SyntheticConfig, generate_synthetic
 
 
@@ -120,6 +121,79 @@ def test_sjf_orders_by_requested_time():
     assert got[3].start_time == 0
     assert got[2].start_time == 10
     assert got[1].start_time == 100
+
+
+# -- the incremental ready set -------------------------------------------------
+
+def ready_probe(log):
+    """on_event probe: the ready set equals a full rescan of pending."""
+    def probe(state, event):
+        reference = [j for j in state.pending.values()
+                     if all(d in state.finished_ids for d in j.dependencies)]
+        assert ready_jobs(state) == reference
+        log.append([j.id for j in reference])
+    return probe
+
+
+def random_dag(seed, n=40, procs=8):
+    """Jobs whose ids are unrelated to their submit order; each depends on
+    up to three lower ids, so the graph is acyclic, but a dependency may
+    arrive after its dependent and dependencies finish out of arrival
+    order."""
+    rng = np.random.default_rng(seed)
+    submits = rng.permutation(n) * 5
+    jobs = []
+    for i in range(1, n + 1):
+        k = int(rng.integers(0, min(i - 1, 3) + 1))
+        deps = rng.choice(np.arange(1, i), size=k, replace=False) if k else ()
+        jobs.append(make_job(i, submit=int(submits[i - 1]),
+                             run=int(rng.integers(5, 300)),
+                             procs=int(rng.integers(1, procs + 1)),
+                             deps=[int(d) for d in deps]))
+    return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
+
+
+def check_dependencies_respected(jobs):
+    end = {j.id: j.end_time for j in jobs}
+    for j in jobs:
+        assert all(j.start_time >= end[d] for d in j.dependencies)
+
+
+def test_ready_set_keeps_arrival_order_when_deps_finish_out_of_order():
+    jobs = [make_job(1, submit=0, run=100, procs=1),
+            make_job(2, submit=0, run=10, procs=1),
+            make_job(5, submit=0, run=1000, procs=2),
+            make_job(3, submit=1, run=10, procs=3, deps=(1,)),
+            make_job(4, submit=2, run=10, procs=3, deps=(2,))]
+    seen = []
+    run_episode(jobs, "fcfs", total_procs=4, on_event=ready_probe(seen))
+    # job 4 becomes ready at t=10, job 3 at t=100; neither fits until 1000,
+    # and job 3 goes back in front of job 4
+    assert [4] in seen
+    assert [3, 4] in seen
+
+
+@pytest.mark.parametrize("backfill", [True, False])
+@pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+def test_ready_set_matches_rescan_on_dags(kind, backfill):
+    for seed in range(5):
+        jobs, procs = random_dag(seed)
+        seen = []
+        res = run_episode(jobs, kind, backfill=backfill, total_procs=procs,
+                          on_event=ready_probe(seen))
+        assert len(res.jobs) == len(jobs) and seen
+        check_dependencies_respected(res.jobs)
+
+
+def test_ready_set_matches_rescan_under_random_selector():
+    for seed in range(5):
+        jobs, procs = random_dag(seed)
+        seen = []
+        selector = make_random_selector(np.random.default_rng(seed), slots=4)
+        res = run_episode(jobs, selector, total_procs=procs,
+                          on_event=ready_probe(seen))
+        assert len(res.jobs) == len(jobs) and seen
+        check_dependencies_respected(res.jobs)
 
 
 # -- primitive contracts ------------------------------------------------------

@@ -64,6 +64,53 @@ def test_zero_valid_jobs_is_hard_error():
         parse_swf(HEADER + swf_line(1, 0, -1, 4), "t")
 
 
+# swf_line keyword for each field the parser reads
+READ_FIELDS = ["job_id", "submit", "run", "alloc", "req_procs", "req_time"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", READ_FIELDS)
+def test_non_finite_field_is_a_line_error(field, bad):
+    good = dict(job_id=2, submit=10, run=100, alloc=-1, req_procs=4,
+                req_time=200)
+    text = HEADER + "\n".join([swf_line(1, 0, 100, 4),
+                               swf_line(**{**good, field: bad})])
+    trace = parse_swf(text, "t")
+    assert [j.id for j in trace.jobs] == [1]
+    assert trace.line_errors == [(3, "non-finite field")]
+    assert trace.dropped_jobs == 0
+
+
+def test_infinite_maxprocs_header_is_a_line_error():
+    trace = parse_swf("; MaxProcs: inf\n" + swf_line(1, 0, 100, 4), "t")
+    assert trace.line_errors == [(1, "unreadable MaxProcs header")]
+    assert trace.total_procs == 4
+
+
+SWF_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "1", "4", "nan", "inf", "-inf", "1e400",
+                     "-1e400", "1e300", "2.5", "-0", "x", ";"]),
+    st.integers(-10, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+SWF_LINES = st.one_of(
+    st.lists(SWF_TOKENS, min_size=0, max_size=20).map(" ".join),
+    st.sampled_from(["; MaxProcs: 64", "; MaxProcs: inf", "; MaxProcs: nan",
+                     "; MaxProcs: -3", "; MaxProcs: 1e400", "; MaxProcs:"]),
+    st.text(max_size=40))
+
+
+@given(st.lists(SWF_LINES, max_size=12).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_trace_format_error(text):
+    try:
+        trace = parse_swf(text, "fuzz")
+    except TraceFormatError:
+        return
+    trace.validate()
+    for j in trace.jobs:
+        assert all(np.isfinite([j.submit_time, j.run_time, j.requested_time]))
+
+
 def test_jobs_sorted_by_submit_then_id():
     text = HEADER + "\n".join([
         swf_line(5, 50, 10, 1),
