@@ -57,7 +57,7 @@ class ClusterState:
     pending: dict[int, Job] = field(default_factory=dict)     # arrival order
     ready: dict[int, Job] = field(default_factory=dict)       # arrival order
     unmet: dict[int, int] = field(default_factory=dict)       # id -> unfinished deps
-    dependents: dict[int, list[Job]] = field(default_factory=dict)
+    dependents: dict[int, list[Job]] = field(default_factory=dict)  # dep id -> waiters
     running: dict[int, Job] = field(default_factory=dict)
     run_heap: list[tuple[float, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
@@ -230,17 +230,16 @@ def backfill_easy(state: ClusterState, ordered_ids: list[int],
     """
     queue = [state.pending[i] for i in ordered_ids if i in state.pending]
     started: list[int] = []
-    n = 0
-    while n < len(queue) and queue[n].id in state.ready \
-            and queue[n].requested_procs <= state.free_procs:
-        start_job(state, queue[n], state.clock)
-        started.append(queue[n].id)
-        n += 1
-    if n == len(queue):
+    while queue and queue[0].id in state.ready \
+            and queue[0].requested_procs <= state.free_procs:
+        head = queue.pop(0)
+        start_job(state, head, state.clock)
+        started.append(head.id)
+    if not queue:
         return started
-    head = queue[n]
+    head = queue[0]
     shadow, extra = compute_reservation(state, head)
-    for cand in queue[n + 1:]:
+    for cand in queue[1:]:
         if cand.requested_procs > state.free_procs \
                 or cand.id not in state.ready:
             continue

@@ -108,7 +108,7 @@ def test_malformed_trace_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", [0, 1, 3, 4, 8])
+@pytest.mark.parametrize("field", [0, 1, 3, 4, 7, 8])
 def test_non_finite_trace_field_exit_2(tmp_path, field, bad):
     fields = ["1", "0", "-1", "100", "4", "-1", "-1", "4", "200"] + ["-1"] * 9
     fields[field] = bad
