@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, neural
-from .errors import ConfigError, ContractError, ModelFormatError
+from . import heuristics, metrics, neural
+from .errors import ConfigError, ContractError, ModelFormatError, TrainingDiverged
 from .metrics import DEFAULT_TAU
 from .neural import AdamState, Network, backward, forward, softmax
 from .simulator import ClusterState, RunStats, Simulation, ready_jobs
@@ -185,7 +185,6 @@ class EpisodeTrajectory:
     states: list[np.ndarray] = field(default_factory=list)
     actions: list[int] = field(default_factory=list)
     rewards: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
     log_probs: list[float] = field(default_factory=list)
     masks: list[np.ndarray] = field(default_factory=list)
     cost_norms: list[np.ndarray] = field(default_factory=list)
@@ -194,12 +193,10 @@ class EpisodeTrajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def add_step(self, state: np.ndarray, action: int, value: float,
-                 log_prob: float, mask: np.ndarray,
-                 cost_norm: np.ndarray) -> None:
+    def add_step(self, state: np.ndarray, action: int, log_prob: float,
+                 mask: np.ndarray, cost_norm: np.ndarray) -> None:
         self.states.append(state)
         self.actions.append(action)
-        self.values.append(value)
         self.log_probs.append(log_prob)
         self.masks.append(mask)
         self.cost_norms.append(cost_norm)
@@ -221,16 +218,17 @@ def episode_reward(jobs, tau: float = DEFAULT_TAU) -> float:
     return -float(np.mean(metrics.bounded_slowdowns(jobs, tau)))
 
 
-def compute_advantages(traj: EpisodeTrajectory,
+def compute_advantages(traj: EpisodeTrajectory, values: np.ndarray,
                        gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """A_t = r_{t+1} + gamma * v(s_{t+1}) - v(s_t), terminal value 0.
 
-    Also returns the critic targets r_{t+1} + gamma * v(s_{t+1}).
+    ``values`` holds the critic's v(s_t) for every step of the episode. Also
+    returns the critic targets r_{t+1} + gamma * v(s_{t+1}).
     """
     if not traj.terminal:
         raise ContractError("trajectory is incomplete (no terminal reward)")
     n = len(traj)
-    values = np.asarray(traj.values, dtype=float)
+    values = np.asarray(values, dtype=float)
     rewards = np.asarray(traj.rewards, dtype=float)
     next_values = np.zeros(n)
     if n > 1:
@@ -400,64 +398,8 @@ def _masked_probs(net: Network, states: np.ndarray, masks: np.ndarray):
     return softmax(masked), cache
 
 
-def _entropy(probs: np.ndarray) -> float:
-    p = probs[probs > 0]
-    return float(-(p * np.log(p)).sum() / len(probs))
-
-
 def _zero_grads(net: Network) -> list[np.ndarray]:
     return [np.zeros_like(p) for p in net.parameters()]
-
-
-def actor_critic_update(model: AgentModel, traj: EpisodeTrajectory,
-                        hyper: Hyperparameters) -> dict:
-    """Per-step TD updates over one episode, each routed through Adam.
-
-    Step order: delta from the current critic, critic ascends I*delta*grad v,
-    actor ascends I*delta*grad log pi plus the cost-penalty term, then I is
-    discounted. A nonfinite delta aborts the episode and restores the
-    parameters and optimizer state from before the episode.
-    """
-    if not traj.terminal:
-        raise ContractError("trajectory is incomplete (no terminal reward)")
-    snap = model.snapshot()
-    deltas = []
-    eye = 1.0
-    n = len(traj)
-    for t in range(n):
-        s = traj.states[t]
-        v_s, cache_c = forward(model.critic, s)
-        if t + 1 < n:
-            v_next, _ = forward(model.critic, traj.states[t + 1])
-            v_next = float(v_next[0])
-        else:
-            v_next = 0.0
-        delta = traj.rewards[t] + hyper.gamma * v_next - float(v_s[0])
-        if not math.isfinite(delta):
-            model.restore(snap)
-            return {"aborted": True, "steps": t, "delta_mean": float("nan"),
-                    "entropy": float("nan")}
-        deltas.append(delta)
-
-        critic_grads = backward(model.critic, cache_c,
-                                np.array([-eye * delta]))
-        neural.apply_adam(model.critic, critic_grads, model.critic_adam)
-
-        probs, cache_a = _masked_probs(model.actor, s[None, :],
-                                       traj.masks[t][None, :])
-        one_hot = _one_hot(np.array([traj.actions[t]]), hyper.action_dim)
-        dlogits = -eye * delta * (one_hot - probs)
-        if hyper.cost_weight > 0:
-            c = traj.cost_norms[t][None, :]
-            expected = (probs * c).sum(axis=-1, keepdims=True)
-            dlogits = dlogits + hyper.cost_weight * probs * (c - expected)
-        actor_grads = backward(model.actor, cache_a, dlogits)
-        neural.apply_adam(model.actor, actor_grads, model.actor_adam)
-
-        eye *= hyper.gamma
-    return {"aborted": False, "steps": n,
-            "delta_mean": float(np.mean(deltas)) if deltas else 0.0,
-            "entropy": float("nan")}
 
 
 def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
@@ -465,20 +407,21 @@ def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
                       ) -> tuple[list[np.ndarray], list[np.ndarray], dict]:
     """Summed per-step gradients of one episode at frozen parameters.
 
-    This is the synchronous-aggregation path: the TD errors use the critic
-    values recorded while the episode ran (parameters are frozen within an
-    epoch), so summing step terms and applying one optimizer update is
-    equivalent to Algorithm-1 step order under a fixed parameter snapshot.
-    Returned gradients are minimization-signed for Adam.
+    The TD errors come from one batched critic forward over the episode's
+    states. Parameters are frozen within an epoch, so summing step terms and
+    applying one optimizer update is equivalent to Algorithm-1 step order
+    under a fixed parameter snapshot. Returned gradients are
+    minimization-signed for Adam.
     """
     diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0, "reward": 0.0}
     if len(traj) == 0:
         return _zero_grads(model.actor), _zero_grads(model.critic), diag
-    advantages, targets = compute_advantages(traj, hyper.gamma)
+    states = np.stack(traj.states)
+    values, cache_c = forward(model.critic, states)
+    advantages, targets = compute_advantages(traj, values[:, 0], hyper.gamma)
     eye = hyper.gamma ** np.arange(len(traj))
     weights = eye * advantages
 
-    states = np.stack(traj.states)
     masks = np.stack(traj.masks)
     actions = np.asarray(traj.actions)
 
@@ -489,8 +432,6 @@ def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
         expected = (probs * c).sum(axis=-1, keepdims=True)
         dlogits = dlogits + hyper.cost_weight * probs * (c - expected)
     actor_grads = backward(model.actor, cache_a, dlogits)
-
-    values, cache_c = forward(model.critic, states)
     critic_grads = backward(model.critic, cache_c,
                             (eye * (values[:, 0] - targets))[:, None])
 
@@ -504,6 +445,34 @@ def _mean_entropy(probs: np.ndarray) -> float:
     return float(np.mean(-(probs * np.log(safe)).sum(axis=-1)))
 
 
+def actor_critic_step(model: AgentModel, trajs: list[EpisodeTrajectory],
+                      hyper: Hyperparameters) -> dict:
+    """One Adam step for actor and critic from a batch of episodes.
+
+    Sums ``episode_gradients`` over the episodes and divides by their count.
+    A nonfinite gradient aborts the step before either network or Adam state
+    changes, and the result reports ``aborted``.
+    """
+    actor_sum = _zero_grads(model.actor)
+    critic_sum = _zero_grads(model.critic)
+    deltas, entropies = [], []
+    for traj in trajs:
+        ag, cg, diag = episode_gradients(model, traj, hyper)
+        actor_sum = [a + g for a, g in zip(actor_sum, ag)]
+        critic_sum = [a + g for a, g in zip(critic_sum, cg)]
+        deltas.append(diag["delta_mean"])
+        entropies.append(diag["entropy"])
+    m = float(len(trajs))
+    actor_grads = [g / m for g in actor_sum]
+    critic_grads = [g / m for g in critic_sum]
+    aborted = not all(np.all(np.isfinite(g)) for g in actor_grads + critic_grads)
+    if not aborted:
+        neural.apply_adam(model.actor, actor_grads, model.actor_adam)
+        neural.apply_adam(model.critic, critic_grads, model.critic_adam)
+    return {"aborted": aborted, "delta_mean": float(np.mean(deltas)),
+            "entropy": float(np.mean(entropies))}
+
+
 def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
                hyper: Hyperparameters) -> dict:
     """Clipped-surrogate updates over a batch of trajectories.
@@ -514,14 +483,17 @@ def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
     usable = [t for t in trajs if len(t) > 0]
     if not usable:
         return {"steps": 0, "delta_mean": 0.0, "entropy": 0.0}
-    adv_list, tgt_list = [], []
+    state_list, adv_list, tgt_list = [], [], []
     for t in usable:
-        adv, tgt = compute_advantages(t, hyper.gamma)
+        states = np.stack(t.states)
+        values, _ = forward(model.critic, states)
+        adv, tgt = compute_advantages(t, values[:, 0], hyper.gamma)
+        state_list.append(states)
         adv_list.append(adv)
         tgt_list.append(tgt)
     advantages = np.concatenate(adv_list)
     targets = np.concatenate(tgt_list)
-    states = np.concatenate([np.stack(t.states) for t in usable])
+    states = np.concatenate(state_list)
     masks = np.concatenate([np.stack(t.masks) for t in usable])
     actions = np.concatenate([np.asarray(t.actions) for t in usable])
     old_logp = np.concatenate([np.asarray(t.log_probs) for t in usable])
@@ -597,13 +569,11 @@ class MarsAgent:
                 cost_factors=factors, cost_weight=hyper.cost_weight,
                 cost_stats=self.cost_stats)
             if traj is not None:
-                value, _ = forward(self.model.critic, vec)
                 cost_norm = np.zeros(hyper.action_dim)
                 if hyper.cost_weight > 0:
                     cost_norm = 1.0 - slot_cost_factors(queue, hyper.slots)
                     cost_norm[-1] = 0.0
-                traj.add_step(vec, action, float(value[0]), log_prob, mask,
-                              cost_norm)
+                traj.add_step(vec, action, log_prob, mask, cost_norm)
             if action == hyper.slots:
                 return None
             return queue[action].id
@@ -641,35 +611,33 @@ def collect_heuristic_trajectory(agent: MarsAgent, jobs: list[Job],
     becomes a trajectory step the agent can learn from. Choices outside the
     window still execute but leave no step.
     """
-    from . import heuristics
-
     hyper = agent.hyper
     traj = EpisodeTrajectory()
+    sim = Simulation([j.fresh_copy() for j in jobs], total_procs,
+                     backfill=False)
+    key = heuristics.priority_key(kind, sim.state)
 
     def selector(state: ClusterState) -> int | None:
         queue = ready_jobs(state)
-        choice = heuristics.select_next(queue, state.clock, kind,
-                                        state.free_procs)
-        mask = fit_mask(queue, state.free_procs, hyper.slots)
-        if choice is None and not queue:
+        if not queue:
             return None
+        head = min(queue, key=key)
+        choice = head if head.requested_procs <= state.free_procs else None
+        mask = fit_mask(queue, state.free_procs, hyper.slots)
         visible_ids = [j.id for j in queue[:hyper.slots]]
         action = hyper.slots if choice is None else (
             visible_ids.index(choice.id) if choice.id in visible_ids else None)
         if action is not None and mask[:-1].any():
             vec = encode_state(queue, state.free_procs, state.total_procs,
                                state.clock, hyper)
-            value, _ = forward(agent.model.critic, vec)
             logits, _ = forward(agent.model.actor, vec)
             probs = softmax(np.where(mask, logits, -np.inf))
             cost_norm = 1.0 - slot_cost_factors(queue, hyper.slots)
             cost_norm[-1] = 0.0
-            traj.add_step(vec, action, float(value[0]),
-                          float(np.log(probs[action])), mask, cost_norm)
+            traj.add_step(vec, action, float(np.log(probs[action])), mask,
+                          cost_norm)
         return None if choice is None else choice.id
 
-    sim = Simulation([j.fresh_copy() for j in jobs], total_procs,
-                     backfill=False)
     finished = sim.run(selector)
     traj.finalize(episode_reward(finished, hyper.tau))
     return finished, traj
@@ -763,22 +731,10 @@ def train(env_factory, hyper: Hyperparameters,
         if hyper.ppo:
             diag = ppo_update(agent.model, trajs, hyper)
         else:
-            actor_sum = _zero_grads(agent.model.actor)
-            critic_sum = _zero_grads(agent.model.critic)
-            deltas, entropies = [], []
-            for traj in trajs:
-                ag, cg, diag_i = episode_gradients(agent.model, traj, hyper)
-                actor_sum = [a + g for a, g in zip(actor_sum, ag)]
-                critic_sum = [a + g for a, g in zip(critic_sum, cg)]
-                deltas.append(diag_i["delta_mean"])
-                entropies.append(diag_i["entropy"])
-            m = float(hyper.workers)
-            neural.apply_adam(agent.model.actor,
-                              [g / m for g in actor_sum], agent.model.actor_adam)
-            neural.apply_adam(agent.model.critic,
-                              [g / m for g in critic_sum], agent.model.critic_adam)
-            diag = {"delta_mean": float(np.mean(deltas)),
-                    "entropy": float(np.mean(entropies))}
+            diag = actor_critic_step(agent.model, trajs, hyper)
+            if diag["aborted"]:
+                raise TrainingDiverged(
+                    f"nonfinite gradient in epoch {epoch + 1}")
 
         agent.model.epoch = epoch + 1
         point = CurvePoint(epoch=epoch + 1,

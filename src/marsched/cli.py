@@ -357,7 +357,8 @@ def cmd_train(args, settings: Settings) -> int:
     procs = _procs(args, settings, trace)
     hyper = _hyper(args, settings, seed, tau)
 
-    agent = None
+    # the agent exists before training starts, so a divergence in any epoch
+    # still writes the last good model
     if args.resume:
         model = load_model(args.resume)
         run_keys = {"epochs": hyper.epochs, "workers": hyper.workers,
@@ -367,6 +368,8 @@ def cmd_train(args, settings: Settings) -> int:
         hyper.validate()
         model = dataclasses.replace(model, hyper=hyper)
         agent = MarsAgent(model=model)
+    else:
+        agent = MarsAgent(hyper)
 
     # deterministic 70/30 split: leading jobs train, trailing jobs validate
     n = len(trace.jobs)
@@ -382,8 +385,7 @@ def cmd_train(args, settings: Settings) -> int:
         agent, versions, curve = train(env, hyper, versions, agent=agent,
                                        validation_factory=val)
     except TrainingDiverged as exc:
-        if agent is not None:
-            save_model(os.path.join(out, "model.json"), agent.model)
+        save_model(os.path.join(out, "model.json"), agent.model)
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     wall = time.monotonic() - started

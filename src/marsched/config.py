@@ -15,7 +15,7 @@ ENV_CONFIG = "MARSCHED_CONFIG"
 
 KNOWN_KEYS: dict[str, set[str]] = {
     "run": {
-        "trace", "policy", "policies", "tau", "procs", "seed", "out",
+        "trace", "policy", "tau", "procs", "seed", "out",
         "backfill", "model", "train_on_demand", "train_from_heuristic",
     },
     "synthetic": {

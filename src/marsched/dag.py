@@ -1,43 +1,18 @@
-"""Workflow DAGs: construction, parallel-level combining, workload splitting,
-and a coarse feature-vector similarity between workflows."""
+"""Workflow DAGs: construction, parallel-level combining and workload
+splitting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DagError
 from .workload import Job
-
-# resource profile layout per task: processors, memory units, I/O units, cost
-PROFILE_DIMS = ("procs", "memory", "io", "cost")
 
 
 @dataclass
 class WorkflowDag:
     tasks: dict[int, Job]
     edges: set[tuple[int, int]]                 # (predecessor, successor)
-    resource_profiles: dict[int, np.ndarray]    # task id -> len-4 vector
-
-    def successors(self, task_id: int) -> list[int]:
-        return sorted(s for p, s in self.edges if p == task_id)
-
-    def predecessors(self, task_id: int) -> list[int]:
-        return sorted(p for p, s in self.edges if s == task_id)
-
-
-@dataclass(frozen=True)
-class DagFeatures:
-    task_count: int
-    depth: int            # longest path, in nodes
-    width: int            # largest level of the longest-path leveling
-    core_seconds: float
-    mean_cores: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.task_count, self.depth, self.width,
-                         self.core_seconds, self.mean_cores], dtype=float)
 
 
 def _find_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
@@ -75,11 +50,6 @@ def _find_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
     return None
 
 
-def default_profile(job: Job) -> np.ndarray:
-    # memory and I/O are carried for shape compatibility; traces are CPU-only
-    return np.array([job.requested_procs, 0.0, 0.0, job.cost_rate], dtype=float)
-
-
 def build_dag(tasks) -> WorkflowDag:
     """Build a validated DAG from parsed workflow tasks (Jobs with dependencies)."""
     task_map: dict[int, Job] = {}
@@ -99,8 +69,7 @@ def build_dag(tasks) -> WorkflowDag:
     cycle = _find_cycle(adjacency)
     if cycle is not None:
         raise DagError(f"dependency cycle: {' -> '.join(map(str, cycle + cycle[:1]))}")
-    profiles = {tid: default_profile(job) for tid, job in task_map.items()}
-    return WorkflowDag(tasks=task_map, edges=edges, resource_profiles=profiles)
+    return WorkflowDag(tasks=task_map, edges=edges)
 
 
 def _levels(dag: WorkflowDag) -> dict[int, int]:
@@ -147,31 +116,6 @@ def combine_parallel_tasks(dag: WorkflowDag) -> list[list[int]]:
     for tid in sorted(dag.tasks):
         out[levels[tid]].append(tid)
     return out
-
-
-def dag_features(dag: WorkflowDag) -> DagFeatures:
-    if not dag.tasks:
-        return DagFeatures(0, 0, 0, 0.0, 0.0)
-    level_sets = combine_parallel_tasks(dag)
-    jobs = dag.tasks.values()
-    return DagFeatures(
-        task_count=len(dag.tasks),
-        depth=len(level_sets),
-        width=max(len(s) for s in level_sets),
-        core_seconds=float(sum(j.requested_procs * j.run_time for j in jobs)),
-        mean_cores=float(np.mean([j.requested_procs for j in jobs])),
-    )
-
-
-def dag_similarity(a: DagFeatures, b: DagFeatures) -> float:
-    """1 - mean per-feature normalized absolute difference; 1 means identical."""
-    va, vb = a.as_vector(), b.as_vector()
-    diffs = np.zeros_like(va)
-    for i in range(len(va)):
-        scale = max(abs(va[i]), abs(vb[i]))
-        if scale > 0:
-            diffs[i] = abs(va[i] - vb[i]) / scale
-    return float(1.0 - np.mean(diffs))
 
 
 def split_workload(jobs: list, max_size: int) -> list[list]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .agent import (Hyperparameters, MarsAgent, actor_critic_update,
+from .agent import (Hyperparameters, MarsAgent, actor_critic_step,
                     collect_heuristic_trajectory, train)
 from .dag import split_workload
 from .errors import ConfigError
@@ -64,23 +64,19 @@ class Plan:
 
 
 def decide(current: list[Job], nxt: list[Job] | None = None,
-           thresholds: Thresholds = Thresholds(), *,
-           current_encoding=None, next_encoding=None) -> Plan:
+           thresholds: Thresholds = Thresholds()) -> Plan:
     """Route one workload batch per its size.
 
     Branches, in order: merge with a compatible next batch when together they
     clear MEDIAN; SJF below MIN; UNICEF below MEDIAN; the learned policy up
     to MAX; above MAX, recursive halving into learned-policy chunks.
-    Encodings describe the state-vector layout; merging requires them equal
-    (both None means same configuration).
     """
     thresholds.validate()
     current = list(current)
     if not current:
         return Plan(chunks=[])
     size = len(current)
-    compatible = current_encoding == next_encoding
-    if size < thresholds.median_size and nxt is not None and compatible \
+    if size < thresholds.median_size and nxt is not None \
             and size + len(nxt) > thresholds.median_size:
         merged = current + list(nxt)
         chunks = [PlanChunk(jobs=part, policy=PolicyKind.RL,
@@ -121,7 +117,8 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
     train_on_demand trains one on the first such chunk (seeded, so the whole
     plan run stays deterministic); otherwise it is a configuration error.
     With train_from_heuristic, heuristic chunks additionally feed one
-    imitation update into the loaded agent.
+    imitation update (one actor-critic step) into the loaded agent; a
+    nonfinite update is skipped.
     """
     results: list[RunResult] = []
     for chunk in plan.chunks:
@@ -149,7 +146,7 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
             if train_from_heuristic and agent is not None:
                 _, traj = collect_heuristic_trajectory(
                     agent, chunk.jobs, total_procs, chunk.policy)
-                actor_critic_update(agent.model, traj, agent.hyper)
+                actor_critic_step(agent.model, [traj], agent.hyper)
     all_jobs = [j for r in results for j in r.jobs]
     aggregate = metrics.aggregate(all_jobs, tau=tau, policy="mars",
                                   total_procs=total_procs)

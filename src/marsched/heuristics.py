@@ -1,4 +1,4 @@
-"""Closed-form priority policies and the uniform selection rule.
+"""Closed-form priority policies and the one ordering of a ready queue.
 
 All eight formulas are compared min-first: the two aging formulas (WFP3,
 UNICEF) carry leading minus signs so that waiting drives their scores down,
@@ -83,19 +83,17 @@ def sort_key(job: Job, now: float, kind: PolicyKind):
     return (score(job, now, kind), job.submit_time, job.id)
 
 
-def select_next(queue, now: float, kind: PolicyKind, free_procs: int,
-                finished: frozenset | set = frozenset()) -> Job | None:
-    """Pick the minimum-score dependency-ready job, or pass.
+def priority_key(kind: PolicyKind, state):
+    """Sort key of one run's scheduling cycles; lower runs first.
 
-    Passing (returning None) happens when no job is dependency-ready or when
-    the minimum-score job does not fit the free processors. Skipping past a
-    blocked front-runner is deliberately not done here; that is backfilling's
-    job and it lives in the simulator.
+    ``state`` carries the run's ``arrivals`` and its current ``clock``. The
+    aging kinds are keyed by ``sort_key`` at the clock of each call. The
+    other kinds ignore the clock, so every job is scored once, up front, and
+    keyed by its int rank, which compares faster than the (score, submit, id)
+    tuple it stands for.
     """
-    ready = [j for j in queue if all(d in finished for d in j.dependencies)]
-    if not ready:
-        return None
-    best = min(ready, key=lambda j: sort_key(j, now, kind))
-    if best.requested_procs <= free_procs:
-        return best
-    return None
+    if kind not in TIME_INVARIANT_KINDS:
+        return lambda j: sort_key(j, state.clock, kind)
+    order = sorted(state.arrivals, key=lambda j: sort_key(j, state.clock, kind))
+    rank = {j.id: r for r, j in enumerate(order)}
+    return lambda j: rank[j.id]

@@ -57,10 +57,6 @@ class Network:
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
     def parameters(self) -> list[np.ndarray]:
         out = []
         for layer in self.layers:

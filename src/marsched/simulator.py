@@ -18,9 +18,9 @@ are fixed, so every score is fixed, and the order (score, submit time, id) is
 total. Starting a job only removes it from the sorted list; the others keep
 their order. Sorting once and walking the list therefore starts exactly the
 jobs that re-sorting after every start would, and the outputs are
-byte-identical. Scores that do not depend on the clock
-(``heuristics.TIME_INVARIANT_KINDS``) are computed once per job per run;
-WFP3 and UNICEF are rescored every cycle.
+byte-identical. The order is ``heuristics.priority_key``: scores that do
+not depend on the clock (``heuristics.TIME_INVARIANT_KINDS``) are computed
+once per job per run; WFP3 and UNICEF are rescored every cycle.
 """
 
 from __future__ import annotations
@@ -273,18 +273,6 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _priority_key(self, kind: PolicyKind):
-        """Sort key of one run's cycles (see the module docstring)."""
-        state = self.state
-        if kind not in heuristics.TIME_INVARIANT_KINDS:
-            return lambda j: heuristics.sort_key(j, state.clock, kind)
-        # score every job once, up front; an int rank compares faster than
-        # the (score, submit, id) tuple it stands for
-        order = sorted(state.arrivals,
-                       key=lambda j: heuristics.sort_key(j, state.clock, kind))
-        rank = {j.id: r for r, j in enumerate(order)}
-        return lambda j: rank[j.id]
-
     def _schedule_heuristic(self, key) -> None:
         """Start ready jobs in priority order until the head does not fit,
         then hand the rest of the sorted queue to EASY."""
@@ -355,7 +343,7 @@ class Simulation:
             kind = PolicyKind.from_name(policy) if isinstance(policy, str) else policy
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
-            key = self._priority_key(kind)
+            key = heuristics.priority_key(kind, state)
             schedule = lambda: self._schedule_heuristic(key)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)

@@ -387,7 +387,3 @@ def parse_workflow(text: str) -> list[Job]:
             raise TraceFormatError(f"task {j.id} depends on unknown task(s) {missing}")
     return jobs
 
-
-def load_workflow(path) -> list[Job]:
-    with open(path) as fp:
-        return parse_workflow(fp.read())

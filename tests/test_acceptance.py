@@ -18,13 +18,13 @@ import numpy as np
 from helpers import make_job
 from marsched import cli, metrics
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
-                            ModelVersions, actor_critic_update,
+                            ModelVersions, actor_critic_step,
                             apply_cost_adjustment, new_model, random_baseline,
                             select_action, train)
 from marsched.decision import Thresholds, decide, run_plan
-from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, select_next
+from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, priority_key
 from marsched.neural import (backward, forward, init_network, softmax)
-from marsched.simulator import Simulation, run_episode
+from marsched.simulator import Simulation, new_cluster, run_episode
 from marsched.workload import SyntheticConfig, generate_synthetic
 
 
@@ -69,7 +69,7 @@ def test_c01_metric_formulas_match_rational_oracle(capsys):
     assert elapsed < 1.0
 
 
-# -- 2: heuristic selection vs brute-force argmin ----------------------------
+# -- 2: heuristic ordering vs brute-force argmin -----------------------------
 
 def _score_oracle(job, now, kind):
     s, r, n = job.submit_time, job.requested_time, job.requested_procs
@@ -106,6 +106,15 @@ def _select_oracle(queue, now, kind, free):
     return None
 
 
+def _select_shared(queue, now, kind, free):
+    """Head of the run ordering the simulator and the heuristic trajectory
+    selector share; None (pass) when it does not fit."""
+    state = new_cluster(1, queue)
+    state.clock = now
+    head = min(queue, key=priority_key(kind, state))
+    return head if head.requested_procs <= free else None
+
+
 def test_c02_heuristic_selection_matches_oracle_on_1000_queues(capsys):
     t0 = time.monotonic()
     rng = np.random.default_rng(1002)
@@ -121,7 +130,7 @@ def test_c02_heuristic_selection_matches_oracle_on_1000_queues(capsys):
         now = float(rng.integers(0, 8000))
         free = int(rng.integers(1, 80))
         for kind in HEURISTIC_KINDS:
-            got = select_next(queue, now, kind, free)
+            got = _select_shared(queue, now, kind, free)
             want = _select_oracle(queue, now, kind, free)
             if (got is None) != (want is None) or \
                     (got is not None and got.id != want.id):
@@ -304,11 +313,10 @@ def test_c07_bandit_prefers_better_arm(capsys):
     for _ in range(500):
         traj = EpisodeTrajectory()
         action, log_prob, _ = select_action(model.actor, state, mask, rng)
-        value, _ = forward(model.critic, state)
-        traj.add_step(state, action, float(value[0]), log_prob, mask,
+        traj.add_step(state, action, log_prob, mask,
                       np.zeros(hyper.action_dim))
         traj.finalize(-1.0 if action == 0 else -10.0)
-        actor_critic_update(model, traj, hyper)
+        actor_critic_step(model, [traj], hyper)
     _, _, probs = select_action(model.actor, state, mask, rng, greedy=True)
     p_better = float(probs[0])
     elapsed = time.monotonic() - t0
@@ -380,9 +388,9 @@ def test_c09_decision_branches_and_partition(capsys):
     if sizes[20001] != [10001, 10000] or sizes[50000] != [12500] * 4:
         problems.append(("split sizes", sizes))
 
-    # fifth branch: two undersized compatible batches merge into one RL chunk
-    merged = decide(_jobs_of(400), _jobs_of(400), th,
-                    current_encoding=(16, 4), next_encoding=(16, 4))
+    # fifth branch: two undersized batches that together clear MEDIAN merge
+    # into one RL chunk
+    merged = decide(_jobs_of(400), _jobs_of(400), th)
     if [c.policy.value for c in merged.chunks] != ["rl"] or \
             len(merged.chunks[0].jobs) != 800 or \
             "combined" not in merged.chunks[0].note:

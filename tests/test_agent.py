@@ -14,7 +14,7 @@ from helpers import make_job
 from marsched import neural
 from marsched.agent import (CostAdjustStats, EpisodeTrajectory,
                             Hyperparameters, MarsAgent, ModelVersions,
-                            actor_critic_update, apply_cost_adjustment,
+                            actor_critic_step, apply_cost_adjustment,
                             collect_heuristic_trajectory, compute_advantages,
                             encode_state, episode_gradients, episode_reward,
                             fit_mask, load_model, new_model, ppo_update,
@@ -161,10 +161,10 @@ def test_compute_advantages_hand_case():
     s = np.zeros(4)
     m = np.ones(3, dtype=bool)
     c = np.zeros(3)
-    traj.add_step(s, 0, -14.0, -0.1, m, c)
-    traj.add_step(s, 1, -10.0, -0.2, m, c)
+    traj.add_step(s, 0, -0.1, m, c)
+    traj.add_step(s, 1, -0.2, m, c)
     traj.finalize(-5.0)
-    adv, targets = compute_advantages(traj, gamma=1.0)
+    adv, targets = compute_advantages(traj, [-14.0, -10.0], gamma=1.0)
     # t=0: 0 + v(s1) - v(s0) = -10 + 14 = 4; t=1: -5 + 0 + 10 = 5
     assert targets.tolist() == [-10.0, -5.0]
     assert adv.tolist() == [4.0, 5.0]
@@ -172,17 +172,22 @@ def test_compute_advantages_hand_case():
 
 def test_compute_advantages_requires_terminal():
     traj = EpisodeTrajectory()
-    traj.add_step(np.zeros(2), 0, 0.0, 0.0, np.ones(2, dtype=bool),
-                  np.zeros(2))
+    traj.add_step(np.zeros(2), 0, 0.0, np.ones(2, dtype=bool), np.zeros(2))
     with pytest.raises(ContractError):
-        compute_advantages(traj, 1.0)
+        compute_advantages(traj, [0.0], 1.0)
 
 
 # -- gradient oracles ----------------------------------------------------------
 
-def surrogate_actor_loss(model, traj, hyper):
+def frozen_values(model, traj):
+    """Critic values at the current parameters, held fixed while the finite
+    differences perturb them (the TD targets are not differentiated)."""
+    return [float(forward(model.critic, s)[0][0]) for s in traj.states]
+
+
+def surrogate_actor_loss(model, traj, hyper, values):
     """The scalar whose actor gradient episode_gradients claims to return."""
-    advantages, _ = compute_advantages(traj, hyper.gamma)
+    advantages, _ = compute_advantages(traj, values, hyper.gamma)
     eye = hyper.gamma ** np.arange(len(traj))
     weights = eye * advantages
     total = 0.0
@@ -195,8 +200,8 @@ def surrogate_actor_loss(model, traj, hyper):
     return total
 
 
-def surrogate_critic_loss(model, traj, hyper):
-    _, targets = compute_advantages(traj, hyper.gamma)
+def surrogate_critic_loss(model, traj, hyper, values):
+    _, targets = compute_advantages(traj, values, hyper.gamma)
     eye = hyper.gamma ** np.arange(len(traj))
     total = 0.0
     for t in range(len(traj)):
@@ -241,11 +246,12 @@ def test_episode_gradients_match_finite_differences(cost_weight):
     assert traj is not None and len(traj) > 0
 
     actor_grads, critic_grads, _ = episode_gradients(agent.model, traj, hyper)
+    values = frozen_values(agent.model, traj)
     fd_actor = finite_difference(
-        lambda: surrogate_actor_loss(agent.model, traj, hyper),
+        lambda: surrogate_actor_loss(agent.model, traj, hyper, values),
         agent.model.actor.parameters())
     fd_critic = finite_difference(
-        lambda: surrogate_critic_loss(agent.model, traj, hyper),
+        lambda: surrogate_critic_loss(agent.model, traj, hyper, values),
         agent.model.critic.parameters())
     for a, n in zip(actor_grads, fd_actor):
         assert rel_err(a, n) < 1e-4
@@ -264,7 +270,7 @@ def test_episode_gradients_empty_trajectory():
     assert diag["steps"] == 0
 
 
-# -- per-step update: bandit learning and abort ------------------------------
+# -- the actor-critic step: bandit learning and abort ------------------------
 
 def bandit_episode(model, hyper, state, rng):
     """One-step episode against a two-armed bandit in the agent's shapes."""
@@ -272,9 +278,7 @@ def bandit_episode(model, hyper, state, rng):
     mask[:2] = True
     traj = EpisodeTrajectory()
     action, log_prob, _ = select_action(model.actor, state, mask, rng)
-    v, _ = forward(model.critic, state)
-    traj.add_step(state, action, float(v[0]), log_prob, mask,
-                  np.zeros(hyper.action_dim))
+    traj.add_step(state, action, log_prob, mask, np.zeros(hyper.action_dim))
     traj.finalize(-1.0 if action == 0 else -10.0)
     return traj
 
@@ -287,7 +291,7 @@ def test_bandit_prefers_better_arm_after_500_updates():
     rng = np.random.default_rng(11)
     for _ in range(500):
         traj = bandit_episode(model, hyper, state, rng)
-        diag = actor_critic_update(model, traj, hyper)
+        diag = actor_critic_step(model, [traj], hyper)
         assert not diag["aborted"]
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
@@ -298,24 +302,36 @@ def test_bandit_prefers_better_arm_after_500_updates():
 def test_actor_critic_update_abort_restores_parameters():
     hyper = Hyperparameters(slots=2, hidden=(4,), seed=5)
     model = new_model(hyper)
-    before = model.snapshot()
     good = np.zeros(hyper.state_dim)
     bad = np.full(hyper.state_dim, np.nan)
     mask = np.ones(hyper.action_dim, dtype=bool)
-    traj = EpisodeTrajectory()
-    traj.add_step(good, 0, 0.0, -0.5, mask, np.zeros(hyper.action_dim))
-    traj.add_step(good + 0.1, 1, 0.0, -0.5, mask, np.zeros(hyper.action_dim))
-    traj.add_step(bad, 1, 0.0, -0.5, mask, np.zeros(hyper.action_dim))
-    traj.finalize(-2.0)
-    # delta at step t reads v(s_{t+1}), so the NaN state aborts at t=1,
-    # after one full parameter update that the restore must undo
-    diag = actor_critic_update(model, traj, hyper)
-    assert diag["aborted"] and diag["steps"] == 1
+
+    def episode(*states):
+        traj = EpisodeTrajectory()
+        for i, s in enumerate(states):
+            traj.add_step(s, i % 2, -0.5, mask, np.zeros(hyper.action_dim))
+        traj.finalize(-2.0)
+        return traj
+
+    # one good step first, so the Adam moments are nonzero when the
+    # aborted step would have touched them
+    assert not actor_critic_step(model, [episode(good)], hyper)["aborted"]
+    before = model.snapshot()
+    # the NaN state poisons the critic gradient of its own step and the TD
+    # error of the step before it; the finite first episode of the batch
+    # must not be applied either
+    diag = actor_critic_step(
+        model, [episode(good), episode(good, good + 0.1, bad)], hyper)
+    assert diag["aborted"]
     for a, b in zip(model.actor.parameters(), before["actor"]):
         assert np.array_equal(a, b)
     for a, b in zip(model.critic.parameters(), before["critic"]):
         assert np.array_equal(a, b)
-    assert model.actor_adam.t == before["actor_adam"].t
+    for adam, kept in ((model.actor_adam, before["actor_adam"]),
+                       (model.critic_adam, before["critic_adam"])):
+        assert adam.t == kept.t == 1
+        for a, b in zip(adam.m + adam.v, kept.m + kept.v):
+            assert np.array_equal(a, b)
 
 
 def test_ppo_update_runs_and_reports():

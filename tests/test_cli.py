@@ -7,9 +7,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from marsched import __version__, cli
+from marsched import __version__, agent, cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -172,6 +173,36 @@ def test_train_resume_continues(tmp_path, cfg_file):
                    "--resume", str(out / "model.json")) == 0
     second = json.loads((out2 / "model.json").read_text())
     assert second["epoch"] == 4
+
+
+def test_train_divergence_writes_last_good_model(tmp_path, cfg_file,
+                                                monkeypatch, capsys):
+    # gradients turn NaN from the second epoch on; the first epoch's model
+    # is the last good one and must be on disk when train exits 3
+    original = agent.episode_gradients
+
+    def diverging(model, traj, hyper):
+        actor, critic, diag = original(model, traj, hyper)
+        if model.epoch >= 1:
+            actor = [np.full_like(g, np.nan) for g in actor]
+        return actor, critic, diag
+
+    monkeypatch.setattr(agent, "episode_gradients", diverging)
+    out = tmp_path / "tr"
+    assert run_cli("train", "--config", cfg_file, "--out", str(out)) == 3
+    assert "training diverged" in capsys.readouterr().err
+    model = agent.load_model(out / "model.json")
+    assert model.epoch == 1
+    assert all(np.all(np.isfinite(p)) for p in model.actor.parameters())
+
+
+def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
+    # compare takes its policies only from --policies
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[run]\npolicies = fcfs,sjf\n")
+    assert run_cli("compare", "--config", str(conf), "--trace", trace_file,
+                   "--policies", "fcfs,sjf", "--out", str(tmp_path / "c")) == 2
+    assert "unknown key 'policies'" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_bad_model(tmp_path, cfg_file):

@@ -1,13 +1,11 @@
 """DAG construction against brute-force reachability and leveling oracles."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_job
-from marsched.dag import (DagFeatures, build_dag, combine_parallel_tasks,
-                          dag_features, dag_similarity, split_workload)
+from marsched.dag import build_dag, combine_parallel_tasks, split_workload
 from marsched.errors import DagError
 
 
@@ -52,9 +50,8 @@ def longest_path_levels_oracle(n, edges):
 
 def test_build_simple_dag():
     dag = build_dag(tasks_from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)]))
-    assert dag.successors(1) == [2, 3]
-    assert dag.predecessors(4) == [2, 3]
-    assert dag.resource_profiles[1].shape == (4,)
+    assert dag.edges == {(1, 2), (1, 3), (2, 4), (3, 4)}
+    assert sorted(dag.tasks) == [1, 2, 3, 4]
 
 
 def test_cycle_rejected_with_witness():
@@ -125,29 +122,6 @@ def test_levels_property(n, data):
     # no dependency inside one level; concatenation is a topological order
     for a, b in edges:
         assert placed[a] < placed[b]
-
-
-# -- features and similarity ---------------------------------------------
-
-def test_features_hand_case():
-    tasks = [make_job(1, run=100, procs=2),
-             make_job(2, run=50, procs=4, deps=(1,)),
-             make_job(3, run=50, procs=2, deps=(1,))]
-    feats = dag_features(build_dag(tasks))
-    assert feats.task_count == 3
-    assert feats.depth == 2
-    assert feats.width == 2
-    assert feats.core_seconds == 100 * 2 + 50 * 4 + 50 * 2
-    assert feats.mean_cores == pytest.approx(8 / 3)
-
-
-def test_similarity_identity_and_range():
-    f = DagFeatures(5, 3, 2, 1000.0, 2.5)
-    assert dag_similarity(f, f) == 1.0
-    g = DagFeatures(10, 6, 4, 2000.0, 5.0)
-    s = dag_similarity(f, g)
-    assert 0.0 <= s < 1.0
-    assert s == pytest.approx(0.5)   # every feature differs by half its max
 
 
 # -- splitting -------------------------------------------------------------

@@ -71,18 +71,10 @@ def test_split_sizes_50000():
 def test_combine_branch():
     current, nxt = jobs_of(300), jobs_of(400)
     plan = decide(current, nxt, TH)
-    # 300 < MEDIAN and 300+400 > MEDIAN with equal encodings: merge for RL
+    # 300 < MEDIAN and 300+400 > MEDIAN: merge for RL
     assert plan.job_count() == 700
     assert all(c.policy is PolicyKind.RL for c in plan.chunks)
     assert "combined" in plan.chunks[0].note
-
-
-def test_combine_requires_compatible_encoding():
-    plan = decide(jobs_of(300), jobs_of(400), TH,
-                  current_encoding=(16, 4), next_encoding=(8, 4))
-    # incompatible layouts: fall back to routing the current batch alone
-    assert plan.job_count() == 300
-    assert plan.chunks[0].policy is PolicyKind.UNICEF
 
 
 def test_combine_does_not_fire_below_threshold_sum():

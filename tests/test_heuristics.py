@@ -1,4 +1,5 @@
-"""Scoring formulas against an independently written brute-force oracle."""
+"""Scoring formulas and the run ordering against an independently written
+brute-force oracle."""
 
 import math
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_job
+from marsched.agent import Hyperparameters, MarsAgent, collect_heuristic_trajectory
 from marsched.errors import ContractError
 from marsched.heuristics import (HEURISTIC_KINDS, TIME_INVARIANT_KINDS,
-                                 PolicyKind, score, select_next, sort_key)
+                                 PolicyKind, priority_key, score, sort_key)
+from marsched.simulator import new_cluster
 
 # -- oracle: same math, written from the formulas, no shared helpers --------
 
@@ -51,6 +54,15 @@ def oracle_select(queue, now, kind, free, finished=frozenset()):
     return best if best.requested_procs <= free else None
 
 
+def shared_select(queue, now, kind, free):
+    """First job of the run ordering at ``now``; None when it does not fit,
+    which is how the heuristic selectors pass."""
+    state = new_cluster(1, queue)
+    state.clock = now
+    head = min(queue, key=priority_key(kind, state))
+    return head if head.requested_procs <= free else None
+
+
 def random_queue(rng, max_jobs=20):
     n = int(rng.integers(1, max_jobs + 1))
     jobs = []
@@ -72,7 +84,7 @@ def test_oracle_agreement_1000_queues():
         now = float(rng.integers(0, 8000))
         free = int(rng.integers(1, 80))
         for kind in HEURISTIC_KINDS:
-            got = select_next(queue, now, kind, free)
+            got = shared_select(queue, now, kind, free)
             want = oracle_select(queue, now, kind, free)
             if want is None:
                 assert got is None, (case, kind)
@@ -133,26 +145,26 @@ def test_tie_break_by_submit_then_id():
     a = make_job(5, submit=10, run=100, req_time=100)
     b = make_job(2, submit=10, run=100, req_time=100)
     c = make_job(9, submit=3, run=100, req_time=100)
-    pick = select_next([a, b, c], 50, PolicyKind.SJF, free_procs=8)
-    assert pick.id == 9     # equal scores: earliest submit wins
-    pick = select_next([a, b], 50, PolicyKind.SJF, free_procs=8)
-    assert pick.id == 2     # equal scores and submits: lowest id wins
+    for kind in (PolicyKind.SJF, PolicyKind.WFP3):
+        pick = shared_select([a, b, c], 50, kind, free=8)
+        assert pick.id == 9     # equal scores: earliest submit wins
+        pick = shared_select([a, b], 50, kind, free=8)
+        assert pick.id == 2     # equal scores and submits: lowest id wins
 
 
 def test_pass_when_best_does_not_fit():
-    big = make_job(1, submit=0, run=10, req_time=10, procs=8)
-    small = make_job(2, submit=1, run=10, req_time=10, procs=1)
-    # FCFS picks the 8-proc job; with 4 free it passes rather than skip
-    assert select_next([big, small], 5, PolicyKind.FCFS, free_procs=4) is None
-    assert select_next([big, small], 5, PolicyKind.FCFS, free_procs=8).id == 1
-
-
-def test_dependency_gating():
-    a = make_job(1, submit=0, run=10, req_time=10)
-    b = make_job(2, submit=0, run=5, req_time=5, deps=(1,))
-    assert select_next([a, b], 0, PolicyKind.SJF, 4).id == 1
-    assert select_next([b], 0, PolicyKind.SJF, 4) is None
-    assert select_next([b], 0, PolicyKind.SJF, 4, finished={1}).id == 2
+    first = make_job(1, submit=0, run=100, req_time=100, procs=4)
+    big = make_job(2, submit=1, run=10, req_time=10, procs=8)
+    small = make_job(3, submit=2, run=10, req_time=10, procs=1)
+    # FCFS heads the queue with the 8-proc job; with 4 free it passes
+    # rather than skip to the small job, which waits behind it
+    agent = MarsAgent(Hyperparameters(slots=4, hidden=(4,)))
+    finished, _ = collect_heuristic_trajectory(
+        agent, [first, big, small], 8, PolicyKind.FCFS)
+    starts = {j.id: j.start_time for j in finished}
+    assert starts == {1: 0.0, 2: 100.0, 3: 110.0}
+    assert shared_select([big, small], 5, PolicyKind.FCFS, free=4) is None
+    assert shared_select([big, small], 5, PolicyKind.FCFS, free=8).id == 2
 
 
 def test_rl_has_no_score():
