@@ -379,10 +379,6 @@ class ModelVersions:
             return self.entries[0].payload
         return None
 
-    @property
-    def current(self) -> VersionEntry | None:
-        return self.entries[0] if self.entries else None
-
 
 # -- updates ---------------------------------------------------------------
 
@@ -528,8 +524,6 @@ def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
 
 class MarsAgent:
     """Owns the model and exposes selectors for the simulator."""
-
-    label = "rl"
 
     def __init__(self, hyper: Hyperparameters | None = None,
                  model: AgentModel | None = None):

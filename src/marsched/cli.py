@@ -17,15 +17,16 @@ import time
 import numpy as np
 
 from . import __version__, decision, metrics
-from .agent import (Hyperparameters, MarsAgent, ModelVersions, load_model,
-                    new_model, save_model, train)
+from .agent import (MODEL_FORMAT_VERSION, Hyperparameters, MarsAgent,
+                    ModelVersions, episode_reward, load_model, new_model,
+                    save_model, train)
 from .config import (ENV_CONFIG, Settings, as_bool, as_float, as_int,
-                     as_int_tuple, load_config)
+                     load_config)
 from .errors import (ConfigError, ContractError, DagError, ModelFormatError,
                      SchedulingError, TraceFormatError, TrainingDiverged)
-from .heuristics import HEURISTIC_KINDS
+from .heuristics import HEURISTIC_KINDS, PolicyKind
 from .metrics import DEFAULT_TAU
-from .simulator import job_csv_rows, run_episode, write_jobs_csv
+from .simulator import job_csv_rows, write_jobs_csv
 from .workload import (SyntheticConfig, WorkloadTrace, assign_costs,
                        generate_synthetic, load_swf, slice_trace, write_swf)
 
@@ -142,34 +143,21 @@ def _backfill(args, settings: Settings) -> bool:
 
 
 def _synthetic_config(args, settings: Settings, seed: int) -> SyntheticConfig:
-    count = settings.get("synthetic", "job_count",
-                         getattr(args, "synthetic", None)
-                         or getattr(args, "count", None), None, as_int)
+    flag = getattr(args, "synthetic", getattr(args, "count", None))
+    count = settings.get("synthetic", "job_count", flag, None, as_int)
     if count is None:
         raise ConfigError("synthetic generation needs a job count "
                           "(--synthetic/--count or [synthetic] job_count)")
-    base = SyntheticConfig(job_count=count)
-    get = lambda key, default, cast: settings.get("synthetic", key, None,
-                                                  default, cast)
-    return SyntheticConfig(
-        job_count=count,
-        arrival_rate=get("arrival_rate", base.arrival_rate, as_float),
-        runtime_min=get("runtime_min", base.runtime_min, as_float),
-        runtime_max=get("runtime_max", base.runtime_max, as_float),
-        total_procs=get("total_procs", base.total_procs, as_int),
-        max_cores_exp=get("max_cores_exp", base.max_cores_exp, as_int),
-        overestimate_min=get("overestimate_min", base.overestimate_min, as_float),
-        overestimate_max=get("overestimate_max", base.overestimate_max, as_float),
-        cost_mean=get("cost_mean", base.cost_mean, as_float),
-        cost_std=get("cost_std", base.cost_std, as_float),
-        seed=settings.get("synthetic", "seed", None, seed, as_int),
-        name=settings.get("synthetic", "name", None, base.name),
-    )
+    if count < 1:
+        raise ConfigError(f"synthetic job count must be >= 1, got {count}")
+    return settings.fill(
+        SyntheticConfig, "synthetic", {}, job_count=count,
+        seed=settings.get("synthetic", "seed", None, seed, as_int))
 
 
 def _resolve_trace(args, settings: Settings, seed: int) -> WorkloadTrace:
     trace_path = settings.get("run", "trace", getattr(args, "trace", None))
-    if trace_path and getattr(args, "synthetic", None):
+    if trace_path and getattr(args, "synthetic", None) is not None:
         raise ConfigError("give either --trace or --synthetic, not both")
     if trace_path:
         trace = load_swf(trace_path, name=os.path.basename(trace_path))
@@ -211,31 +199,10 @@ def _thresholds(settings: Settings) -> decision.Thresholds:
 
 
 def _hyper(args, settings: Settings, seed: int, tau: float) -> Hyperparameters:
-    get = lambda key, default, cast: settings.get("agent", key, None,
-                                                  default, cast)
-    base = Hyperparameters()
-    hyper = Hyperparameters(
-        gamma=get("gamma", base.gamma, as_float),
-        actor_lr=get("actor_lr", base.actor_lr, as_float),
-        critic_lr=get("critic_lr", base.critic_lr, as_float),
-        slots=get("slots", base.slots, as_int),
-        epochs=settings.get("agent", "epochs", getattr(args, "epochs", None),
-                            base.epochs, as_int),
-        workers=settings.get("agent", "workers", getattr(args, "workers", None),
-                             base.workers, as_int),
-        cost_weight=get("cost_weight", base.cost_weight, as_float),
-        ppo=bool(getattr(args, "ppo", False))
-            or get("ppo", base.ppo, as_bool),
-        ppo_clip=get("ppo_clip", base.ppo_clip, as_float),
-        ppo_epochs=get("ppo_epochs", base.ppo_epochs, as_int),
-        validate_every=get("validate_every", base.validate_every, as_int),
-        rollback_patience=get("rollback_patience", base.rollback_patience, as_int),
-        tau=tau,
-        seed=seed,
-        hidden=get("hidden", base.hidden, as_int_tuple),
-        time_norm=get("time_norm", base.time_norm, as_float),
-        cost_norm=get("cost_norm", base.cost_norm, as_float),
-    )
+    flags = {"epochs": getattr(args, "epochs", None),
+             "workers": getattr(args, "workers", None),
+             "ppo": True if getattr(args, "ppo", False) else None}
+    hyper = settings.fill(Hyperparameters, "agent", flags, seed=seed, tau=tau)
     hyper.validate()
     return hyper
 
@@ -255,44 +222,44 @@ def _flag(args, settings: Settings, name: str) -> bool:
 
 # -- execution helpers ------------------------------------------------------
 
-def _run_one_policy(label: str, trace: WorkloadTrace, *, procs: int,
-                    tau: float, backfill: bool, seed: int,
-                    agent: MarsAgent | None, thresholds: decision.Thresholds,
-                    train_on_demand: bool, train_from_heuristic: bool,
-                    hyper: Hyperparameters):
-    """Returns (list of (jobs, policy label), list of MetricsReport, plan|None)."""
+def _run_policy(label: str, trace: WorkloadTrace, *, procs: int, tau: float,
+                seed: int, agent: MarsAgent | None, backfill: bool = True,
+                thresholds: decision.Thresholds = decision.Thresholds(),
+                hyper: Hyperparameters | None = None,
+                train_on_demand: bool = False,
+                train_from_heuristic: bool = False):
+    """Run one policy label as a plan; returns (plan, results, reports).
+
+    A heuristic or ``rl`` is a one-chunk plan and reports its one chunk;
+    ``mars`` routes the trace with ``decide``, feeds heuristic chunks back
+    only when asked, and leads its chunk reports with their aggregate.
+    """
     if label == "mars":
         plan = decision.decide(trace.jobs, None, thresholds)
-        result = decision.run_plan(
-            plan, total_procs=procs, tau=tau, backfill=backfill, agent=agent,
-            train_on_demand=train_on_demand,
-            train_from_heuristic=train_from_heuristic,
-            on_demand_hyper=hyper, seed=seed)
-        groups = [(r.jobs, r.policy) for r in result.chunk_results]
-        reports = [result.report] + [r.report for r in result.chunk_results]
-        return groups, reports, plan
-    if label == "rl":
-        if agent is None:
-            if not train_on_demand:
-                raise ConfigError(
-                    "policy rl needs --model (or --train-on-demand)")
-            env = lambda w, e: (trace.jobs, procs)
-            agent, _, _ = train(env, hyper)
-        rng = np.random.default_rng(seed)
-        finished, _, _, _ = agent.run_collect(trace.jobs, procs, rng=rng,
-                                              greedy=True)
-        report = metrics.aggregate(finished, tau=tau, policy="rl",
-                                   total_procs=procs)
-        return [(finished, "rl")], [report], None
-    result = run_episode(trace, label, backfill=backfill, tau=tau,
-                         total_procs=procs)
-    return [(result.jobs, label)], [result.report], None
+    else:
+        plan = decision.Plan([decision.PlanChunk(trace.jobs,
+                                                 PolicyKind.from_name(label))])
+    results = decision.run_plan(
+        plan, total_procs=procs, tau=tau, backfill=backfill, agent=agent,
+        train_on_demand=train_on_demand,
+        train_from_heuristic=train_from_heuristic and label == "mars",
+        on_demand_hyper=hyper, seed=seed)
+    forced = sum(r.stats.forced_starts for r in results)
+    if forced:
+        print(f"warning: {label}: {forced} job(s) force-started after the "
+              f"policy passed with the cluster idle", file=sys.stderr)
+    reports = [r.report for r in results]
+    if label == "mars":
+        reports.insert(0, metrics.aggregate(
+            [j for r in results for j in r.jobs], tau=tau, policy="mars",
+            total_procs=procs))
+    return plan, results, reports
 
 
-def _write_run_outputs(out: str, groups, reports) -> None:
+def _write_run_outputs(out: str, results, reports) -> None:
     rows = []
-    for jobs, label in groups:
-        rows.extend(job_csv_rows(jobs, label))
+    for result in results:
+        rows.extend(job_csv_rows(result.jobs, result.policy))
     rows.sort(key=lambda r: int(r[0]))
     write_jobs_csv(os.path.join(out, "jobs.csv"), rows)
     metrics.write_report_csv(os.path.join(out, "report.csv"), reports)
@@ -317,16 +284,15 @@ def cmd_simulate(args, settings: Settings) -> int:
     if label not in POLICY_NAMES:
         raise ConfigError(f"unknown policy {label!r}")
     hyper = _hyper(args, settings, seed, tau)
-    groups, reports, plan = _run_one_policy(
-        label, trace, procs=procs, tau=tau,
-        backfill=_backfill(args, settings), seed=seed,
-        agent=_load_agent(args, settings), thresholds=_thresholds(settings),
+    plan, results, reports = _run_policy(
+        label, trace, procs=procs, tau=tau, seed=seed,
+        backfill=_backfill(args, settings), agent=_load_agent(args, settings),
+        thresholds=_thresholds(settings), hyper=hyper,
         train_on_demand=_flag(args, settings, "train_on_demand"),
-        train_from_heuristic=_flag(args, settings, "train_from_heuristic"),
-        hyper=hyper)
-    if args.explain and plan is not None:
+        train_from_heuristic=_flag(args, settings, "train_from_heuristic"))
+    if args.explain and label == "mars":
         print(plan.to_json())
-    _write_run_outputs(out, groups, reports)
+    _write_run_outputs(out, results, reports)
     _print_report(reports[0])
     return EXIT_OK
 
@@ -338,13 +304,11 @@ def cmd_evaluate(args, settings: Settings) -> int:
     trace = _resolve_trace(args, settings, seed)
     procs = _procs(args, settings, trace)
     agent = MarsAgent(model=load_model(args.model))
-    rng = np.random.default_rng(seed)
-    finished, _, _, reward = agent.run_collect(trace.jobs, procs, rng=rng,
-                                               greedy=True)
-    report = metrics.aggregate(finished, tau=tau, policy="rl",
-                               total_procs=procs)
-    _write_run_outputs(out, [(finished, "rl")], [report])
-    _print_report(report)
+    _, results, reports = _run_policy("rl", trace, procs=procs, tau=tau,
+                                      seed=seed, agent=agent)
+    _write_run_outputs(out, results, reports)
+    _print_report(reports[0])
+    reward = episode_reward(results[0].jobs, agent.hyper.tau)
     print(f"episode_reward={reward:.4f}")
     return EXIT_OK
 
@@ -433,10 +397,10 @@ def cmd_compare(args, settings: Settings) -> int:
     reports, walls = [], []
     for label in labels:
         started = time.monotonic()
-        _, policy_reports, _ = _run_one_policy(
-            label, trace, procs=procs, tau=tau, backfill=backfill, seed=seed,
-            agent=agent, thresholds=thresholds, train_on_demand=on_demand,
-            train_from_heuristic=False, hyper=hyper)
+        _, _, policy_reports = _run_policy(
+            label, trace, procs=procs, tau=tau, seed=seed, agent=agent,
+            backfill=backfill, thresholds=thresholds, hyper=hyper,
+            train_on_demand=on_demand)
         reports.append(policy_reports[0])
         walls.append(time.monotonic() - started)
     metrics.write_report_csv(os.path.join(out, "compare.csv"), reports)
@@ -483,7 +447,8 @@ def cmd_inspect(args, settings: Settings) -> int:
         model = load_model(args.model)
         dims = [model.actor.input_dim] + \
                [l.weights.shape[1] for l in model.actor.layers]
-        print(f"model {args.model}: format v1, epoch {model.epoch}")
+        print(f"model {args.model}: format v{MODEL_FORMAT_VERSION}, "
+              f"epoch {model.epoch}")
         print(f"  actor dims {dims}, slots {model.hyper.slots}, "
               f"gamma {model.hyper.gamma}, cost_weight {model.hyper.cost_weight}")
     return EXIT_OK

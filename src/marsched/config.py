@@ -2,14 +2,19 @@
 
 Precedence everywhere: command-line flag > config file > built-in default.
 The default config path comes from $MARSCHED_CONFIG when --config is absent.
+The [synthetic] and [agent] keys are the fields of the dataclasses they fill,
+``SyntheticConfig`` and ``Hyperparameters``; ``Settings.fill`` builds those.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
 
+from .agent import Hyperparameters
 from .errors import ConfigError
+from .workload import SyntheticConfig
 
 ENV_CONFIG = "MARSCHED_CONFIG"
 
@@ -18,16 +23,10 @@ KNOWN_KEYS: dict[str, set[str]] = {
         "trace", "policy", "tau", "procs", "seed", "out",
         "backfill", "model", "train_on_demand", "train_from_heuristic",
     },
-    "synthetic": {
-        "job_count", "arrival_rate", "runtime_min", "runtime_max",
-        "total_procs", "max_cores_exp", "overestimate_min",
-        "overestimate_max", "cost_mean", "cost_std", "seed", "name",
-    },
-    "agent": {
-        "gamma", "actor_lr", "critic_lr", "slots", "epochs", "workers",
-        "cost_weight", "ppo", "ppo_clip", "ppo_epochs", "validate_every",
-        "rollback_patience", "hidden", "time_norm", "cost_norm",
-    },
+    "synthetic": {f.name for f in dataclasses.fields(SyntheticConfig)},
+    # tau and seed are run settings ([run] and flags) that training copies in
+    "agent": {f.name for f in dataclasses.fields(Hyperparameters)}
+             - {"tau", "seed"},
     "decision": {"min", "median", "max"},
 }
 
@@ -95,6 +94,11 @@ def as_int_tuple(value, context: str) -> tuple[int, ...]:
             f"{context}: expected comma-separated integers, got {value!r}") from None
 
 
+# one cast per field annotation (a string under postponed evaluation)
+CASTS = {"int": as_int, "int | None": as_int, "float": as_float,
+         "bool": as_bool, "tuple[int, ...]": as_int_tuple, "str": None}
+
+
 class Settings:
     """Resolves one value at a time through the precedence chain."""
 
@@ -111,3 +115,12 @@ class Settings:
         if cast is None:
             return value
         return cast(value, f"[{section}] {key}")
+
+    def fill(self, cls, section: str, flags: dict, **fixed):
+        """An instance of the dataclass ``cls``. Fields in ``fixed`` take the
+        given value; every other field resolves its flag in ``flags``, then
+        its key in [section], then the field default."""
+        values = {f.name: self.get(section, f.name, flags.get(f.name),
+                                   f.default, CASTS[f.type])
+                  for f in dataclasses.fields(cls) if f.name not in fixed}
+        return cls(**values, **fixed)

@@ -1,5 +1,8 @@
 """Workload-size routing: combine undersized batches, split oversized ones,
-and pick SJF, UNICEF, or the learned policy per chunk."""
+and pick SJF, UNICEF, or the learned policy per chunk.
+
+``run_plan`` is the one way a policy runs: a routed plan from ``decide``, or
+a single heuristic or the learned policy as a plan of one chunk."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from .agent import (Hyperparameters, MarsAgent, actor_critic_step,
 from .dag import split_workload
 from .errors import ConfigError
 from .heuristics import PolicyKind
-from .metrics import DEFAULT_TAU, MetricsReport
+from .metrics import DEFAULT_TAU
 from .simulator import RunResult, run_episode
 from .workload import Job
 
@@ -46,9 +49,6 @@ class PlanChunk:
 @dataclass
 class Plan:
     chunks: list[PlanChunk] = field(default_factory=list)
-
-    def job_count(self) -> int:
-        return sum(len(c.jobs) for c in self.chunks)
 
     def to_dict(self) -> dict:
         return {
@@ -98,20 +98,16 @@ def decide(current: list[Job], nxt: list[Job] | None = None,
                         for p in parts])
 
 
-@dataclass
-class PlanResult:
-    plan: Plan
-    chunk_results: list[RunResult]
-    report: MetricsReport
-
-
 def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
              backfill: bool = True, agent: MarsAgent | None = None,
              train_on_demand: bool = False,
              train_from_heuristic: bool = False,
              on_demand_hyper: Hyperparameters | None = None,
-             seed: int = 0) -> PlanResult:
-    """Execute each chunk under its policy and aggregate over all jobs.
+             seed: int = 0) -> list[RunResult]:
+    """Execute each chunk under its policy; one result per chunk, in order.
+
+    Aggregating over the chunks is the caller's choice: a one-chunk plan's
+    only result already carries its report.
 
     Learned-policy chunks run the agent greedily. With no agent loaded,
     train_on_demand trains one on the first such chunk (seeded, so the whole
@@ -147,7 +143,4 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
                 _, traj = collect_heuristic_trajectory(
                     agent, chunk.jobs, total_procs, chunk.policy)
                 actor_critic_step(agent.model, [traj], agent.hyper)
-    all_jobs = [j for r in results for j in r.jobs]
-    aggregate = metrics.aggregate(all_jobs, tau=tau, policy="mars",
-                                  total_procs=total_procs)
-    return PlanResult(plan=plan, chunk_results=results, report=aggregate)
+    return results

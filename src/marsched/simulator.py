@@ -263,10 +263,9 @@ class Simulation:
     """One episode over one job set. Single-threaded; instances independent."""
 
     def __init__(self, jobs: list[Job], total_procs: int, *,
-                 backfill: bool = True, allow_forced_start: bool = True):
+                 backfill: bool = True):
         self.state = new_cluster(total_procs, jobs)
         self.backfill = backfill
-        self.allow_forced_start = allow_forced_start
         self.stats = RunStats()
         self.total_jobs = len(self.state.arrivals)
         self.on_event = None     # optional callback(state, event) for invariant probes
@@ -357,10 +356,6 @@ class Simulation:
             if next_event_time(state) < math.inf:
                 self._drain_next_time()
             elif state.pending:
-                if not self.allow_forced_start:
-                    raise SchedulingError(
-                        f"policy passed with no future events and "
-                        f"{len(state.pending)} jobs pending")
                 self._force_start_one()
             else:
                 raise SchedulingError("event loop stalled with no pending jobs")
@@ -370,7 +365,6 @@ class Simulation:
 def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
                 backfill: bool = True, tau: float = DEFAULT_TAU,
                 total_procs: int | None = None,
-                allow_forced_start: bool = True,
                 on_event=None) -> RunResult:
     """Simulate one policy over one trace and report metrics.
 
@@ -385,11 +379,10 @@ def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
         if total_procs is None:
             raise ConfigError("total_procs is required when passing a bare job list")
         procs = total_procs
-    sim = Simulation(jobs, procs, backfill=backfill,
-                     allow_forced_start=allow_forced_start)
+    sim = Simulation(jobs, procs, backfill=backfill)
     sim.on_event = on_event
     label = policy.value if isinstance(policy, PolicyKind) else (
-        policy if isinstance(policy, str) else getattr(policy, "label", "selector"))
+        policy if isinstance(policy, str) else "selector")
     finished = sim.run(policy)
     report = metrics.aggregate(finished, tau=tau, policy=str(label), total_procs=procs)
     return RunResult(jobs=finished, report=report, stats=sim.stats, policy=str(label))

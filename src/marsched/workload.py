@@ -320,25 +320,16 @@ def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> No
         job.cost_rate = _truncated_gauss(rng, mean, std)
 
 
-def slice_trace(trace: WorkloadTrace, start_index: int, count: int,
-                seed: int = 0, shuffle: bool = False) -> WorkloadTrace:
-    """Take a contiguous slice (or a seeded random sample) re-based to t=0."""
+def slice_trace(trace: WorkloadTrace, start_index: int,
+                count: int) -> WorkloadTrace:
+    """Take a contiguous slice re-based to t=0."""
     jobs = trace.jobs
-    if shuffle:
-        if count < 0 or count > len(jobs):
-            raise ConfigError(f"sample of {count} from {len(jobs)} jobs is out of range")
-        rng = np.random.default_rng(seed)
-        idx = sorted(rng.choice(len(jobs), size=count, replace=False).tolist())
-        selected = [jobs[i] for i in idx]
-        label = f"{trace.name}[sample{count}s{seed}]"
-    else:
-        if start_index < 0 or count < 0 or start_index + count > len(jobs):
-            raise ConfigError(
-                f"slice [{start_index}:{start_index + count}] out of range "
-                f"for {len(jobs)} jobs")
-        selected = jobs[start_index:start_index + count]
-        label = f"{trace.name}[{start_index}:{start_index + count}]"
-
+    if start_index < 0 or count < 0 or start_index + count > len(jobs):
+        raise ConfigError(
+            f"slice [{start_index}:{start_index + count}] out of range "
+            f"for {len(jobs)} jobs")
+    selected = jobs[start_index:start_index + count]
+    label = f"{trace.name}[{start_index}:{start_index + count}]"
     base = selected[0].submit_time if selected else 0.0
     rebased = [dataclasses.replace(j.fresh_copy(), submit_time=j.submit_time - base)
                for j in selected]

@@ -418,9 +418,12 @@ def test_c10_routed_plan_beats_plain_fcfs(capsys):
     hyper = Hyperparameters(epochs=30, seed=9, actor_lr=0.01, critic_lr=0.05,
                             time_norm=3600.0)
     plan = decide(trace.jobs, thresholds=Thresholds())
-    routed = run_plan(plan, total_procs=trace.total_procs, tau=10.0,
-                      backfill=False, train_on_demand=True,
-                      on_demand_hyper=hyper, seed=9)
+    routed = metrics.aggregate(
+        [j for r in run_plan(plan, total_procs=trace.total_procs, tau=10.0,
+                             backfill=False, train_on_demand=True,
+                             on_demand_hyper=hyper, seed=9)
+         for j in r.jobs],
+        tau=10.0, policy="mars", total_procs=trace.total_procs)
 
     # same slice arriving in sub-threshold batches: heuristic fallback chunks
     finished = []
@@ -428,18 +431,18 @@ def test_c10_routed_plan_beats_plain_fcfs(capsys):
         batch_plan = decide(trace.jobs[lo:lo + 200], thresholds=Thresholds())
         result = run_plan(batch_plan, total_procs=trace.total_procs, tau=10.0,
                           backfill=False, seed=9)
-        for chunk in result.chunk_results:
+        for chunk in result:
             finished.extend(chunk.jobs)
     batched = metrics.aggregate(finished, tau=10.0, policy="mars")
 
     elapsed = time.monotonic() - t0
-    ok = (routed.report.mean_bounded <= fcfs.report.mean_bounded
+    ok = (routed.mean_bounded <= fcfs.report.mean_bounded
           and batched.mean_bounded <= fcfs.report.mean_bounded
           and elapsed < 120.0)
-    _verdict(capsys, f"10 routed {routed.report.mean_bounded:.1f} / batched "
+    _verdict(capsys, f"10 routed {routed.mean_bounded:.1f} / batched "
                      f"{batched.mean_bounded:.1f} <= plain FCFS "
                      f"{fcfs.report.mean_bounded:.1f}", ok, elapsed, 120.0)
-    assert routed.report.mean_bounded <= fcfs.report.mean_bounded
+    assert routed.mean_bounded <= fcfs.report.mean_bounded
     assert batched.mean_bounded <= fcfs.report.mean_bounded
     assert elapsed < 120.0
 

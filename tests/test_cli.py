@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from marsched import __version__, agent, cli
+from marsched import __version__, agent, cli, config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -205,6 +205,91 @@ def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
     assert "unknown key 'policies'" in capsys.readouterr().err
 
 
+# one non-default value per [agent] key, as the config file spells it and
+# as model.json stores it
+AGENT_VALUES = {
+    "gamma": ("0.9", 0.9), "actor_lr": ("0.002", 0.002),
+    "critic_lr": ("0.02", 0.02), "slots": ("5", 5), "epochs": ("7", 7),
+    "workers": ("2", 2), "cost_weight": ("0.5", 0.5), "ppo": ("on", True),
+    "ppo_clip": ("0.3", 0.3), "ppo_epochs": ("2", 2),
+    "validate_every": ("9", 9), "rollback_patience": ("4", 4),
+    "hidden": ("6,3", [6, 3]), "time_norm": ("3600", 3600.0),
+    "cost_norm": ("5", 5.0),
+}
+
+
+def test_every_agent_key_reaches_model_json(tmp_path, trace_file):
+    assert set(AGENT_VALUES) == config.KNOWN_KEYS["agent"]
+    defaults = agent.hyper_to_dict(agent.Hyperparameters())
+    assert all(stored != defaults[key]
+               for key, (_, stored) in AGENT_VALUES.items())
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[agent]\n" + "".join(
+        f"{key} = {text}\n" for key, (text, _) in AGENT_VALUES.items()))
+    out = tmp_path / "tr"
+    # the flag beats the file's epochs; seed and tau come from the run
+    assert run_cli("train", "--config", str(conf), "--trace", trace_file,
+                   "--epochs", "0", "--seed", "6", "--tau", "7",
+                   "--out", str(out)) == 0
+    hyper = json.loads((out / "model.json").read_text())["hyper"]
+    expected = {key: stored for key, (_, stored) in AGENT_VALUES.items()}
+    assert hyper == dict(expected, epochs=0, seed=6, tau=7.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["simulate", "--policy", "mars"],
+    ["compare", "--policies", "fcfs,sjf"], ["train"],
+    ["evaluate", "--model", "never-read.json"], ["gen"]])
+def test_zero_synthetic_jobs_exit_2(tmp_path, argv, capsys):
+    flag = "--count" if argv[0] == "gen" else "--synthetic"
+    assert run_cli(*argv, flag, "0", "--out", str(tmp_path / "a")) == 2
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[synthetic]\njob_count = 0\n")
+    assert run_cli(*argv, "--config", str(conf),
+                   "--out", str(tmp_path / "b")) == 2
+    err = capsys.readouterr().err
+    assert err.count("synthetic job count must be >= 1, got 0") == 2
+    assert "Traceback" not in err
+
+
+def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):
+    model = tmp_path / "tr" / "model.json"
+    assert run_cli("train", "--config", cfg_file, "--out",
+                   str(model.parent)) == 0
+    sim, ev = tmp_path / "sim", tmp_path / "ev"
+    assert run_cli("simulate", "--config", cfg_file, "--policy", "rl",
+                   "--model", str(model), "--seed", "4", "--out",
+                   str(sim)) == 0
+    assert run_cli("evaluate", "--config", cfg_file, "--model", str(model),
+                   "--seed", "4", "--out", str(ev)) == 0
+    for name in ("jobs.csv", "report.csv"):
+        assert (sim / name).read_bytes() == (ev / name).read_bytes()
+
+
+def test_forced_start_warning(tmp_path, trace_file, cfg_file, monkeypatch,
+                              capsys):
+    model = tmp_path / "tr" / "model.json"
+    assert run_cli("train", "--config", cfg_file, "--epochs", "0", "--out",
+                   str(model.parent)) == 0
+    assert run_cli("simulate", "--trace", trace_file, "--out",
+                   str(tmp_path / "fcfs")) == 0
+    assert "warning" not in capsys.readouterr().err
+    # a policy that always passes leaves the simulator to start every job
+    monkeypatch.setattr(agent.MarsAgent, "make_selector",
+                        lambda self, rng, **kw: lambda state: None)
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in runs:
+        assert run_cli("simulate", "--trace", trace_file, "--policy", "rl",
+                       "--model", str(model), "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: rl: 40 job(s) force-started after the policy passed "
+            "with the cluster idle"]
+        assert "warning" not in captured.out
+    for name in ("jobs.csv", "report.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_evaluate_rejects_bad_model(tmp_path, cfg_file):
     bad = tmp_path / "model.json"
     bad.write_text('{"format_version": 99}')
@@ -251,7 +336,7 @@ def test_inspect(tmp_path, trace_file, cfg_file, capsys):
     assert run_cli("train", "--config", cfg_file, "--out", str(out)) == 0
     capsys.readouterr()
     assert run_cli("inspect", "--model", str(out / "model.json")) == 0
-    assert "format v1" in capsys.readouterr().out
+    assert f"format v{agent.MODEL_FORMAT_VERSION}," in capsys.readouterr().out
     assert run_cli("inspect") == 2
     assert run_cli("inspect", "--trace", trace_file, "--model", "x") == 2
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from marsched.config import (ENV_CONFIG, Settings, as_bool, as_float, as_int,
-                             as_int_tuple, load_config)
+from marsched.config import (ENV_CONFIG, KNOWN_KEYS, Settings, as_bool,
+                             as_float, as_int, as_int_tuple, load_config)
 from marsched.errors import ConfigError
 
 
@@ -90,3 +90,25 @@ def test_cast_error_names_the_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         settings.get("run", "seed", None, 0, as_int)
     assert "seed" in str(err.value)
+
+
+def test_known_keys_unchanged_by_deriving_them_from_the_fields():
+    # the sets as they were spelled out by hand before [synthetic] and
+    # [agent] came from SyntheticConfig and Hyperparameters
+    assert KNOWN_KEYS == {
+        "run": {
+            "trace", "policy", "tau", "procs", "seed", "out",
+            "backfill", "model", "train_on_demand", "train_from_heuristic",
+        },
+        "synthetic": {
+            "job_count", "arrival_rate", "runtime_min", "runtime_max",
+            "total_procs", "max_cores_exp", "overestimate_min",
+            "overestimate_max", "cost_mean", "cost_std", "seed", "name",
+        },
+        "agent": {
+            "gamma", "actor_lr", "critic_lr", "slots", "epochs", "workers",
+            "cost_weight", "ppo", "ppo_clip", "ppo_epochs", "validate_every",
+            "rollback_patience", "hidden", "time_norm", "cost_norm",
+        },
+        "decision": {"min", "median", "max"},
+    }

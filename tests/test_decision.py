@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_job
 from marsched.agent import Hyperparameters, MarsAgent
-from marsched.decision import (DEFAULT_MAX, DEFAULT_MEDIAN, DEFAULT_MIN, Plan,
+from marsched.decision import (DEFAULT_MAX, DEFAULT_MEDIAN, DEFAULT_MIN,
                                Thresholds, decide, run_plan)
 from marsched.errors import ConfigError
 from marsched.heuristics import PolicyKind
@@ -18,6 +18,10 @@ TH = Thresholds()                     # 256 / 512 / 20000
 
 def jobs_of(n):
     return [make_job(i + 1, submit=i, run=10) for i in range(n)]
+
+
+def n_jobs(plan):
+    return sum(len(c.jobs) for c in plan.chunks)
 
 
 def test_default_thresholds():
@@ -35,7 +39,7 @@ def test_threshold_ordering_enforced():
 def test_branch_small_goes_sjf():
     plan = decide(jobs_of(100), None, TH)
     assert [c.policy for c in plan.chunks] == [PolicyKind.SJF]
-    assert plan.job_count() == 100
+    assert n_jobs(plan) == 100
 
 
 def test_branch_medium_goes_unicef():
@@ -72,21 +76,21 @@ def test_combine_branch():
     current, nxt = jobs_of(300), jobs_of(400)
     plan = decide(current, nxt, TH)
     # 300 < MEDIAN and 300+400 > MEDIAN: merge for RL
-    assert plan.job_count() == 700
+    assert n_jobs(plan) == 700
     assert all(c.policy is PolicyKind.RL for c in plan.chunks)
     assert "combined" in plan.chunks[0].note
 
 
 def test_combine_does_not_fire_below_threshold_sum():
     plan = decide(jobs_of(300), jobs_of(100), TH)
-    assert plan.job_count() == 300
+    assert n_jobs(plan) == 300
     assert plan.chunks[0].policy is PolicyKind.UNICEF
 
 
 def test_combined_batch_still_respects_max():
     current, nxt = jobs_of(500), jobs_of(20000)
     plan = decide(current, nxt, TH)
-    assert plan.job_count() == 20500
+    assert n_jobs(plan) == 20500
     assert len(plan.chunks) == 2
     assert all(len(c.jobs) <= TH.max_size for c in plan.chunks)
 
@@ -94,14 +98,14 @@ def test_combined_batch_still_respects_max():
 def test_empty_workload_empty_plan():
     plan = decide([], None, TH)
     assert plan.chunks == []
-    assert plan.job_count() == 0
+    assert n_jobs(plan) == 0
 
 
 @given(st.integers(0, 3000))
 @settings(max_examples=80, deadline=None)
 def test_totality_small_range(n):
     plan = decide(jobs_of(n), None, Thresholds(8, 16, 64))
-    assert plan.job_count() == n
+    assert n_jobs(plan) == n
     seen = [j.id for c in plan.chunks for j in c.jobs]
     assert seen == [j.id for j in jobs_of(n)]        # partition, in order
     for c in plan.chunks:
@@ -112,7 +116,7 @@ def test_totality_small_range(n):
 def test_totality_spec_sizes():
     for n in (100, 300, 800, 20001, 50000):
         plan = decide(jobs_of(n), None, TH)
-        assert plan.job_count() == n
+        assert n_jobs(plan) == n
         assert all(len(c.jobs) <= TH.max_size for c in plan.chunks)
 
 
@@ -137,10 +141,11 @@ def test_run_plan_heuristic_chunk():
     trace = exec_trace()
     plan = decide(trace.jobs, None, Thresholds(100, 200, 400))
     assert plan.chunks[0].policy is PolicyKind.SJF
-    result = run_plan(plan, total_procs=trace.total_procs)
-    assert result.report.policy == "mars"
-    assert result.report.job_count == 40
-    assert result.chunk_results[0].policy == "sjf"
+    results = run_plan(plan, total_procs=trace.total_procs)
+    assert len(results) == 1
+    assert results[0].policy == "sjf"
+    assert results[0].report.policy == "sjf"
+    assert results[0].report.job_count == 40
 
 
 def test_run_plan_rl_needs_model_or_training():
@@ -155,10 +160,10 @@ def test_run_plan_rl_with_agent():
     trace = exec_trace(seed=2)
     plan = decide(trace.jobs, None, Thresholds(5, 10, 400))
     agent = MarsAgent(Hyperparameters(slots=4, hidden=(8,), seed=1))
-    result = run_plan(plan, total_procs=trace.total_procs, agent=agent,
-                      seed=3)
-    assert result.report.job_count == 40
-    assert result.chunk_results[0].policy == "rl"
+    results = run_plan(plan, total_procs=trace.total_procs, agent=agent,
+                       seed=3)
+    assert [r.policy for r in results] == ["rl"]
+    assert results[0].report.job_count == 40
 
 
 def test_run_plan_train_on_demand_deterministic():
@@ -169,7 +174,8 @@ def test_run_plan_train_on_demand_deterministic():
                  on_demand_hyper=hyper, seed=9)
     b = run_plan(plan, total_procs=trace.total_procs, train_on_demand=True,
                  on_demand_hyper=hyper, seed=9)
-    assert a.report.mean_bounded == b.report.mean_bounded
+    assert [r.report.mean_bounded for r in a] == \
+           [r.report.mean_bounded for r in b]
 
 
 def test_run_plan_train_from_heuristic_updates_agent():

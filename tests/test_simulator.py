@@ -245,14 +245,6 @@ def test_forced_start_breaks_selector_stall():
     assert all(j.status is JobStatus.FINISHED for j in finished)
 
 
-def test_stall_without_forced_start_is_an_error():
-    jobs = [make_job(1, submit=0, run=10, procs=1)]
-    sim = Simulation([j.fresh_copy() for j in jobs], 4,
-                     allow_forced_start=False)
-    with pytest.raises(SchedulingError):
-        sim.run(lambda state: None)
-
-
 def test_run_episode_bare_list_needs_procs():
     with pytest.raises(ConfigError):
         run_episode([make_job(1)], "fcfs")

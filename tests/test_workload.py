@@ -187,14 +187,6 @@ def test_slice_contiguous_rebased():
     assert [j.submit_time for j in trace.jobs] == [10.0, 20.0, 30.0, 40.0]
 
 
-def test_slice_sample_deterministic():
-    trace = make_trace([make_job(i, i, 5) for i in range(1, 40)], 8)
-    a = slice_trace(trace, 0, 10, seed=4, shuffle=True)
-    b = slice_trace(trace, 0, 10, seed=4, shuffle=True)
-    assert [j.id for j in a.jobs] == [j.id for j in b.jobs]
-    assert len(a.jobs) == 10
-
-
 def test_slice_out_of_range():
     trace = make_trace([make_job(1, 0, 5)], 8)
     with pytest.raises(ConfigError):
