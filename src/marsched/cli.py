@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one policy over one trace")
     _add_common(p)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="fcfs")
+    p.add_argument("--policy", choices=POLICY_NAMES,
+                   help="policy (default fcfs)")
     p.add_argument("--model", help="model file for rl/mars policies")
     p.add_argument("--train-on-demand", action="store_true",
                    help="train a model on the spot when none is supplied")
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="greedy-evaluate a trained model")
     _add_common(p)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", help="model file (or [run] model)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run several policies on one trace")
@@ -163,8 +164,10 @@ def _resolve_trace(args, settings: Settings, seed: int) -> WorkloadTrace:
         trace = load_swf(trace_path, name=os.path.basename(trace_path))
         # SWF carries no cost column; draw per-job cost rates here so that
         # cost-aware runs see the same costs for the same seed
-        mean = settings.get("synthetic", "cost_mean", None, 1.0, as_float)
-        std = settings.get("synthetic", "cost_std", None, 0.5, as_float)
+        mean = settings.get("synthetic", "cost_mean", None,
+                            SyntheticConfig.cost_mean, as_float)
+        std = settings.get("synthetic", "cost_std", None,
+                           SyntheticConfig.cost_std, as_float)
         assign_costs(trace, mean, std, seed)
         return trace
     if getattr(args, "synthetic", None) is not None \
@@ -303,7 +306,9 @@ def cmd_evaluate(args, settings: Settings) -> int:
     out = _out_dir(args, settings)
     trace = _resolve_trace(args, settings, seed)
     procs = _procs(args, settings, trace)
-    agent = MarsAgent(model=load_model(args.model))
+    agent = _load_agent(args, settings)
+    if agent is None:
+        raise ConfigError("evaluate needs a model: --model or [run] model")
     _, results, reports = _run_policy("rl", trace, procs=procs, tau=tau,
                                       seed=seed, agent=agent)
     _write_run_outputs(out, results, reports)

@@ -50,6 +50,21 @@ def _log10_clamped(x: float) -> float:
     return math.log10(max(x, 1.0))
 
 
+def _wfp3(job: Job, now: float) -> float:
+    w_t = max(now - job.submit_time, 0.0)
+    return -((w_t / job.requested_time) ** 3) * job.requested_procs
+
+
+def _unicef(job: Job, now: float) -> float:
+    w_t = max(now - job.submit_time, 0.0)
+    n_t = job.requested_procs
+    denom = math.log2(n_t) if n_t > 1 else 1.0
+    return -w_t / (denom * job.requested_time)
+
+
+_AGING_SCORES = {PolicyKind.WFP3: _wfp3, PolicyKind.UNICEF: _unicef}
+
+
 def score(job: Job, now: float, kind: PolicyKind) -> float:
     """Priority score; lower runs first. Pure in (job, now)."""
     if kind is PolicyKind.RL:
@@ -57,17 +72,13 @@ def score(job: Job, now: float, kind: PolicyKind) -> float:
     s_t = job.submit_time
     r_t = job.requested_time
     n_t = job.requested_procs
-    w_t = max(now - s_t, 0.0)
 
     if kind is PolicyKind.FCFS:
         return s_t
     if kind is PolicyKind.SJF:
         return r_t
-    if kind is PolicyKind.WFP3:
-        return -((w_t / r_t) ** 3) * n_t
-    if kind is PolicyKind.UNICEF:
-        denom = math.log2(n_t) if n_t > 1 else 1.0
-        return -w_t / (denom * r_t)
+    if kind in _AGING_SCORES:
+        return _AGING_SCORES[kind](job, now)
     if kind is PolicyKind.F1:
         return _log10_clamped(r_t) * n_t + _F1_C * _log10_clamped(s_t)
     if kind is PolicyKind.F2:
@@ -87,13 +98,15 @@ def priority_key(kind: PolicyKind, state):
     """Sort key of one run's scheduling cycles; lower runs first.
 
     ``state`` carries the run's ``arrivals`` and its current ``clock``. The
-    aging kinds are keyed by ``sort_key`` at the clock of each call. The
-    other kinds ignore the clock, so every job is scored once, up front, and
-    keyed by its int rank, which compares faster than the (score, submit, id)
-    tuple it stands for.
+    aging kinds are keyed like ``sort_key`` at the clock of each call,
+    through their own score function rather than ``score``'s dispatch on the
+    kind. The other kinds ignore the clock, so every job is scored once, up
+    front, and keyed by its int rank, which compares faster than the
+    (score, submit, id) tuple it stands for.
     """
     if kind not in TIME_INVARIANT_KINDS:
-        return lambda j: sort_key(j, state.clock, kind)
+        fn = _AGING_SCORES[kind]
+        return lambda j: (fn(j, state.clock), j.submit_time, j.id)
     order = sorted(state.arrivals, key=lambda j: sort_key(j, state.clock, kind))
     rank = {j.id: r for r, j in enumerate(order)}
     return lambda j: rank[j.id]

@@ -13,21 +13,40 @@ completes (it then takes its arrival position); it leaves when it starts.
 and ``backfill_easy`` test membership in it. Jobs without dependencies, which
 is every SWF job, enter on arrival, so for them pending equals ready.
 
-One sort per heuristic cycle. Within a cycle the clock and the finished set
-are fixed, so every score is fixed, and the order (score, submit time, id) is
-total. Starting a job only removes it from the sorted list; the others keep
-their order. Sorting once and walking the list therefore starts exactly the
-jobs that re-sorting after every start would, and the outputs are
-byte-identical. The order is ``heuristics.priority_key``: scores that do
-not depend on the clock (``heuristics.TIME_INVARIANT_KINDS``) are computed
-once per job per run; WFP3 and UNICEF are rescored every cycle.
+Heuristic cycle. Within a cycle the clock and the finished set are fixed,
+so every score is fixed, and the order (score, submit time, id) of
+``heuristics.priority_key`` is total. Starting a job only removes it from
+that order; the others keep theirs. So taking the minimum again after every
+start starts exactly the jobs a full re-sort would. The kinds whose score
+ignores the clock (``heuristics.TIME_INVARIANT_KINDS``) keep one heap of
+(rank, job) for the whole run. Invariant: every ready job has exactly one
+entry in ``ClusterState.rank_heap``, pushed when it entered the ready set;
+any other entry belongs to a job an EASY pass started, and it is dropped when
+it reaches the top. A cycle then pops only the jobs it starts. WFP3 and
+UNICEF age, so they are rescored every cycle into a fresh heap.
+
+EASY filters, then sorts. Within one pass ``free_procs`` and the head's
+spare processors ``extra`` only fall, and the shadow time never rises (the
+pass checks it): a backfilled job either ends by the shadow, which leaves
+the processors free at the shadow as they were, or fits the spare
+processors, which it then uses up. A candidate that fails ``procs <= free``
+or ``clock + requested_time <= shadow or procs <= extra`` at the start of
+the pass therefore fails at every later point of it. Keeping the candidates
+that pass both tests at the start, keying and sorting only them, and walking
+them in order with the same tests starts the same jobs as walking the whole
+sorted queue. When no ready job fits the free processors, no reservation is
+computed. ``ClusterState.releases`` keeps the running jobs' projected
+releases sorted as jobs start and finish, so a reservation walks a list
+instead of sorting the running set.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import heuristics, metrics
@@ -60,10 +79,16 @@ class ClusterState:
     dependents: dict[int, list[Job]] = field(default_factory=dict)  # dep id -> waiters
     running: dict[int, Job] = field(default_factory=dict)
     run_heap: list[tuple[float, int]] = field(default_factory=list)
+    # (start + requested_time, id, procs) of every running job, sorted
+    releases: list[tuple[float, int, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
     finished_ids: set[int] = field(default_factory=set)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
+    # time-invariant heuristic runs only: the run's priority key, and a heap
+    # of (key, job) holding every ready job plus started ones not yet dropped
+    rank_key: Callable[[Job], int] | None = None
+    rank_heap: list[tuple[int, Job]] = field(default_factory=list)
 
 
 @dataclass
@@ -113,6 +138,8 @@ def _release_dependents(state: ClusterState, job: Job) -> None:
         del state.unmet[dep.id]
         last = next(reversed(state.ready.values()), None)
         state.ready[dep.id] = dep
+        if state.rank_key is not None:
+            heapq.heappush(state.rank_heap, (state.rank_key(dep), dep))
         if last is not None and _arrival_key(dep) < _arrival_key(last):
             state.ready = dict(sorted(state.ready.items(),
                                       key=lambda item: _arrival_key(item[1])))
@@ -133,6 +160,8 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
     state.free_procs -= job.requested_procs
     state.running[job.id] = job
     heapq.heappush(state.run_heap, (now + job.run_time, job.id))
+    bisect.insort(state.releases,
+                  (now + job.requested_time, job.id, job.requested_procs))
     return True
 
 
@@ -154,6 +183,9 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
         state.clock = t
         job = state.running.pop(jid)
         job.status = JobStatus.FINISHED
+        releases = state.releases
+        del releases[bisect.bisect_left(
+            releases, (job.start_time + job.requested_time, jid))]
         state.free_procs += job.requested_procs
         state.finished.append(job)
         state.finished_ids.add(jid)
@@ -168,6 +200,8 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
     state.pending[job.id] = job
     if deps_met(state, job):
         state.ready[job.id] = job       # every ready job arrived before it
+        if state.rank_key is not None:
+            heapq.heappush(state.rank_heap, (state.rank_key(job), job))
     else:
         waiting_on = {d for d in job.dependencies if d not in state.finished_ids}
         state.unmet[job.id] = len(waiting_on)
@@ -205,48 +239,57 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
         raise SchedulingError(
             f"job {head.id} requests {head.requested_procs} processors, "
             f"system has {state.total_procs}: it can never start")
-    releases: dict[float, int] = {}
-    for job in state.running.values():
-        t = max(job.start_time + job.requested_time, state.clock)
-        releases[t] = releases.get(t, 0) + job.requested_procs
+    clock = state.clock
+    need = head.requested_procs
     avail = state.free_procs
-    for t in sorted(releases):
-        avail += releases[t]
-        if avail >= head.requested_procs:
-            return t, avail - head.requested_procs
+    at = None                   # time of the group being summed
+    for t, _, procs in state.releases:
+        if t < clock:           # past its estimate: projected to release now
+            t = clock
+        if t != at:
+            if at is not None and avail >= need:
+                return at, avail - need
+            at = t
+        avail += procs
+    if at is not None and avail >= need:
+        return at, avail - need
     raise SchedulingError(
         f"job {head.id} never fits under the current projection "
         f"(free {state.free_procs} of {state.total_procs})")
 
 
-def backfill_easy(state: ClusterState, ordered_ids: list[int],
+def backfill_easy(state: ClusterState, head: Job, key,
                   stats: RunStats | None = None) -> list[int]:
-    """One EASY pass over a priority-ordered ready queue.
+    """One EASY pass behind a blocked head; returns the started ids.
 
-    The head gets a reservation; later jobs start now only if they fit free
-    processors and either finish (by their own estimate) before the shadow
-    time or use no more than the spare processors. The head's reservation is
-    recomputed after every backfill and may only move earlier.
+    The head gets a reservation; other ready jobs start now, in ``key``
+    order, only if they fit free processors and either finish (by their own
+    estimate) before the shadow time or use no more than the spare
+    processors. Candidates are filtered before they are keyed and sorted
+    (module docstring). The head's reservation is recomputed after every
+    backfill and may only move earlier.
     """
-    queue = [state.pending[i] for i in ordered_ids if i in state.pending]
-    started: list[int] = []
-    while queue and queue[0].id in state.ready \
-            and queue[0].requested_procs <= state.free_procs:
-        head = queue.pop(0)
-        start_job(state, head, state.clock)
-        started.append(head.id)
-    if not queue:
-        return started
-    head = queue[0]
+    if head.id not in state.ready or head.requested_procs <= state.free_procs:
+        raise ContractError(f"job {head.id} is not a blocked ready head")
+    free = state.free_procs
+    fitting = [job for job in state.ready.values()
+               if job.requested_procs <= free and job is not head]
+    if not fitting:
+        return []
+    clock = state.clock
     shadow, extra = compute_reservation(state, head)
-    for cand in queue[1:]:
-        if cand.requested_procs > state.free_procs \
-                or cand.id not in state.ready:
+    queue = [(key(job), job) for job in fitting
+             if clock + job.requested_time <= shadow
+             or job.requested_procs <= extra]
+    queue.sort()
+    started: list[int] = []
+    for _, cand in queue:
+        if cand.requested_procs > state.free_procs:
             continue
-        fits_window = state.clock + cand.requested_time <= shadow
-        if not (fits_window or cand.requested_procs <= extra):
+        if not (clock + cand.requested_time <= shadow
+                or cand.requested_procs <= extra):
             continue
-        start_job(state, cand, state.clock)
+        start_job(state, cand, clock)
         started.append(cand.id)
         if stats is not None:
             stats.backfilled += 1
@@ -272,15 +315,20 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_heuristic(self, key) -> None:
+    def _schedule_heuristic(self, heap: list, key) -> None:
         """Start ready jobs in priority order until the head does not fit,
-        then hand the rest of the sorted queue to EASY."""
+        then run EASY behind it. ``heap`` holds (key(job), job) for every
+        ready job; entries of jobs no longer ready are dropped."""
         state = self.state
-        ready = ready_jobs(state)
-        ready.sort(key=key)
-        for n, head in enumerate(ready):
+        ready = state.ready
+        while heap:
+            head = heap[0][1]
+            if head.id not in ready:
+                heapq.heappop(heap)
+                continue
             if head.requested_procs > state.free_procs:
                 break
+            heapq.heappop(heap)
             start_job(state, head, state.clock)
             self.stats.started += 1
         else:
@@ -292,8 +340,14 @@ class Simulation:
                 f"job {head.id} requests {head.requested_procs} processors, "
                 f"system has {state.total_procs}: it can never start")
         if self.backfill:
-            started = backfill_easy(state, [j.id for j in ready[n:]], self.stats)
+            started = backfill_easy(state, head, key, self.stats)
             self.stats.started += len(started)
+
+    def _schedule_aging(self, key) -> None:
+        """Rescore the ready set at this cycle's clock and schedule it."""
+        heap = [(key(j), j) for j in self.state.ready.values()]
+        heapq.heapify(heap)
+        self._schedule_heuristic(heap, key)
 
     def _schedule_selector(self, selector) -> None:
         started = schedule_cycle(self.state, selector)
@@ -343,7 +397,12 @@ class Simulation:
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
             key = heuristics.priority_key(kind, state)
-            schedule = lambda: self._schedule_heuristic(key)
+            if kind in heuristics.TIME_INVARIANT_KINDS:
+                state.rank_key = key    # before any job has arrived
+                schedule = lambda: self._schedule_heuristic(state.rank_heap,
+                                                            key)
+            else:
+                schedule = lambda: self._schedule_aging(key)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)
         else:

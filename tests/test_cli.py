@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, and byte stability."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from marsched import __version__, agent, cli, config
+from marsched import __version__, agent, cli, config, workload
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -347,6 +348,61 @@ def test_env_config(tmp_path, cfg_file, monkeypatch):
     assert run_cli("simulate", "--policy", "sjf", "--out", str(out)) == 0
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[2].startswith("sjf,25,")      # job_count from the config
+
+
+def test_run_policy_key_honoured_without_the_flag(tmp_path, trace_file,
+                                                  capsys):
+    cfg = tmp_path / "policy.ini"
+    cfg.write_text("[run]\npolicy = sjf\n")
+    out = tmp_path / "p"
+    assert run_cli("simulate", "--config", str(cfg), "--trace", trace_file,
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("policy=sjf ")
+    # the flag still beats the file
+    assert run_cli("simulate", "--config", str(cfg), "--trace", trace_file,
+                   "--policy", "wfp3", "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("policy=wfp3 ")
+
+
+def test_run_model_key_honoured_by_evaluate(tmp_path, cfg_file, capsys):
+    out = tmp_path / "tr"
+    assert run_cli("train", "--config", cfg_file, "--out", str(out)) == 0
+    cfg = tmp_path / "with_model.ini"
+    cfg.write_text(pathlib.Path(cfg_file).read_text()
+                   + f"\n[run]\nmodel = {out / 'model.json'}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("evaluate", "--config", str(cfg), "--out", str(a)) == 0
+    assert run_cli("evaluate", "--config", cfg_file, "--model",
+                   str(out / "model.json"), "--out", str(b)) == 0
+    assert (a / "jobs.csv").read_bytes() == (b / "jobs.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", cfg_file,
+                   "--out", str(tmp_path / "c")) == 2
+    assert "needs a model" in capsys.readouterr().err
+
+
+def test_swf_cost_rates_follow_synthetic_config_defaults(
+        tmp_path, trace_file, monkeypatch):
+    seen = []
+    real = cli.assign_costs
+
+    def spy(trace, mean, std, seed):
+        seen.append((mean, std))
+        return real(trace, mean, std, seed)
+
+    monkeypatch.setattr(cli, "assign_costs", spy)
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    assert run_cli("simulate", "--config", str(empty), "--trace", trace_file,
+                   "--out", str(tmp_path / "a")) == 0
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(workload.SyntheticConfig)}
+    assert seen == [(defaults["cost_mean"], defaults["cost_std"])]
+    costs = tmp_path / "costs.ini"
+    costs.write_text("[synthetic]\ncost_mean = 2.5\ncost_std = 0.25\n")
+    assert run_cli("simulate", "--config", str(costs), "--trace", trace_file,
+                   "--out", str(tmp_path / "b")) == 0
+    assert seen[1] == (2.5, 0.25)
 
 
 # The wrapper pip's installer (distlib's ScriptMaker) writes for a

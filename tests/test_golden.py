@@ -8,13 +8,15 @@ A speed change to the simulator must leave every digest as it is; a change
 that means to alter the schedule re-records them and says why.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from marsched import cli
 from marsched.heuristics import HEURISTIC_KINDS
-from marsched.workload import SyntheticConfig, generate_synthetic, write_swf
+from marsched.workload import (SyntheticConfig, WorkloadTrace,
+                               generate_synthetic, write_swf)
 
 # name -> generator settings; total_procs is 128 for both
 TRACES = {
@@ -126,6 +128,74 @@ GOLDEN = {
 }
 
 
+def overrun_trace() -> WorkloadTrace:
+    """A burst trace in which every third job's estimate is 40% of its run
+    time (rounded up), so those jobs run past their estimates and the EASY
+    reservation projects them to release at the current clock. The other
+    jobs keep the generator's 1-5x overestimates, which no synthetic
+    setting can push below 1."""
+    trace = generate_synthetic(SyntheticConfig(job_count=300,
+                                               arrival_rate=2.0, seed=103))
+    trace.jobs = [dataclasses.replace(j, requested_time=float(
+                      max(1, -(-int(j.run_time) * 2 // 5))))
+                  if j.id % 3 == 0 else j for j in trace.jobs]
+    return trace
+
+
+# (policy, backfill) -> digests on overrun_trace(); recorded, like GOLDEN, on
+# the simulator that rebuilt the reservation from the running set each call
+GOLDEN_OVERRUN = {
+    ('fcfs', 'on'):
+        ('4d1622476b3e83d94415a0a6d39ff671d529a7976b78c4482ca6fbd3768a22b8',
+         '31458f2c68f99fe27d326ef6e3df4e49ed385fd309f75caf7dd1b19d80ac657e'),
+    ('fcfs', 'off'):
+        ('204fd877c385d3c9f877072786dcdd53814ed823cf840520495560fb97413426',
+         '2266dae6a04ee9386e6a73984fb14c58dcdfacd34b9cedda3b362ad0cb014465'),
+    ('sjf', 'on'):
+        ('5dbc9a846a84254b9aaa02dc2652253b9febfdd2be7722dff64812fa776068fb',
+         'ecd5342ab140147dedfba14fec81018b37e8c6b6893ce6648b175885658e2143'),
+    ('sjf', 'off'):
+        ('491130a87844955894ab5647a5374df4f2c417a18c107b808c982a90348e4581',
+         '10648bcf6933e177066ab920baf051aaf5cbacbf73a8e4bc46a0ed429cc9f643'),
+    ('wfp3', 'on'):
+        ('0cd6faf22ce43c65eccdd38863672bdc1df79f8841afaa3c1afc3ec5b9595f38',
+         'b76b8c9cb6ae90395209c6698be4c730b7939c5d1b72db88eb74047374dde13b'),
+    ('wfp3', 'off'):
+        ('2c3c1bd83f2f1f71ac0538de357c0505fada558377546cf58fba89b1b6ba4a52',
+         '732ec07063be5d3be38a99f1af22a92d9e9300f5b78c97a293cac4b8c8a847e3'),
+    ('unicef', 'on'):
+        ('20e8d99d097b7c7b746edfb5fe5f73823d37d32f64884faf8d7c2d91d7d2a1ad',
+         '8b51ced8ddbd78795bdc076d4d01857eda71b1539139a7db03b85d0cf124be08'),
+    ('unicef', 'off'):
+        ('c6bc8d64863814e496e1a18952468c8ed06d349eea5df69b92ac7dde7e4022b8',
+         'f80399fbb1eb58a22195d81a6763c637eeb1f87149347827c8d42a7253300456'),
+    ('f1', 'on'):
+        ('0754e89b8490d8e5cbc43dc6cb5505cbe7fd3908774992e471f04c548fe88446',
+         'c790c4d3f73e2b733f068f498b19d502a813511e5ebc1c5df2948349acb48466'),
+    ('f1', 'off'):
+        ('b249e3eac9561e68270359d4ed2096006bcd0a146efaba8aabf3e388c2b0d62b',
+         'a8eb6492142727a3765b38700ffd4875739f3c8df943b0924e819f31c49aab49'),
+    ('f2', 'on'):
+        ('4946958de9df5f88e41b93365268348c4901bf06d70c41e86df3d966d8ae2fee',
+         '870ab43eb6e51cb08a9d73b7415532f4aa58b85eb3ec740e5157369fe55830c0'),
+    ('f2', 'off'):
+        ('58d9535b1dae0911a5f1fd60fcb89726f91da8734aefe20bf134561f8c63b277',
+         '4c830e425f44b3eefcf0edaacf87e2994b605a56b0687e070ca398fa8e8adb7c'),
+    ('f3', 'on'):
+        ('171e365c3504a1faaa2e34b968f48d9e7e63714ef84534b05442847d55736bc8',
+         'c9e3f3575b57e399982ad3b795eda42e36e313ea26f7b128f6563cca96866514'),
+    ('f3', 'off'):
+        ('d1dff2b52121a87126b4ac597a835a58effa5a2f94ebfb1b1c73c9799e4aa5ee',
+         '65a7de692d563e127582516b3c50c1d20cbbef9a186aa744c5b9ced06cdeeed4'),
+    ('f4', 'on'):
+        ('47cd68b20e6d982d4b0cb745347904abd370045cf7e7fddbe0db7d797b938c09',
+         '4f1851f2c5dd933792b823d8421d32189076e36af011488690cc34d45c69d514'),
+    ('f4', 'off'):
+        ('9d9c5d1e2dea277f1ff2db57a76f71e89a0d869976b5e723432cc480cfab84a1',
+         'efb31bde8617401ff434ac97e98631354113498cef5b900fcc49772a793becb8'),
+}
+
+
 def sha256(path) -> str:
     with open(path, "rb") as fp:
         return hashlib.sha256(fp.read()).hexdigest()
@@ -138,6 +208,8 @@ def swf_paths(tmp_path_factory):
     for name, cfg in TRACES.items():
         paths[name] = root / f"{name}.swf"
         write_swf(paths[name], generate_synthetic(cfg))
+    paths["overrun"] = root / "overrun.swf"
+    write_swf(paths["overrun"], overrun_trace())
     (root / "empty.ini").write_text("")
     return root, paths
 
@@ -154,3 +226,16 @@ def test_golden_outputs(swf_paths, tmp_path, trace, policy, backfill):
     assert code == 0
     got = (sha256(tmp_path / "jobs.csv"), sha256(tmp_path / "report.csv"))
     assert got == GOLDEN[(trace, policy, backfill)]
+
+
+@pytest.mark.parametrize("backfill", ["on", "off"])
+@pytest.mark.parametrize("policy", [k.value for k in HEURISTIC_KINDS])
+def test_golden_overrun_outputs(swf_paths, tmp_path, policy, backfill):
+    root, paths = swf_paths
+    code = cli.main(["simulate", "--trace", str(paths["overrun"]),
+                     "--policy", policy, "--backfill", backfill,
+                     "--seed", "0", "--config", str(root / "empty.ini"),
+                     "--out", str(tmp_path)])
+    assert code == 0
+    got = (sha256(tmp_path / "jobs.csv"), sha256(tmp_path / "report.csv"))
+    assert got == GOLDEN_OVERRUN[(policy, backfill)]

@@ -10,7 +10,7 @@ import pytest
 from helpers import make_job, make_trace
 from marsched.agent import make_random_selector
 from marsched.errors import ConfigError, ContractError, SchedulingError
-from marsched.heuristics import HEURISTIC_KINDS, PolicyKind
+from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
 from marsched.simulator import (EventKind, Simulation, backfill_easy,
                                 compute_reservation, job_csv_rows,
                                 new_cluster, ready_jobs, run_episode,
@@ -194,6 +194,116 @@ def test_ready_set_matches_rescan_under_random_selector():
                           on_event=ready_probe(seen))
         assert len(res.jobs) == len(jobs) and seen
         check_dependencies_respected(res.jobs)
+
+
+# -- differential check against a naive heuristic cycle -----------------------
+
+def naive_reservation(state, head):
+    """The head's (shadow, extra), rebuilt from the running set."""
+    releases = {}
+    for job in state.running.values():
+        t = max(job.start_time + job.requested_time, state.clock)
+        releases[t] = releases.get(t, 0) + job.requested_procs
+    avail = state.free_procs
+    for t in sorted(releases):
+        avail += releases[t]
+        if avail >= head.requested_procs:
+            return t, avail - head.requested_procs
+    raise AssertionError("head never fits")
+
+
+def naive_heuristic(kind, backfill, counts):
+    """Selector that rescans pending, re-sorts the whole ready queue and
+    rebuilds the head's reservation before every start. ``counts`` gets the
+    backfills, and the reservations made while a job ran past its
+    estimate."""
+    def selector(state):
+        clock = state.clock
+        queue = sorted((j for j in state.pending.values()
+                        if all(d in state.finished_ids
+                               for d in j.dependencies)),
+                       key=lambda j: sort_key(j, clock, kind))
+        if not queue:
+            return None
+        head = queue[0]
+        if head.requested_procs <= state.free_procs:
+            return head.id
+        if not backfill:
+            return None
+        shadow, extra = naive_reservation(state, head)
+        if any(j.start_time + j.requested_time < clock
+               for j in state.running.values()):
+            counts["clamped"] += 1
+        for cand in queue[1:]:
+            if cand.requested_procs <= state.free_procs and (
+                    clock + cand.requested_time <= shadow
+                    or cand.requested_procs <= extra):
+                counts["backfilled"] += 1
+                return cand.id
+        return None
+    return selector
+
+
+def tangled_trace(seed, n=40, procs=8):
+    """Integer times on a narrow range, so arrivals and completions share
+    instants; estimates from half to three times the run time, so some jobs
+    overrun; about a third of the jobs depend on up to two lower ids."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(1, n + 1):
+        run = int(rng.integers(1, 30))
+        factor = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        deps = ()
+        if i > 1 and rng.random() < 0.35:
+            k = int(rng.integers(1, min(i - 1, 2) + 1))
+            deps = [int(d) for d in rng.choice(np.arange(1, i), size=k,
+                                               replace=False)]
+        jobs.append(make_job(i, submit=int(rng.integers(0, 60)), run=run,
+                             req_time=max(1, int(run * factor)),
+                             procs=int(rng.choice([1, 1, 2, 3, 4, 8])),
+                             deps=deps))
+    return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
+
+
+def state_probe(events):
+    """on_event probe: the release profile and the rank heap hold what the
+    module docstring says they hold; every event goes to ``events``."""
+    def probe(state, event):
+        events.append(event)
+        assert state.releases == sorted(
+            (j.start_time + j.requested_time, j.id, j.requested_procs)
+            for j in state.running.values())
+        if state.rank_key is not None:
+            live = [j.id for _, j in state.rank_heap if j.id in state.ready]
+            assert sorted(live) == sorted(state.ready)
+    return probe
+
+
+@pytest.mark.parametrize("backfill", [True, False])
+@pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+def test_heuristic_cycle_matches_naive_reference(kind, backfill):
+    counts, shared_instants = {"clamped": 0, "backfilled": 0}, 0
+    for seed in range(30):
+        jobs, procs = tangled_trace(seed)
+        events = []
+        got = run_episode(jobs, kind, backfill=backfill, total_procs=procs,
+                          on_event=state_probe(events))
+        backfilled = counts["backfilled"]
+        want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
+                           total_procs=procs)
+        assert want.stats.forced_starts == 0
+        assert {j.id: j.start_time for j in got.jobs} == \
+            {j.id: j.start_time for j in want.jobs}, seed
+        assert got.stats.started == len(jobs)
+        assert got.stats.backfilled == counts["backfilled"] - backfilled
+        check_dependencies_respected(got.jobs)
+        kinds_at = {}
+        for e in events:
+            kinds_at.setdefault(e.time, set()).add(e.kind)
+        shared_instants += sum(len(k) == 2 for k in kinds_at.values())
+    assert shared_instants          # completions and arrivals at one instant
+    # reservations over overrunning jobs, and backfills, were compared
+    assert (counts["clamped"] and counts["backfilled"]) or not backfill
 
 
 # -- primitive contracts ------------------------------------------------------
