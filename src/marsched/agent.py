@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from . import heuristics, metrics, neural
 from .errors import ConfigError, ContractError, ModelFormatError, TrainingDiverged
 from .metrics import DEFAULT_TAU
 from .neural import AdamState, Network, backward, forward, softmax
-from .simulator import ClusterState, RunStats, Simulation, ready_jobs
+# ready_jobs is not called here but stays importable: bench/tracing.py
+# patches it at every module that imports it
+from .simulator import ClusterState, RunStats, Simulation, ready_jobs  # noqa: F401
 from .workload import Job
 
 FEATURES_PER_JOB = 4      # w_t, r_t, n_t, cost_rate, each normalized
@@ -80,35 +83,57 @@ class Hyperparameters:
         return self.slots + 1     # one per slot plus pass
 
 
-def encode_state(queue: list[Job], free_procs: int, total_procs: int,
-                 now: float, hyper: Hyperparameters) -> np.ndarray:
-    """Fixed-length state vector; slots beyond the queue stay zero.
+def visible_window(state: ClusterState, slots: int
+                   ) -> tuple[list[Job], list[bool]] | None:
+    """The first ``slots`` ready jobs in arrival order, and whether each fits
+    the free processors; None when none of them fits.
+
+    Jobs past the window are invisible this step (they enter as slots free
+    up), so a selector's work per call depends on the slot count, not on
+    the depth of the queue.
+    """
+    window = list(islice(state.ready.values(), slots))
+    free = state.free_procs
+    fits = [job.requested_procs <= free for job in window]
+    return (window, fits) if True in fits else None
+
+
+def encode_state(window: list[Job], queued: int, free_procs: int,
+                 total_procs: int, now: float, hyper: Hyperparameters,
+                 static: dict[int, tuple[float, float, float]]
+                 ) -> np.ndarray:
+    """Fixed-length state vector of a window of at most ``slots`` jobs;
+    slots beyond the window stay zero.
 
     Job features are clipped to [0, 1]: waiting and requested time by
-    time_norm, processors by the machine size, cost rate by cost_norm. Jobs
-    past the window are invisible this step (they enter as slots free up);
-    the queue-pressure cluster feature is their only trace.
+    time_norm, processors by the machine size, cost rate by cost_norm. The
+    queue-pressure cluster feature, ``queued`` ready jobs over the slot
+    count, is the only trace of the jobs past the window. ``static`` caches
+    the three features that do not change while a job waits, by job id; a
+    selector keeps one for its episode.
     """
-    vec = np.zeros(hyper.state_dim)
-    for i, job in enumerate(queue[:hyper.slots]):
-        base = i * FEATURES_PER_JOB
+    time_norm = hyper.time_norm
+    row: list[float] = []
+    for job in window:
         wait = max(now - job.submit_time, 0.0)
-        vec[base + 0] = min(wait / hyper.time_norm, 1.0)
-        vec[base + 1] = min(job.requested_time / hyper.time_norm, 1.0)
-        vec[base + 2] = min(job.requested_procs / total_procs, 1.0)
-        vec[base + 3] = min(job.cost_rate / hyper.cost_norm, 1.0)
-    vec[-2] = free_procs / total_procs
-    vec[-1] = min(len(queue) / hyper.slots, 1.0)
-    return vec
+        row.append(min(wait / time_norm, 1.0))
+        fixed = static.get(job.id)
+        if fixed is None:
+            fixed = static[job.id] = (
+                min(job.requested_time / time_norm, 1.0),
+                min(job.requested_procs / total_procs, 1.0),
+                min(job.cost_rate / hyper.cost_norm, 1.0))
+        row.extend(fixed)
+    row.extend([0.0] * (hyper.state_dim - CLUSTER_FEATURES - len(row)))
+    row.append(free_procs / total_procs)
+    row.append(min(queued / hyper.slots, 1.0))
+    return np.array(row)
 
 
-def fit_mask(queue: list[Job], free_procs: int, slots: int) -> np.ndarray:
-    """Validity mask over slot actions plus the always-valid pass action."""
-    mask = np.zeros(slots + 1, dtype=bool)
-    for i, job in enumerate(queue[:slots]):
-        mask[i] = job.requested_procs <= free_procs
-    mask[slots] = True
-    return mask
+def fit_mask(fits: list[bool], slots: int) -> np.ndarray:
+    """Validity mask over slot actions plus the always-valid pass action;
+    ``fits`` says which visible jobs fit, as ``visible_window`` gives it."""
+    return np.array(fits + [False] * (slots - len(fits)) + [True])
 
 
 def slot_cost_factors(queue: list[Job], slots: int) -> np.ndarray:
@@ -156,6 +181,22 @@ def apply_cost_adjustment(probs: np.ndarray, cost_factors: np.ndarray,
     return adjusted / total
 
 
+def sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index with probabilities ``p`` by inverse CDF.
+
+    The same arithmetic and the same one draw from ``rng`` as
+    ``rng.choice(len(p), p=p)``, so it returns the same index and leaves the
+    generator in the same state, without ``choice``'s argument checks. A
+    distribution that is not finite raises ValueError, as ``choice`` does.
+    """
+    cdf = p.cumsum()
+    total = cdf[-1]
+    if not math.isfinite(total):
+        raise ValueError("probabilities are not finite")
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def select_action(net: Network, state: np.ndarray, valid_mask: np.ndarray,
                   rng: np.random.Generator, *, greedy: bool = False,
                   cost_factors: np.ndarray | None = None,
@@ -167,16 +208,14 @@ def select_action(net: Network, state: np.ndarray, valid_mask: np.ndarray,
     Invalid actions get -inf logits, hence probability exactly 0. Returns
     (action index, log-probability under the sampled distribution, probs).
     """
-    logits, _ = forward(net, state)
-    masked = np.where(valid_mask, logits, -np.inf)
-    probs = softmax(masked)
+    probs, _ = _masked_probs(net, state, valid_mask)
     if cost_factors is not None and cost_weight > 0:
         probs = apply_cost_adjustment(probs, cost_factors, cost_weight,
                                       cost_stats)
     if greedy:
-        action = int(np.argmax(probs))
+        action = int(probs.argmax())
     else:
-        action = int(rng.choice(len(probs), p=probs / probs.sum()))
+        action = sample_index(probs / probs.sum(), rng)
     return action, float(np.log(probs[action])), probs
 
 
@@ -307,9 +346,9 @@ def save_model(path, model: AgentModel) -> None:
         "actor_adam": neural.adam_to_dict(model.actor_adam),
         "critic_adam": neural.adam_to_dict(model.critic_adam),
     }
+    # compact, so that json uses its C encoder; floats keep their repr
     with open(path, "w") as fp:
-        json.dump(payload, fp, indent=1)
-        fp.write("\n")
+        fp.write(json.dumps(payload) + "\n")
 
 
 def load_model(path) -> AgentModel:
@@ -538,26 +577,27 @@ class MarsAgent:
 
     def make_selector(self, rng: np.random.Generator, *, greedy: bool = False,
                       traj: EpisodeTrajectory | None = None):
-        """Selector callback for schedule_cycle.
+        """Selector callback for schedule_cycle, for one episode.
 
         Records a trajectory step only where a real choice exists (at least
-        one fitting visible job); empty or fully blocked queues pass silently,
-        which keeps the trajectory to actual decision points.
+        one fitting visible job); empty or fully blocked windows pass
+        silently, which keeps the trajectory to actual decision points.
         """
         hyper = self.hyper
+        slots = hyper.slots
+        static: dict[int, tuple[float, float, float]] = {}
 
         def selector(state: ClusterState) -> int | None:
-            queue = ready_jobs(state)
-            if not queue:
+            seen = visible_window(state, slots)
+            if seen is None:
                 return None
-            mask = fit_mask(queue, state.free_procs, hyper.slots)
-            if not mask[:-1].any():
-                return None
-            vec = encode_state(queue, state.free_procs, state.total_procs,
-                               state.clock, hyper)
+            window, fits = seen
+            mask = fit_mask(fits, slots)
+            vec = encode_state(window, len(state.ready), state.free_procs,
+                               state.total_procs, state.clock, hyper, static)
             factors = None
             if greedy and hyper.cost_weight > 0:
-                factors = slot_cost_factors(queue, hyper.slots)
+                factors = slot_cost_factors(window, slots)
             action, log_prob, probs = select_action(
                 self.model.actor, vec, mask, rng, greedy=greedy,
                 cost_factors=factors, cost_weight=hyper.cost_weight,
@@ -565,12 +605,12 @@ class MarsAgent:
             if traj is not None:
                 cost_norm = np.zeros(hyper.action_dim)
                 if hyper.cost_weight > 0:
-                    cost_norm = 1.0 - slot_cost_factors(queue, hyper.slots)
+                    cost_norm = 1.0 - slot_cost_factors(window, slots)
                     cost_norm[-1] = 0.0
                 traj.add_step(vec, action, log_prob, mask, cost_norm)
-            if action == hyper.slots:
+            if action == slots:
                 return None
-            return queue[action].id
+            return window[action].id
 
         return selector
 
@@ -610,23 +650,28 @@ def collect_heuristic_trajectory(agent: MarsAgent, jobs: list[Job],
     sim = Simulation([j.fresh_copy() for j in jobs], total_procs,
                      backfill=False)
     key = heuristics.priority_key(kind, sim.state)
+    static: dict[int, tuple[float, float, float]] = {}
 
     def selector(state: ClusterState) -> int | None:
-        queue = ready_jobs(state)
-        if not queue:
+        if not state.ready:
             return None
-        head = min(queue, key=key)
+        head = min(state.ready.values(), key=key)
         choice = head if head.requested_procs <= state.free_procs else None
-        mask = fit_mask(queue, state.free_procs, hyper.slots)
-        visible_ids = [j.id for j in queue[:hyper.slots]]
-        action = hyper.slots if choice is None else (
-            visible_ids.index(choice.id) if choice.id in visible_ids else None)
-        if action is not None and mask[:-1].any():
-            vec = encode_state(queue, state.free_procs, state.total_procs,
-                               state.clock, hyper)
-            logits, _ = forward(agent.model.actor, vec)
-            probs = softmax(np.where(mask, logits, -np.inf))
-            cost_norm = 1.0 - slot_cost_factors(queue, hyper.slots)
+        seen = visible_window(state, hyper.slots)
+        if seen is None:
+            return None if choice is None else choice.id
+        window, fits = seen
+        if choice is None:
+            action = hyper.slots
+        else:
+            action = next((i for i, job in enumerate(window)
+                           if job is choice), None)
+        if action is not None:
+            mask = fit_mask(fits, hyper.slots)
+            vec = encode_state(window, len(state.ready), state.free_procs,
+                               state.total_procs, state.clock, hyper, static)
+            probs, _ = _masked_probs(agent.model.actor, vec, mask)
+            cost_norm = 1.0 - slot_cost_factors(window, hyper.slots)
             cost_norm[-1] = 0.0
             traj.add_step(vec, action, float(np.log(probs[action])), mask,
                           cost_norm)
@@ -641,13 +686,10 @@ def make_random_selector(rng: np.random.Generator, slots: int):
     """Uniform over fitting visible jobs plus pass; the learning baseline."""
 
     def selector(state: ClusterState) -> int | None:
-        queue = ready_jobs(state)
-        if not queue:
+        seen = visible_window(state, slots)
+        if seen is None:
             return None
-        visible = queue[:slots]
-        fitting = [j for j in visible if j.requested_procs <= state.free_procs]
-        if not fitting:
-            return None
+        fitting = [job for job, fit in zip(*seen) if fit]
         pick = rng.integers(len(fitting) + 1)
         if pick == len(fitting):
             return None

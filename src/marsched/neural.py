@@ -156,9 +156,9 @@ def backward(net: Network, cache: ForwardCache,
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis; -inf logits map to probability 0."""
     z = np.asarray(logits, dtype=float)
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass

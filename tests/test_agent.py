@@ -18,11 +18,13 @@ from marsched.agent import (CostAdjustStats, EpisodeTrajectory,
                             collect_heuristic_trajectory, compute_advantages,
                             encode_state, episode_gradients, episode_reward,
                             fit_mask, load_model, new_model, ppo_update,
-                            random_baseline, save_model, select_action,
-                            slot_cost_factors, train)
+                            random_baseline, sample_index, save_model,
+                            select_action, slot_cost_factors, train,
+                            visible_window)
 from marsched.errors import (ConfigError, ContractError, ModelFormatError)
 from marsched.heuristics import PolicyKind
 from marsched.neural import forward, softmax
+from marsched.simulator import Simulation
 from marsched.workload import SyntheticConfig, generate_synthetic
 
 SMALL = Hyperparameters(slots=4, hidden=(8,), epochs=5, seed=1)
@@ -41,8 +43,8 @@ def test_encode_state_layout():
     assert hyper.state_dim == 18           # 4 slots x 4 features + 2
     assert hyper.action_dim == 5
     queue = [make_job(1, submit=10, run=50, procs=8, req_time=50, cost=2.0)]
-    vec = encode_state(queue, free_procs=16, total_procs=32, now=35,
-                       hyper=hyper)
+    vec = encode_state(queue, queued=1, free_procs=16, total_procs=32,
+                       now=35, hyper=hyper, static={})
     assert vec.shape == (18,)
     assert vec[0] == 0.25                  # wait 25 / time_norm 100
     assert vec[1] == 0.5                   # requested time 50 / 100
@@ -57,16 +59,45 @@ def test_encode_state_clips_to_unit_interval():
     hyper = Hyperparameters(slots=2, time_norm=10.0, cost_norm=1.0)
     queue = [make_job(i + 1, submit=0, run=10**6, procs=64, req_time=10**6,
                       cost=50.0) for i in range(10)]
-    vec = encode_state(queue, free_procs=64, total_procs=64, now=10**9,
-                       hyper=hyper)
+    vec = encode_state(queue[:2], queued=len(queue), free_procs=64,
+                       total_procs=64, now=10**9, hyper=hyper, static={})
     assert np.all(vec <= 1.0) and np.all(vec >= 0.0)
     assert vec[-1] == 1.0                  # queue pressure saturates
 
 
+def test_encode_state_static_cache_changes_nothing():
+    hyper = Hyperparameters(slots=3, time_norm=100.0, cost_norm=10.0)
+    queue = [make_job(i + 1, submit=3 * i, run=7 + i, procs=i + 1,
+                      cost=0.3 * i) for i in range(4)]
+    static = {}
+    for now in (12.5, 40.0, 1e6):
+        fresh = encode_state(queue[:3], 4, 5, 16, now, hyper, {})
+        cached = encode_state(queue[:3], 4, 5, 16, now, hyper, static)
+        assert fresh.tobytes() == cached.tobytes()
+    assert sorted(static) == [1, 2, 3]
+    assert static[2] == (0.08, 2 / 16, 0.03)
+
+
 def test_fit_mask():
-    queue = [make_job(1, procs=4), make_job(2, procs=16)]
-    mask = fit_mask(queue, free_procs=8, slots=3)
+    mask = fit_mask([True, False], slots=3)
     assert mask.tolist() == [True, False, False, True]   # pass always valid
+    assert mask.dtype == bool
+
+
+def test_visible_window_is_the_first_slots_ready_jobs():
+    sim = Simulation([make_job(i + 1, procs=p)
+                      for i, p in enumerate([8, 2, 16, 1, 1])], 8)
+    state = sim.state
+    assert visible_window(state, 3) is None        # nothing has arrived
+    for job in sim.state.arrivals:
+        state.ready[job.id] = job
+    window, fits = visible_window(state, 3)
+    assert [j.id for j in window] == [1, 2, 3]
+    assert fits == [True, True, False]
+    state.free_procs = 1
+    assert visible_window(state, 3) is None        # job 4 fits, unseen
+    window, fits = visible_window(state, 5)
+    assert fits == [False, False, False, True, True]
 
 
 # -- cost factors -------------------------------------------------------------
@@ -133,6 +164,42 @@ def test_select_action_respects_mask():
         assert probs[~mask].sum() == 0.0
         assert abs(probs.sum() - 1.0) < 1e-9
         assert log_prob == pytest.approx(float(np.log(probs[action])))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sample_index_matches_generator_choice(seed):
+    # 300 masked distributions per seed: mild, sharp and extreme logits
+    # (at scale 700 every entry but the largest underflows to 0), ties,
+    # and every seventh with a single valid action
+    source = np.random.default_rng(1000 + seed)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for trial in range(300):
+        n = int(source.integers(1, 34))
+        logits = source.normal(size=n) * (1.0, 30.0, 700.0)[trial % 3]
+        if trial % 5 == 0:
+            logits = np.round(logits)
+        mask = source.random(n) < 0.5
+        if trial % 7 == 0:
+            mask[:] = False
+        mask[source.integers(n)] = True
+        probs = softmax(np.where(mask, logits, -np.inf))
+        p = probs / probs.sum()
+        assert sample_index(p, ours) == theirs.choice(n, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_sample_index_rejects_nan_distribution():
+    p = np.array([0.5, np.nan, 0.5])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, p=p)
+    with pytest.raises(ValueError):
+        sample_index(p, np.random.default_rng(0))
+    net = new_model(SMALL).actor
+    net.layers[0].weights[:] = np.nan
+    with pytest.raises(ValueError):
+        select_action(net, np.ones(SMALL.state_dim),
+                      np.ones(SMALL.action_dim, dtype=bool),
+                      np.random.default_rng(0))
 
 
 def test_select_action_greedy_is_argmax():

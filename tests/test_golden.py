@@ -11,10 +11,13 @@ that means to alter the schedule re-records them and says why.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from marsched import cli
-from marsched.heuristics import HEURISTIC_KINDS
+from marsched.agent import (Hyperparameters, MarsAgent,
+                            collect_heuristic_trajectory, random_baseline)
+from marsched.heuristics import HEURISTIC_KINDS, PolicyKind
 from marsched.workload import (SyntheticConfig, WorkloadTrace,
                                generate_synthetic, write_swf)
 
@@ -239,3 +242,111 @@ def test_golden_overrun_outputs(swf_paths, tmp_path, policy, backfill):
     assert code == 0
     got = (sha256(tmp_path / "jobs.csv"), sha256(tmp_path / "report.csv"))
     assert got == GOLDEN_OVERRUN[(policy, backfill)]
+
+
+# -- the learned policy ------------------------------------------------------
+# Unlike the heuristic digests, these go through numpy matmuls, whose
+# rounding depends on the numpy and BLAS build. They were recorded with
+# numpy 2.4.6 on scipy-openblas 0.3.31 (x86_64, Haswell kernels) and hold
+# for that build; another build may differ in the last bits and fail them
+# without any change to the program.
+
+# c08's job mix: 32 processors, runtimes 5-10000 s, exact estimates
+RL_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
+              overestimate_min=1.0, overestimate_max=1.0)
+RL_TRAIN = SyntheticConfig(job_count=120, arrival_rate=0.005, seed=111, **RL_MIX)
+# a burst: the ready queue stays deeper than the 16 visible slots
+RL_EVAL = SyntheticConfig(job_count=200, arrival_rate=2.0, seed=112, **RL_MIX)
+
+# case -> extra [agent] keys, and extra train flags
+RL_CASES = {
+    "plain": ("", []),
+    "cost": ("cost_weight = 0.1\n", []),
+    "ppo": ("", ["--ppo"]),
+}
+
+# case -> (curve rewards of the 4 epochs, sha256 of evaluate's jobs.csv,
+# sha256 of evaluate's report.csv)
+GOLDEN_RL = {
+    "cost": ([-5.661973774160776, -9.628848123325216, -7.59438797338107,
+              -9.642437463177304],
+             'c99ea7a0b2a3a8bb4291709c1ff9446ee2b24bef80f431e83d2cea14f962f89d',
+             'fb108859e0d29e95180cdb93e7d12fdf0cde211fc09d7a6d68ba9a6696e0ea73'),
+    "plain": ([-5.661973774160776, -8.544273989260835, -5.643800681935458,
+               -5.916601086102196],
+              '1c40d3c2a369c199bb991b879b52dc7eea588c353d792efb453b2902ea99a3fc',
+              '7fe4798c70b8b3936b91148e4e23c661c397eeae214c3281fb1cb55c33dee234'),
+    "ppo": ([-5.661973774160776, -6.4827933553551755, -2.924062750447293,
+             -3.3020805827540896],
+            '0d7d33547c9f424b3fcae6353512075b6a64e36b6cac8c0a1980ff1c7a940683',
+            '55ef220419f2b090dec81ebc4964aca31627a5b625107a3a11966b0925c7ff3b'),
+}
+
+
+@pytest.fixture(scope="module")
+def rl_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_rl")
+    for name, cfg in (("train", RL_TRAIN), ("eval", RL_EVAL)):
+        write_swf(root / f"{name}.swf", generate_synthetic(cfg))
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(RL_CASES))
+def test_golden_rl_train_and_evaluate(rl_paths, tmp_path, case):
+    """A short seeded ``train`` gives these exact curve rewards, and
+    ``evaluate`` of the model it writes gives these exact outputs."""
+    keys, flags = RL_CASES[case]
+    config = tmp_path / "agent.ini"
+    config.write_text("[agent]\ntime_norm = 3600.0\nactor_lr = 0.01\n"
+                      "critic_lr = 0.05\nvalidate_every = 2\n" + keys)
+    train_out, eval_out = tmp_path / "train", tmp_path / "eval"
+    assert cli.main(["train", "--trace", str(rl_paths / "train.swf"),
+                     "--epochs", "4", "--seed", "7", "--config", str(config),
+                     "--out", str(train_out), *flags]) == 0
+    with open(train_out / "curve.csv") as fp:
+        rows = [line.split(",") for line in fp.read().splitlines()[2:]]
+    rewards = [float(row[1]) for row in rows]
+    assert cli.main(["evaluate", "--trace", str(rl_paths / "eval.swf"),
+                     "--model", str(train_out / "model.json"),
+                     "--seed", "7", "--config", str(config),
+                     "--out", str(eval_out)]) == 0
+    got = (rewards, sha256(eval_out / "jobs.csv"),
+           sha256(eval_out / "report.csv"))
+    assert got == GOLDEN_RL[case]
+
+
+# (sampled rollout digest and steps, SJF imitation digest and steps, random
+# baseline reward) for test_golden_rl_trajectories
+GOLDEN_RL_TRAJECTORIES = (
+    'c3fbc82f8e1ce144b5b3dfbfce9f9facd55c30f4890400285bb33ca50bc9126a', 235,
+    'd607cb95b94f387cbda5ed18ceaac24ebcff47f40e09380b734c357e8fa6c1a5', 217,
+    -131.93633747972217)
+
+
+def _trajectory_digest(traj) -> str:
+    h = hashlib.sha256()
+    for steps in (traj.states, traj.masks, traj.cost_norms):
+        h.update(np.stack(steps).tobytes())
+    for values in (traj.actions, traj.log_probs, traj.rewards):
+        h.update(np.asarray(values).tobytes())
+    return h.hexdigest()
+
+
+def test_golden_rl_trajectories():
+    """Every recorded step of a sampled rollout with a cost weight and of an
+    SJF imitation episode (states, masks, cost terms, actions and
+    log-probabilities), and the random baseline's reward, on the burst trace
+    of ``RL_EVAL``."""
+    trace = generate_synthetic(RL_EVAL)
+    hyper = Hyperparameters(seed=7, cost_weight=0.1, time_norm=3600.0)
+    agent = MarsAgent(hyper)
+    _, traj, _, _ = agent.run_collect(trace.jobs, trace.total_procs,
+                                      rng=np.random.default_rng(7),
+                                      record=True)
+    _, imitation = collect_heuristic_trajectory(
+        agent, trace.jobs, trace.total_procs, PolicyKind.SJF)
+    baseline = random_baseline(trace.jobs, trace.total_procs, hyper,
+                               episodes=3, seed=7)
+    got = (_trajectory_digest(traj), len(traj),
+           _trajectory_digest(imitation), len(imitation), baseline)
+    assert got == GOLDEN_RL_TRAJECTORIES

@@ -1,18 +1,25 @@
-"""Scaling table of the heuristic simulator: seconds per run by job count.
+"""Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_6.json
+        --checkout change=. --out BENCH_7.json
 
-Every row simulates one synthetic trace (128 processors, 0.05 jobs/s, seed
-1, so the ready queue grows with the job count) under one policy, with EASY
-backfilling on or off. Only ``simulator.run_episode`` is timed; generating
-the trace is not. Every run is a fresh process with the checkout's ``src/``
-first on ``PYTHONPATH``, and the checkouts take turns run by run, so a
-slow stretch of a shared machine hits them alike. A row reports each
-checkout's runs and their median, and whether every checkout gave the same
-schedule (sha256 of the job ids and start times). The JSON also records
-nproc, the Python and numpy versions, and the line count of every
-``src/marsched/*.py`` of each checkout. Standard library and numpy only.
+A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
+jobs/s, seed 1, so the ready queue grows with the job count) under one
+policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
+The agent's rows use c08's job mix (32 processors, runtimes 5-10000 s, exact
+estimates) and the benchmark's training settings: a ``train`` row times
+``agent.train`` for a few epochs on a trace at 0.005 jobs/s and reports
+seconds per epoch; the ``evaluate`` row trains a model for two epochs
+(untimed), then times one greedy episode over a burst (2 jobs/s) and reports
+decisions per second. Generating the traces is never timed. Every run is a
+fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
+on one thread, and the checkouts take turns run by run, so a slow stretch of
+a shared machine hits them alike. A row reports each checkout's runs and
+their median, and whether every checkout gave the same output: the schedule
+(sha256 of the job ids and start times) or the training curve's rewards.
+The JSON also records nproc, the Python and numpy versions, and the line
+count of every ``src/marsched/*.py`` of each checkout. Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -28,34 +35,78 @@ import subprocess
 import sys
 import time
 
-# (policy, backfill, job counts)
-ROWS = (("fcfs", "off", (1000, 4000)),
-        ("fcfs", "on", (1000, 4000)),
-        ("sjf", "on", (1000, 4000, 16000)),
-        ("wfp3", "on", (1000, 4000)))
+# (row, job counts); a simulate row names its policy and backfill setting
+ROWS = (("simulate fcfs off", (1000, 4000)),
+        ("simulate fcfs on", (1000, 4000)),
+        ("simulate sjf on", (1000, 4000, 16000)),
+        ("simulate wfp3 on", (1000, 4000)),
+        ("train", (512, 2048)),
+        ("evaluate", (500,)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
+C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
+               overestimate_min=1.0, overestimate_max=1.0, seed=1)
+TRAIN_RATE, BURST_RATE = 0.005, 2.0
+TRAIN_EPOCHS = 3
 REPEATS = 3
 
 
-def worker(policy: str, backfill: str, jobs: int) -> dict:
-    """One timed run in this process; the simulator comes from sys.path."""
-    from marsched import simulator, workload
-    trace = workload.generate_synthetic(
-        workload.SyntheticConfig(job_count=jobs, **TRACE))
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _schedule(jobs) -> str:
+    return _digest(sorted((j.id, j.start_time) for j in jobs))
+
+
+def worker(row: str, jobs: int) -> dict:
+    """One timed run in this process; the program comes from sys.path."""
+    import numpy
+    from marsched import agent, simulator, workload
+    kind, *setting = row.split()
+    if kind == "simulate":
+        policy, backfill = setting
+        trace = workload.generate_synthetic(
+            workload.SyntheticConfig(job_count=jobs, **TRACE))
+        t0 = time.perf_counter()
+        result = simulator.run_episode(trace, policy,
+                                       backfill=backfill == "on")
+        return {"seconds": time.perf_counter() - t0,
+                "output": _schedule(result.jobs)}
+
+    def c08(count, rate):
+        return workload.generate_synthetic(workload.SyntheticConfig(
+            job_count=count, arrival_rate=rate, **C08_MIX))
+
+    def trained(trace, epochs):
+        hyper = agent.Hyperparameters(epochs=epochs, seed=1, actor_lr=0.01,
+                                      critic_lr=0.05, time_norm=3600.0)
+        return agent.train(lambda w, e: (trace.jobs, trace.total_procs),
+                           hyper)
+
+    if kind == "train":
+        trace = c08(jobs, TRAIN_RATE)
+        t0 = time.perf_counter()
+        _, _, curve = trained(trace, TRAIN_EPOCHS)
+        return {"seconds": (time.perf_counter() - t0) / TRAIN_EPOCHS,
+                "output": _digest([p.reward for p in curve])}
+    mars, _, _ = trained(c08(512, TRAIN_RATE), 2)
+    burst = c08(jobs, BURST_RATE)
     t0 = time.perf_counter()
-    result = simulator.run_episode(trace, policy, backfill=backfill == "on")
+    finished, _, stats, _ = mars.run_collect(
+        burst.jobs, burst.total_procs, rng=numpy.random.default_rng(0),
+        greedy=True)
     seconds = time.perf_counter() - t0
-    starts = sorted((j.id, j.start_time) for j in result.jobs)
-    return {"seconds": seconds,
-            "schedule": hashlib.sha256(repr(starts).encode()).hexdigest()}
+    return {"seconds": seconds, "output": _schedule(finished),
+            "decisions_per_s": (stats.started - stats.forced_starts)
+            / seconds}
 
 
-def timed_run(root: str, policy: str, backfill: str, jobs: int) -> dict:
+def timed_run(root: str, row: str, jobs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", policy,
-         backfill, str(jobs)],
+        [sys.executable, os.path.abspath(__file__), "--worker", row,
+         str(jobs)],
         env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -85,40 +136,46 @@ def main(argv=None) -> int:
     p.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                    help="a checkout to time, repeatable (default change=.)")
     p.add_argument("--out", help="write the JSON here as well as stdout")
-    p.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
+    p.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        policy, backfill, jobs = args.worker
-        print(json.dumps(worker(policy, backfill, int(jobs))))
+        row, jobs = args.worker
+        print(json.dumps(worker(row, int(jobs))))
         return 0
 
     checkouts = dict(c.split("=", 1) for c in args.checkout or ["change=."])
     checkouts = {label: os.path.abspath(root)
                  for label, root in checkouts.items()}
     rows = []
-    for policy, backfill, counts in ROWS:
+    for name, counts in ROWS:
         for jobs in counts:
             runs = {label: [] for label in checkouts}
             for _ in range(REPEATS):
                 for label, root in checkouts.items():
-                    runs[label].append(timed_run(root, policy, backfill,
-                                                 jobs))
-            row = {"policy": policy, "backfill": backfill, "jobs": jobs,
+                    runs[label].append(timed_run(root, name, jobs))
+            median = lambda key: {label: statistics.median(r[key] for r in rs)
+                                  for label, rs in runs.items()}
+            row = {"row": name, "jobs": jobs,
                    "seconds": {label: [r["seconds"] for r in rs]
                                for label, rs in runs.items()},
-                   "median_s": {label: statistics.median(
-                                    r["seconds"] for r in rs)
-                                for label, rs in runs.items()},
-                   "same_schedule": len({r["schedule"] for rs in
-                                         runs.values() for r in rs}) == 1}
+                   "median_s": median("seconds"),
+                   "same_output": len({r["output"] for rs in runs.values()
+                                       for r in rs}) == 1}
+            if name == "evaluate":
+                row["median_decisions_per_s"] = median("decisions_per_s")
             rows.append(row)
-            print(f"{policy:5} {backfill:3} {jobs:6} "
+            print(f"{name:17} {jobs:6} "
                   + " ".join(f"{label}={s:.3f}s"
                              for label, s in row["median_s"].items())
-                  + ("" if row["same_schedule"] else "  SCHEDULES DIFFER"),
+                  + ("" if row["same_output"] else "  OUTPUTS DIFFER"),
                   file=sys.stderr)
-    result = {"schema": "marsched.scaling.v1", "trace": TRACE,
-              "repeats": REPEATS, "timed": "simulator.run_episode",
+    result = {"schema": "marsched.scaling.v2", "trace": TRACE,
+              "c08_mix": C08_MIX, "train_rate": TRAIN_RATE,
+              "burst_rate": BURST_RATE, "train_epochs": TRAIN_EPOCHS,
+              "repeats": REPEATS,
+              "timed": {"simulate": "simulator.run_episode",
+                        "train": "agent.train, per epoch",
+                        "evaluate": "MarsAgent.run_collect, greedy"},
               "machine": machine_facts(),
               "checkouts": {label: checkout_facts(root)
                             for label, root in checkouts.items()},
@@ -128,7 +185,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fp:
             fp.write(text + "\n")
     print(text)
-    return 0 if all(r["same_schedule"] for r in rows) else 1
+    return 0 if all(r["same_output"] for r in rows) else 1
 
 
 if __name__ == "__main__":
