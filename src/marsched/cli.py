@@ -124,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared resolution -----------------------------------------------------
 
 def _seed(args, settings: Settings) -> int:
-    return settings.get("run", "seed", getattr(args, "seed", None), 0, as_int)
+    seed = settings.get("run", "seed", getattr(args, "seed", None), 0, as_int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _tau(args, settings: Settings) -> float:

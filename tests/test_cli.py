@@ -253,6 +253,21 @@ def test_zero_synthetic_jobs_exit_2(tmp_path, argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace", "TRACE"], ["simulate", "--synthetic", "50"],
+    ["gen", "--count", "50"]])
+def test_negative_seed_exit_2(tmp_path, trace_file, argv, capsys):
+    argv = [trace_file if a == "TRACE" else a for a in argv]
+    assert run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "a")) == 2
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[run]\nseed = -1\n")
+    assert run_cli(*argv, "--config", str(conf),
+                   "--out", str(tmp_path / "b")) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed must be >= 0, got -1") == 2
+    assert "Traceback" not in err
+
+
 def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):
     model = tmp_path / "tr" / "model.json"
     assert run_cli("train", "--config", cfg_file, "--out",

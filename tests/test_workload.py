@@ -1,5 +1,7 @@
 """SWF parsing, serialization round trips, and synthetic generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import make_job, make_trace
 from marsched.errors import ConfigError, TraceFormatError
-from marsched.workload import (Job, SyntheticConfig, WorkloadTrace,
-                               assign_costs, generate_synthetic, parse_swf,
-                               parse_workflow, slice_trace, write_swf)
+from marsched.workload import (Job, JobStatus, SyntheticConfig,
+                               WorkloadTrace, _truncated_gauss, assign_costs,
+                               generate_synthetic, parse_swf, parse_workflow,
+                               slice_trace, write_swf)
 
 HEADER = "; MaxProcs: 64\n"
 
@@ -176,6 +179,46 @@ def test_assign_costs_keyed_by_job_id():
     sub = make_trace([make_job(3, 0, 10)], 8)
     assign_costs(sub, 1.0, 0.5, seed=9)
     assert sub.jobs[0].cost_rate == full[3]
+
+
+EQUIVALENCE_IDS = [*range(1, 3001), 2**32 - 1, 2**32, 2**40, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7])
+@pytest.mark.parametrize("mean,std", [(1.0, 0.5), (0.0, 1.0), (1.0, 0.0)])
+def test_assign_costs_equals_per_job_generators(seed, mean, std):
+    # mean 0, std 1 resamples about half the draws; ids and seeds >= 2**32
+    # take more than one 32-bit word of entropy each
+    trace = WorkloadTrace(jobs=[make_job(i) for i in EQUIVALENCE_IDS],
+                          total_procs=1)
+    assign_costs(trace, mean, std, seed)
+    expected = [_truncated_gauss(np.random.default_rng([seed, i]), mean, std)
+                for i in EQUIVALENCE_IDS]
+    assert [j.cost_rate for j in trace.jobs] == expected
+
+
+def test_assign_costs_empty_trace_and_negative_seed():
+    empty = WorkloadTrace(jobs=[], total_procs=1)
+    assign_costs(empty, 1.0, 0.5, seed=3)
+    assert empty.jobs == []
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        assign_costs(make_trace([make_job(1)], 1), 1.0, 0.5, seed=-1)
+
+
+def test_synthetic_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        generate_synthetic(SyntheticConfig(job_count=5, seed=-1))
+
+
+def test_fresh_copy_resets_the_outcome_only():
+    job = make_job(7, submit=3, run=20, procs=2, req_time=40, cost=1.5,
+                   deps=(1, 2))
+    job.status, job.start_time = JobStatus.FINISHED, 9.0
+    assert job.fresh_copy() == dataclasses.replace(
+        job, status=JobStatus.PENDING, start_time=None)
+    assert job.fresh_copy(submit_time=0.0) == dataclasses.replace(
+        job, submit_time=0.0, status=JobStatus.PENDING, start_time=None)
+    assert job.status is JobStatus.FINISHED
 
 
 def test_slice_contiguous_rebased():

@@ -1,8 +1,11 @@
 """Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_7.json
+        --checkout change=. --out BENCH_8.json
 
+A ``load`` row writes the synthetic trace below to an SWF file (untimed),
+then times ``workload.load_swf`` followed by ``workload.assign_costs`` with
+the synthetic cost defaults and the trace's seed, as the CLI reads a trace.
 A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
 jobs/s, seed 1, so the ready queue grows with the job count) under one
 policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
@@ -16,7 +19,8 @@ fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
 on one thread, and the checkouts take turns run by run, so a slow stretch of
 a shared machine hits them alike. A row reports each checkout's runs and
 their median, and whether every checkout gave the same output: the schedule
-(sha256 of the job ids and start times) or the training curve's rewards.
+(sha256 of the job ids and start times), the drawn cost rates (of the
+sorted job ids and cost rates) or the training curve's rewards.
 The JSON also records nproc, the Python and numpy versions, and the line
 count of every ``src/marsched/*.py`` of each checkout. Standard library and
 numpy only.
@@ -33,10 +37,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # (row, job counts); a simulate row names its policy and backfill setting
-ROWS = (("simulate fcfs off", (1000, 4000)),
+ROWS = (("load", (1000, 4000, 16000)),
+        ("simulate fcfs off", (1000, 4000)),
         ("simulate fcfs on", (1000, 4000)),
         ("simulate sjf on", (1000, 4000, 16000)),
         ("simulate wfp3 on", (1000, 4000)),
@@ -63,6 +69,19 @@ def worker(row: str, jobs: int) -> dict:
     import numpy
     from marsched import agent, simulator, workload
     kind, *setting = row.split()
+    if kind == "load":
+        cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.swf")
+            workload.write_swf(path, workload.generate_synthetic(cfg))
+            t0 = time.perf_counter()
+            trace = workload.load_swf(path)
+            workload.assign_costs(trace, cfg.cost_mean, cfg.cost_std,
+                                  cfg.seed)
+            seconds = time.perf_counter() - t0
+        return {"seconds": seconds,
+                "output": _digest(sorted((j.id, j.cost_rate)
+                                         for j in trace.jobs))}
     if kind == "simulate":
         policy, backfill = setting
         trace = workload.generate_synthetic(
@@ -173,7 +192,8 @@ def main(argv=None) -> int:
               "c08_mix": C08_MIX, "train_rate": TRAIN_RATE,
               "burst_rate": BURST_RATE, "train_epochs": TRAIN_EPOCHS,
               "repeats": REPEATS,
-              "timed": {"simulate": "simulator.run_episode",
+              "timed": {"load": "workload.load_swf + assign_costs",
+                        "simulate": "simulator.run_episode",
                         "train": "agent.train, per epoch",
                         "evaluate": "MarsAgent.run_collect, greedy"},
               "machine": machine_facts(),
