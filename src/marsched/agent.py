@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import heuristics, metrics, neural
+from . import metrics, neural
 from .errors import ConfigError, ContractError, ModelFormatError, TrainingDiverged
 from .metrics import DEFAULT_TAU
 from .neural import AdamState, Network, backward, forward, softmax
@@ -634,54 +634,6 @@ class MarsAgent:
         return finished, reward
 
 
-def collect_heuristic_trajectory(agent: MarsAgent, jobs: list[Job],
-                                 total_procs: int, kind
-                                 ) -> tuple[list[Job], EpisodeTrajectory]:
-    """Run a heuristic policy while recording it in the agent's action space.
-
-    Used by the optional train-from-heuristic mode: the closed-form policy
-    drives the simulator (without backfilling, whose simultaneous starts have
-    no slot-action equivalent) and every choice that lands in a visible slot
-    becomes a trajectory step the agent can learn from. Choices outside the
-    window still execute but leave no step.
-    """
-    hyper = agent.hyper
-    traj = EpisodeTrajectory()
-    sim = Simulation([j.fresh_copy() for j in jobs], total_procs,
-                     backfill=False)
-    key = heuristics.priority_key(kind, sim.state)
-    static: dict[int, tuple[float, float, float]] = {}
-
-    def selector(state: ClusterState) -> int | None:
-        if not state.ready:
-            return None
-        head = min(state.ready.values(), key=key)
-        choice = head if head.requested_procs <= state.free_procs else None
-        seen = visible_window(state, hyper.slots)
-        if seen is None:
-            return None if choice is None else choice.id
-        window, fits = seen
-        if choice is None:
-            action = hyper.slots
-        else:
-            action = next((i for i, job in enumerate(window)
-                           if job is choice), None)
-        if action is not None:
-            mask = fit_mask(fits, hyper.slots)
-            vec = encode_state(window, len(state.ready), state.free_procs,
-                               state.total_procs, state.clock, hyper, static)
-            probs, _ = _masked_probs(agent.model.actor, vec, mask)
-            cost_norm = 1.0 - slot_cost_factors(window, hyper.slots)
-            cost_norm[-1] = 0.0
-            traj.add_step(vec, action, float(np.log(probs[action])), mask,
-                          cost_norm)
-        return None if choice is None else choice.id
-
-    finished = sim.run(selector)
-    traj.finalize(episode_reward(finished, hyper.tau))
-    return finished, traj
-
-
 def make_random_selector(rng: np.random.Generator, slots: int):
     """Uniform over fitting visible jobs plus pass; the learning baseline."""
 
@@ -725,12 +677,14 @@ def train(env_factory, hyper: Hyperparameters,
           agent: MarsAgent | None = None,
           validation_factory=None,
           log=None) -> tuple[MarsAgent, ModelVersions, list[CurvePoint]]:
-    """Synchronous multi-worker training loop.
+    """Training loop. Each epoch runs ``hyper.workers`` episodes one after
+    another in this process, each with its own seeded rng, and takes one
+    update over all of them.
 
-    env_factory(worker, epoch) -> (jobs, total_procs) supplies each rollout;
+    env_factory(worker, epoch) -> (jobs, total_procs) supplies each episode;
     validation_factory() -> (jobs, total_procs) supplies the held-out slice
     for the periodic greedy validation that drives version rotation and
-    rollback. Single-worker runs are bit-deterministic under a fixed seed.
+    rollback. Runs are bit-deterministic under a fixed seed.
     """
     hyper.validate()
     agent = agent if agent is not None else MarsAgent(hyper)
@@ -756,7 +710,7 @@ def train(env_factory, hyper: Hyperparameters,
                     trajs.append(traj)
                     rewards.append(reward)
                 break
-            # a failed rollout (I/O, a crashed worker) is retried once; the
+            # a failed rollout (I/O, a runtime error) is retried once; the
             # package's own errors are deterministic, so they propagate
             except (OSError, RuntimeError) as exc:
                 last_error = exc

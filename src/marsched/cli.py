@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file for rl/mars policies")
     p.add_argument("--train-on-demand", action="store_true",
                    help="train a model on the spot when none is supplied")
-    p.add_argument("--train-from-heuristic", action="store_true",
-                   help="feed heuristic chunks back into the loaded model")
     p.add_argument("--explain", action="store_true",
                    help="print the routing plan as JSON (mars policy)")
     p.set_defaults(func=cmd_simulate)
@@ -88,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the scheduling agent")
     _add_common(p)
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--workers", type=int, help="rollout workers per epoch")
+    p.add_argument("--workers", type=int,
+                   help="episodes per epoch, run one after another")
     p.add_argument("--ppo", action="store_true",
                    help="use the clipped-surrogate update instead of "
                         "per-episode actor-critic")
@@ -232,13 +231,12 @@ def _run_policy(label: str, trace: WorkloadTrace, *, procs: int, tau: float,
                 seed: int, agent: MarsAgent | None, backfill: bool = True,
                 thresholds: decision.Thresholds = decision.Thresholds(),
                 hyper: Hyperparameters | None = None,
-                train_on_demand: bool = False,
-                train_from_heuristic: bool = False):
+                train_on_demand: bool = False):
     """Run one policy label as a plan; returns (plan, results, reports).
 
     A heuristic or ``rl`` is a one-chunk plan and reports its one chunk;
-    ``mars`` routes the trace with ``decide``, feeds heuristic chunks back
-    only when asked, and leads its chunk reports with their aggregate.
+    ``mars`` routes the trace with ``decide`` and leads its chunk reports
+    with their aggregate.
     """
     if label == "mars":
         plan = decision.decide(trace.jobs, None, thresholds)
@@ -247,9 +245,7 @@ def _run_policy(label: str, trace: WorkloadTrace, *, procs: int, tau: float,
                                                  PolicyKind.from_name(label))])
     results = decision.run_plan(
         plan, total_procs=procs, tau=tau, backfill=backfill, agent=agent,
-        train_on_demand=train_on_demand,
-        train_from_heuristic=train_from_heuristic and label == "mars",
-        on_demand_hyper=hyper, seed=seed)
+        train_on_demand=train_on_demand, on_demand_hyper=hyper, seed=seed)
     forced = sum(r.stats.forced_starts for r in results)
     if forced:
         print(f"warning: {label}: {forced} job(s) force-started after the "
@@ -294,8 +290,7 @@ def cmd_simulate(args, settings: Settings) -> int:
         label, trace, procs=procs, tau=tau, seed=seed,
         backfill=_backfill(args, settings), agent=_load_agent(args, settings),
         thresholds=_thresholds(settings), hyper=hyper,
-        train_on_demand=_flag(args, settings, "train_on_demand"),
-        train_from_heuristic=_flag(args, settings, "train_from_heuristic"))
+        train_on_demand=_flag(args, settings, "train_on_demand"))
     if args.explain and label == "mars":
         print(plan.to_json())
     _write_run_outputs(out, results, reports)
@@ -361,7 +356,7 @@ def cmd_train(args, settings: Settings) -> int:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     wall = time.monotonic() - started
-    print(f"trained {hyper.epochs} epochs ({hyper.workers} worker(s)) "
+    print(f"trained {hyper.epochs} epochs ({hyper.workers} episode(s) each) "
           f"in {wall:.1f}s", file=sys.stderr)
 
     save_model(os.path.join(out, "model.json"), agent.model)

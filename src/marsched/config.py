@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 
 from .agent import Hyperparameters
@@ -21,7 +22,7 @@ ENV_CONFIG = "MARSCHED_CONFIG"
 KNOWN_KEYS: dict[str, set[str]] = {
     "run": {
         "trace", "policy", "tau", "procs", "seed", "out",
-        "backfill", "model", "train_on_demand", "train_from_heuristic",
+        "backfill", "model", "train_on_demand",
     },
     "synthetic": {f.name for f in dataclasses.fields(SyntheticConfig)},
     # tau and seed are run settings ([run] and flags) that training copies in
@@ -79,9 +80,12 @@ def as_int(value, context: str) -> int:
 
 def as_float(value, context: str) -> float:
     try:
-        return float(str(value).strip())
+        number = float(str(value).strip())
     except ValueError:
         raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def as_int_tuple(value, context: str) -> tuple[int, ...]:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .agent import (Hyperparameters, MarsAgent, actor_critic_step,
-                    collect_heuristic_trajectory, train)
+from .agent import Hyperparameters, MarsAgent, train
 from .dag import split_workload
 from .errors import ConfigError
 from .heuristics import PolicyKind
@@ -101,7 +100,6 @@ def decide(current: list[Job], nxt: list[Job] | None = None,
 def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
              backfill: bool = True, agent: MarsAgent | None = None,
              train_on_demand: bool = False,
-             train_from_heuristic: bool = False,
              on_demand_hyper: Hyperparameters | None = None,
              seed: int = 0) -> list[RunResult]:
     """Execute each chunk under its policy; one result per chunk, in order.
@@ -112,9 +110,6 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
     Learned-policy chunks run the agent greedily. With no agent loaded,
     train_on_demand trains one on the first such chunk (seeded, so the whole
     plan run stays deterministic); otherwise it is a configuration error.
-    With train_from_heuristic, heuristic chunks additionally feed one
-    imitation update (one actor-critic step) into the loaded agent; a
-    nonfinite update is skipped.
     """
     results: list[RunResult] = []
     for chunk in plan.chunks:
@@ -139,8 +134,4 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
             results.append(run_episode(chunk.jobs, chunk.policy,
                                        backfill=backfill, tau=tau,
                                        total_procs=total_procs))
-            if train_from_heuristic and agent is not None:
-                _, traj = collect_heuristic_trajectory(
-                    agent, chunk.jobs, total_procs, chunk.policy)
-                actor_critic_step(agent.model, [traj], agent.hyper)
     return results

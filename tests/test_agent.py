@@ -15,14 +15,13 @@ from marsched import neural
 from marsched.agent import (CostAdjustStats, EpisodeTrajectory,
                             Hyperparameters, MarsAgent, ModelVersions,
                             actor_critic_step, apply_cost_adjustment,
-                            collect_heuristic_trajectory, compute_advantages,
+                            compute_advantages,
                             encode_state, episode_gradients, episode_reward,
                             fit_mask, load_model, new_model, ppo_update,
                             random_baseline, sample_index, save_model,
                             select_action, slot_cost_factors, train,
                             visible_window)
 from marsched.errors import (ConfigError, ContractError, ModelFormatError)
-from marsched.heuristics import PolicyKind
 from marsched.neural import forward, softmax
 from marsched.simulator import Simulation
 from marsched.workload import SyntheticConfig, generate_synthetic
@@ -527,24 +526,6 @@ def test_greedy_evaluation_deterministic():
     # greedy ignores the rng: identical schedules either way
     assert ra == rb
     assert [(j.id, j.start_time) for j in a] == [(j.id, j.start_time) for j in b]
-
-
-def test_collect_heuristic_trajectory_imitation_steps():
-    agent = MarsAgent(SMALL)
-    trace = small_trace(seed=9, jobs=18)
-    finished, traj = collect_heuristic_trajectory(
-        agent, trace.jobs, trace.total_procs, PolicyKind.SJF)
-    assert len(finished) == 18
-    assert traj.terminal
-    assert len(traj) > 0
-    for t in range(len(traj)):
-        assert traj.masks[t][traj.actions[t]]
-        # recorded log-prob is the agent's own probability of the
-        # heuristic's choice, not of the agent's favorite
-        logits, _ = forward(agent.model.actor, traj.states[t])
-        p = softmax(np.where(traj.masks[t], logits, -np.inf))
-        assert traj.log_probs[t] == pytest.approx(
-            float(np.log(p[traj.actions[t]])))
 
 
 def test_random_baseline_deterministic():

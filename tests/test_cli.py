@@ -268,6 +268,46 @@ def test_negative_seed_exit_2(tmp_path, trace_file, argv, capsys):
     assert "Traceback" not in err
 
 
+# argv and the config key ("section key", or None) that carry BAD
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--synthetic", "20", "--tau=BAD"], None),
+    (["simulate", "--synthetic", "20"], "run tau"),
+    (["simulate", "--trace", "TRACE"], "synthetic cost_mean"),
+    (["simulate", "--synthetic", "20"], "synthetic runtime_max"),
+    (["simulate", "--synthetic", "20"], "synthetic overestimate_max"),
+    (["train", "--synthetic", "20", "--epochs", "1"], "agent actor_lr")],
+    ids=["--tau", "[run] tau", "[synthetic] cost_mean",
+         "[synthetic] runtime_max", "[synthetic] overestimate_max",
+         "[agent] actor_lr"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_number_exit_2(tmp_path, trace_file, argv, key, bad,
+                                  capsys):
+    argv = [a.replace("BAD", bad).replace("TRACE", trace_file) for a in argv]
+    if key is not None:
+        section, name = key.split()
+        path = tmp_path / "conf.ini"
+        path.write_text(f"[{section}]\n{name} = {bad}\n")
+        argv += ["--config", str(path)]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "expected a finite number" in err
+    assert "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
+def test_train_from_heuristic_rejected(tmp_path, trace_file, capsys):
+    # the mode is gone: its flag is a usage error, its key an unknown key
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--trace", trace_file, "--train-from-heuristic")
+    assert exc.value.code == 2
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[run]\ntrain_from_heuristic = false\n")
+    assert run_cli("simulate", "--config", str(conf), "--trace", trace_file,
+                   "--out", str(tmp_path / "o")) == 2
+    assert "unknown key 'train_from_heuristic'" in capsys.readouterr().err
+
+
 def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):
     model = tmp_path / "tr" / "model.json"
     assert run_cli("train", "--config", cfg_file, "--out",

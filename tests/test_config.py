@@ -98,7 +98,7 @@ def test_known_keys_unchanged_by_deriving_them_from_the_fields():
     assert KNOWN_KEYS == {
         "run": {
             "trace", "policy", "tau", "procs", "seed", "out",
-            "backfill", "model", "train_on_demand", "train_from_heuristic",
+            "backfill", "model", "train_on_demand",
         },
         "synthetic": {
             "job_count", "arrival_rate", "runtime_min", "runtime_max",

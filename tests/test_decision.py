@@ -1,6 +1,5 @@
 """Size-based routing: branch selection, totality, and plan execution."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,15 +175,3 @@ def test_run_plan_train_on_demand_deterministic():
                  on_demand_hyper=hyper, seed=9)
     assert [r.report.mean_bounded for r in a] == \
            [r.report.mean_bounded for r in b]
-
-
-def test_run_plan_train_from_heuristic_updates_agent():
-    trace = exec_trace(seed=5)
-    plan = decide(trace.jobs, None, Thresholds(100, 200, 400))
-    agent = MarsAgent(Hyperparameters(slots=4, hidden=(8,), seed=2))
-    before = [p.copy() for p in agent.model.actor.parameters()]
-    run_plan(plan, total_procs=trace.total_procs, agent=agent,
-             train_from_heuristic=True)
-    moved = any(not np.array_equal(a, b)
-                for a, b in zip(agent.model.actor.parameters(), before))
-    assert moved    # the heuristic chunk fed one imitation update

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from marsched import cli
-from marsched.agent import (Hyperparameters, MarsAgent,
-                            collect_heuristic_trajectory, random_baseline)
-from marsched.heuristics import HEURISTIC_KINDS, PolicyKind
+from marsched.agent import Hyperparameters, MarsAgent, random_baseline
+from marsched.heuristics import HEURISTIC_KINDS
 from marsched.workload import (SyntheticConfig, WorkloadTrace,
                                generate_synthetic, write_swf)
 
@@ -315,11 +314,10 @@ def test_golden_rl_train_and_evaluate(rl_paths, tmp_path, case):
     assert got == GOLDEN_RL[case]
 
 
-# (sampled rollout digest and steps, SJF imitation digest and steps, random
-# baseline reward) for test_golden_rl_trajectories
+# (sampled rollout digest and steps, random baseline reward) for
+# test_golden_rl_trajectories
 GOLDEN_RL_TRAJECTORIES = (
     'c3fbc82f8e1ce144b5b3dfbfce9f9facd55c30f4890400285bb33ca50bc9126a', 235,
-    'd607cb95b94f387cbda5ed18ceaac24ebcff47f40e09380b734c357e8fa6c1a5', 217,
     -131.93633747972217)
 
 
@@ -333,20 +331,16 @@ def _trajectory_digest(traj) -> str:
 
 
 def test_golden_rl_trajectories():
-    """Every recorded step of a sampled rollout with a cost weight and of an
-    SJF imitation episode (states, masks, cost terms, actions and
-    log-probabilities), and the random baseline's reward, on the burst trace
-    of ``RL_EVAL``."""
+    """Every recorded step of a sampled rollout with a cost weight (states,
+    masks, cost terms, actions and log-probabilities), and the random
+    baseline's reward, on the burst trace of ``RL_EVAL``."""
     trace = generate_synthetic(RL_EVAL)
     hyper = Hyperparameters(seed=7, cost_weight=0.1, time_norm=3600.0)
     agent = MarsAgent(hyper)
     _, traj, _, _ = agent.run_collect(trace.jobs, trace.total_procs,
                                       rng=np.random.default_rng(7),
                                       record=True)
-    _, imitation = collect_heuristic_trajectory(
-        agent, trace.jobs, trace.total_procs, PolicyKind.SJF)
     baseline = random_baseline(trace.jobs, trace.total_procs, hyper,
                                episodes=3, seed=7)
-    got = (_trajectory_digest(traj), len(traj),
-           _trajectory_digest(imitation), len(imitation), baseline)
+    got = (_trajectory_digest(traj), len(traj), baseline)
     assert got == GOLDEN_RL_TRAJECTORIES

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_job
-from marsched.agent import Hyperparameters, MarsAgent, collect_heuristic_trajectory
 from marsched.errors import ContractError
 from marsched.heuristics import (HEURISTIC_KINDS, TIME_INVARIANT_KINDS,
                                  PolicyKind, priority_key, score, sort_key)
-from marsched.simulator import new_cluster
+from marsched.simulator import new_cluster, run_episode
 
 # -- oracle: same math, written from the formulas, no shared helpers --------
 
@@ -158,10 +157,9 @@ def test_pass_when_best_does_not_fit():
     small = make_job(3, submit=2, run=10, req_time=10, procs=1)
     # FCFS heads the queue with the 8-proc job; with 4 free it passes
     # rather than skip to the small job, which waits behind it
-    agent = MarsAgent(Hyperparameters(slots=4, hidden=(4,)))
-    finished, _ = collect_heuristic_trajectory(
-        agent, [first, big, small], 8, PolicyKind.FCFS)
-    starts = {j.id: j.start_time for j in finished}
+    result = run_episode([first, big, small], PolicyKind.FCFS,
+                         backfill=False, total_procs=8)
+    starts = {j.id: j.start_time for j in result.jobs}
     assert starts == {1: 0.0, 2: 100.0, 3: 110.0}
     assert shared_select([big, small], 5, PolicyKind.FCFS, free=4) is None
     assert shared_select([big, small], 5, PolicyKind.FCFS, free=8).id == 2

@@ -17,10 +17,15 @@ seconds per epoch; the ``evaluate`` row trains a model for two epochs
 decisions per second. Generating the traces is never timed. Every run is a
 fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
 on one thread, and the checkouts take turns run by run, so a slow stretch of
-a shared machine hits them alike. A row reports each checkout's runs and
-their median, and whether every checkout gave the same output: the schedule
-(sha256 of the job ids and start times), the drawn cost rates (of the
-sorted job ids and cost rates) or the training curve's rewards.
+a shared machine hits them alike. A row reports each checkout's runs,
+their median and their spread (slowest minus fastest run), and whether
+every checkout gave the same output: the schedule (sha256 of the job ids
+and start times), the drawn cost rates (of the sorted job ids and cost
+rates) or the training curve's rewards. A row is ``"resolved": false`` when
+the checkouts' medians differ by less than the first checkout's spread:
+the run-to-run noise is then as large as the difference, which says
+nothing about which checkout is faster. With one checkout no row is
+resolved.
 The JSON also records nproc, the Python and numpy versions, and the line
 count of every ``src/marsched/*.py`` of each checkout. Standard library and
 numpy only.
@@ -53,7 +58,7 @@ C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
                overestimate_min=1.0, overestimate_max=1.0, seed=1)
 TRAIN_RATE, BURST_RATE = 0.005, 2.0
 TRAIN_EPOCHS = 3
-REPEATS = 3
+REPEATS = 5
 
 
 def _digest(value) -> str:
@@ -174,10 +179,14 @@ def main(argv=None) -> int:
                     runs[label].append(timed_run(root, name, jobs))
             median = lambda key: {label: statistics.median(r[key] for r in rs)
                                   for label, rs in runs.items()}
-            row = {"row": name, "jobs": jobs,
-                   "seconds": {label: [r["seconds"] for r in rs]
-                               for label, rs in runs.items()},
-                   "median_s": median("seconds"),
+            seconds = {label: [r["seconds"] for r in rs]
+                       for label, rs in runs.items()}
+            spread = {label: max(s) - min(s) for label, s in seconds.items()}
+            medians = median("seconds")
+            row = {"row": name, "jobs": jobs, "seconds": seconds,
+                   "median_s": medians, "spread_s": spread,
+                   "resolved": max(medians.values()) - min(medians.values())
+                   >= spread[next(iter(checkouts))],
                    "same_output": len({r["output"] for rs in runs.values()
                                        for r in rs}) == 1}
             if name == "evaluate":
@@ -186,9 +195,10 @@ def main(argv=None) -> int:
             print(f"{name:17} {jobs:6} "
                   + " ".join(f"{label}={s:.3f}s"
                              for label, s in row["median_s"].items())
+                  + ("" if row["resolved"] else "  unresolved")
                   + ("" if row["same_output"] else "  OUTPUTS DIFFER"),
                   file=sys.stderr)
-    result = {"schema": "marsched.scaling.v2", "trace": TRACE,
+    result = {"schema": "marsched.scaling.v3", "trace": TRACE,
               "c08_mix": C08_MIX, "train_rate": TRAIN_RATE,
               "burst_rate": BURST_RATE, "train_epochs": TRAIN_EPOCHS,
               "repeats": REPEATS,
