@@ -480,13 +480,34 @@ def _mean_entropy(probs: np.ndarray) -> float:
     return float(np.mean(-(probs * np.log(safe)).sum(axis=-1)))
 
 
+def _diverged(model: AgentModel) -> bool:
+    """True when some state could drive a unit of either network past the
+    float range. State features lie in [0, 1] (``encode_state``), so a
+    bound on every unit's magnitude is carried through the layers, |W|^T
+    bound + |bias| before the activation and at most 1 after tanh; a bound
+    that is not finite means divergence. This also catches a step that
+    leaves every parameter finite but near 1e308, as a huge learning rate
+    does, after which the next forward pass overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for net in (model.actor, model.critic):
+            bound = np.ones(net.input_dim)
+            for layer in net.layers:
+                bound = bound @ np.abs(layer.weights) + np.abs(layer.bias)
+                if not np.all(np.isfinite(bound)):
+                    return True
+                if layer.activation == "tanh":
+                    bound = np.minimum(bound, 1.0)
+    return False
+
+
 def actor_critic_step(model: AgentModel, trajs: list[EpisodeTrajectory],
                       hyper: Hyperparameters) -> dict:
     """One Adam step for actor and critic from a batch of episodes.
 
     Sums ``episode_gradients`` over the episodes and divides by their count.
-    A nonfinite gradient aborts the step before either network or Adam state
-    changes, and the result reports ``aborted``.
+    A nonfinite gradient, or a step after which either network could
+    overflow (``_diverged``), aborts the step: neither network nor Adam
+    state changes, and the result reports ``aborted``.
     """
     actor_sum = _zero_grads(model.actor)
     critic_sum = _zero_grads(model.critic)
@@ -502,8 +523,12 @@ def actor_critic_step(model: AgentModel, trajs: list[EpisodeTrajectory],
     critic_grads = [g / m for g in critic_sum]
     aborted = not all(np.all(np.isfinite(g)) for g in actor_grads + critic_grads)
     if not aborted:
+        before = model.snapshot()
         neural.apply_adam(model.actor, actor_grads, model.actor_adam)
         neural.apply_adam(model.critic, critic_grads, model.critic_adam)
+        aborted = _diverged(model)
+        if aborted:
+            model.restore(before)
     return {"aborted": aborted, "delta_mean": float(np.mean(deltas)),
             "entropy": float(np.mean(entropies))}
 
@@ -513,11 +538,14 @@ def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
     """Clipped-surrogate updates over a batch of trajectories.
 
     Shares the advantage machinery with the actor-critic path; runs
-    ppo_epochs passes of one Adam step each over the whole batch.
+    ppo_epochs passes of one Adam step each over the whole batch. A
+    nonfinite gradient, or a pass after which either network could overflow
+    (``_diverged``), undoes every pass, and the result reports ``aborted``.
     """
     usable = [t for t in trajs if len(t) > 0]
     if not usable:
-        return {"steps": 0, "delta_mean": 0.0, "entropy": 0.0}
+        return {"aborted": False, "steps": 0, "delta_mean": 0.0,
+                "entropy": 0.0}
     state_list, adv_list, tgt_list = [], [], []
     for t in usable:
         states = np.stack(t.states)
@@ -535,7 +563,8 @@ def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
     costs = np.concatenate([np.stack(t.cost_norms) for t in usable])
     n = len(actions)
 
-    entropy = 0.0
+    before = model.snapshot()
+    entropy, aborted = 0.0, False
     for _ in range(hyper.ppo_epochs):
         probs, cache_a = _masked_probs(model.actor, states, masks)
         new_logp = np.log(probs[np.arange(n), actions])
@@ -547,16 +576,25 @@ def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
         if hyper.cost_weight > 0:
             expected = (probs * costs).sum(axis=-1, keepdims=True)
             dlogits = dlogits + hyper.cost_weight * probs * (costs - expected) / n
-        neural.apply_adam(model.actor, backward(model.actor, cache_a, dlogits),
-                          model.actor_adam)
-
-        values, cache_c = forward(model.critic, states)
-        dv = ((values[:, 0] - targets) / n)[:, None]
-        neural.apply_adam(model.critic, backward(model.critic, cache_c, dv),
-                          model.critic_adam)
+        try:
+            neural.apply_adam(model.actor,
+                              backward(model.actor, cache_a, dlogits),
+                              model.actor_adam)
+            values, cache_c = forward(model.critic, states)
+            dv = ((values[:, 0] - targets) / n)[:, None]
+            neural.apply_adam(model.critic,
+                              backward(model.critic, cache_c, dv),
+                              model.critic_adam)
+        except TrainingDiverged:        # adam_step met a nonfinite gradient
+            aborted = True
+        else:
+            aborted = _diverged(model)
+        if aborted:
+            model.restore(before)
+            break
         entropy = _mean_entropy(probs)
-    return {"steps": n, "delta_mean": float(np.mean(advantages)),
-            "entropy": entropy}
+    return {"aborted": aborted, "steps": n,
+            "delta_mean": float(np.mean(advantages)), "entropy": entropy}
 
 
 # -- the agent --------------------------------------------------------------
@@ -718,13 +756,11 @@ def train(env_factory, hyper: Hyperparameters,
         if trajs is None:
             raise last_error
 
-        if hyper.ppo:
-            diag = ppo_update(agent.model, trajs, hyper)
-        else:
-            diag = actor_critic_step(agent.model, trajs, hyper)
-            if diag["aborted"]:
-                raise TrainingDiverged(
-                    f"nonfinite gradient in epoch {epoch + 1}")
+        update = ppo_update if hyper.ppo else actor_critic_step
+        diag = update(agent.model, trajs, hyper)
+        if diag["aborted"]:
+            raise TrainingDiverged(
+                f"nonfinite gradient or update in epoch {epoch + 1}")
 
         agent.model.epoch = epoch + 1
         point = CurvePoint(epoch=epoch + 1,

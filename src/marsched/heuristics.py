@@ -50,13 +50,20 @@ def _log10_clamped(x: float) -> float:
     return math.log10(max(x, 1.0))
 
 
+# the aging scores run for every ready job in every cycle: a test is cheaper
+# than a call to max(w_t, 0.0) and gives the same value
+
 def _wfp3(job: Job, now: float) -> float:
-    w_t = max(now - job.submit_time, 0.0)
+    w_t = now - job.submit_time
+    if w_t < 0.0:
+        w_t = 0.0
     return -((w_t / job.requested_time) ** 3) * job.requested_procs
 
 
 def _unicef(job: Job, now: float) -> float:
-    w_t = max(now - job.submit_time, 0.0)
+    w_t = now - job.submit_time
+    if w_t < 0.0:
+        w_t = 0.0
     n_t = job.requested_procs
     denom = math.log2(n_t) if n_t > 1 else 1.0
     return -w_t / (denom * job.requested_time)
@@ -97,16 +104,18 @@ def sort_key(job: Job, now: float, kind: PolicyKind):
 def priority_key(kind: PolicyKind, state):
     """Sort key of one run's scheduling cycles; lower runs first.
 
-    ``state`` carries the run's ``arrivals`` and its current ``clock``. The
-    aging kinds are keyed like ``sort_key`` at the clock of each call,
-    through their own score function rather than ``score``'s dispatch on the
-    kind. The other kinds ignore the clock, so every job is scored once, up
-    front, and keyed by its int rank, which compares faster than the
-    (score, submit, id) tuple it stands for.
+    ``state`` carries the run's ``arrivals`` and its current ``clock``. An
+    aging kind keys a job to the entry (score, submit, id, job) at the clock
+    of the call, through its own score function rather than ``score``'s
+    dispatch on the kind; ids are unique, so the job never takes part in a
+    comparison, and an aging cycle heaps these entries as they are. The
+    other kinds ignore the clock, so every job is scored once, up front, and
+    keyed by its int rank, which compares faster than the (score, submit,
+    id) tuple it stands for.
     """
     if kind not in TIME_INVARIANT_KINDS:
         fn = _AGING_SCORES[kind]
-        return lambda j: (fn(j, state.clock), j.submit_time, j.id)
+        return lambda j: (fn(j, state.clock), j.submit_time, j.id, j)
     order = sorted(state.arrivals, key=lambda j: sort_key(j, state.clock, kind))
     rank = {j.id: r for r, j in enumerate(order)}
     return lambda j: rank[j.id]

@@ -23,7 +23,18 @@ ignores the clock (``heuristics.TIME_INVARIANT_KINDS``) keep one heap of
 entry in ``ClusterState.rank_heap``, pushed when it entered the ready set;
 any other entry belongs to a job an EASY pass started, and it is dropped when
 it reaches the top. A cycle then pops only the jobs it starts. WFP3 and
-UNICEF age, so they are rescored every cycle into a fresh heap.
+UNICEF age, so each of their cycles scores every ready job once, into a
+fresh heap of entries (score, submit time, id, job); the cycle pops the jobs
+it starts, and the EASY pass takes the entries left, so no job is scored
+twice at one clock.
+
+No free processor, no cycle. ``Simulation`` rejects a job that requests
+fewer than 1 processor, so every job needs at least one free processor to
+start. A heuristic cycle that finds none free therefore starts nothing, and
+its EASY pass finds no candidate; once the run's first blocked head is
+recorded, such a cycle returns before it scores, pops or backfills. (A
+ready job wider than the cluster is then reported by the next cycle that
+finds a processor free.)
 
 EASY filters, then sorts. Within one pass ``free_procs`` and the head's
 spare processors ``extra`` only fall, and the shadow time never rises (the
@@ -32,12 +43,13 @@ the processors free at the shadow as they were, or fits the spare
 processors, which it then uses up. A candidate that fails ``procs <= free``
 or ``clock + requested_time <= shadow or procs <= extra`` at the start of
 the pass therefore fails at every later point of it. Keeping the candidates
-that pass both tests at the start, keying and sorting only them, and walking
-them in order with the same tests starts the same jobs as walking the whole
-sorted queue. When no ready job fits the free processors, no reservation is
-computed. ``ClusterState.releases`` keeps the running jobs' projected
-releases sorted as jobs start and finish, so a reservation walks a list
-instead of sorting the running set.
+that pass both tests at the start, sorting only them, and walking them in
+order with the same tests starts the same jobs as walking the whole sorted
+queue. The time-invariant kinds key only these candidates; the aging kinds
+filter the entries their cycle already scored. When no ready job fits the
+free processors, no reservation is computed. ``ClusterState.releases`` keeps
+the running jobs' projected releases sorted as jobs start and finish, so a
+reservation walks a list instead of sorting the running set.
 """
 
 from __future__ import annotations
@@ -259,31 +271,45 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
 
 
 def backfill_easy(state: ClusterState, head: Job, key,
-                  stats: RunStats | None = None) -> list[int]:
+                  stats: RunStats | None = None,
+                  entries: list[tuple] | None = None) -> list[int]:
     """One EASY pass behind a blocked head; returns the started ids.
 
     The head gets a reservation; other ready jobs start now, in ``key``
     order, only if they fit free processors and either finish (by their own
     estimate) before the shadow time or use no more than the spare
-    processors. Candidates are filtered before they are keyed and sorted
-    (module docstring). The head's reservation is recomputed after every
-    backfill and may only move earlier.
+    processors. Candidates are filtered before they are sorted (module
+    docstring). ``entries``, when given, holds one keyed entry per ready job
+    with the job as its last field, as an aging cycle's heap does, and is
+    filtered and sorted without keying a job again; otherwise only the ready
+    jobs that pass the filter are keyed. The head's reservation is
+    recomputed after every backfill and may only move earlier.
     """
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
-    fitting = [job for job in state.ready.values()
-               if job.requested_procs <= free and job is not head]
+    if entries is None:
+        fitting = [job for job in state.ready.values()
+                   if job.requested_procs <= free and job is not head]
+    else:
+        fitting = [e for e in entries
+                   if e[-1].requested_procs <= free and e[-1] is not head]
     if not fitting:
         return []
     clock = state.clock
     shadow, extra = compute_reservation(state, head)
-    queue = [(key(job), job) for job in fitting
-             if clock + job.requested_time <= shadow
-             or job.requested_procs <= extra]
+    if entries is None:
+        queue = [(key(job), job) for job in fitting
+                 if clock + job.requested_time <= shadow
+                 or job.requested_procs <= extra]
+    else:
+        queue = [e for e in fitting
+                 if clock + e[-1].requested_time <= shadow
+                 or e[-1].requested_procs <= extra]
     queue.sort()
     started: list[int] = []
-    for _, cand in queue:
+    for entry in queue:
+        cand = entry[-1]
         if cand.requested_procs > state.free_procs:
             continue
         if not (clock + cand.requested_time <= shadow
@@ -307,6 +333,11 @@ class Simulation:
 
     def __init__(self, jobs: list[Job], total_procs: int, *,
                  backfill: bool = True):
+        for job in jobs:
+            if job.requested_procs < 1:
+                raise ContractError(
+                    f"job {job.id} requests {job.requested_procs} processors;"
+                    f" every job needs at least 1")
         self.state = new_cluster(total_procs, jobs)
         self.backfill = backfill
         self.stats = RunStats()
@@ -315,14 +346,29 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_heuristic(self, heap: list, key) -> None:
+    def _schedule_heuristic(self, key, rank_heap: list | None = None) -> None:
         """Start ready jobs in priority order until the head does not fit,
-        then run EASY behind it. ``heap`` holds (key(job), job) for every
-        ready job; entries of jobs no longer ready are dropped."""
+        then run EASY behind it.
+
+        ``rank_heap`` is the run's (rank, job) heap of a time-invariant kind;
+        its entries of jobs no longer ready are dropped. An aging kind passes
+        none: the cycle keys every ready job once into a fresh heap of
+        entries (score, submit, id, job), and EASY reuses what is left of it.
+        A cycle with no free processor after the first blocked head starts
+        nothing, so it returns at once (module docstring).
+        """
         state = self.state
+        stats = self.stats
+        if not state.free_procs and stats.first_blocked_head is not None:
+            return
+        if rank_heap is None:
+            heap = list(map(key, state.ready.values()))
+            heapq.heapify(heap)
+        else:
+            heap = rank_heap
         ready = state.ready
         while heap:
-            head = heap[0][1]
+            head = heap[0][-1]
             if head.id not in ready:
                 heapq.heappop(heap)
                 continue
@@ -330,24 +376,19 @@ class Simulation:
                 break
             heapq.heappop(heap)
             start_job(state, head, state.clock)
-            self.stats.started += 1
+            stats.started += 1
         else:
             return
-        if self.stats.first_blocked_head is None:
-            self.stats.first_blocked_head = head.id
+        if stats.first_blocked_head is None:
+            stats.first_blocked_head = head.id
         if head.requested_procs > state.total_procs:
             raise SchedulingError(
                 f"job {head.id} requests {head.requested_procs} processors, "
                 f"system has {state.total_procs}: it can never start")
         if self.backfill:
-            started = backfill_easy(state, head, key, self.stats)
-            self.stats.started += len(started)
-
-    def _schedule_aging(self, key) -> None:
-        """Rescore the ready set at this cycle's clock and schedule it."""
-        heap = [(key(j), j) for j in self.state.ready.values()]
-        heapq.heapify(heap)
-        self._schedule_heuristic(heap, key)
+            started = backfill_easy(state, head, key, stats,
+                                    heap if rank_heap is None else None)
+            stats.started += len(started)
 
     def _schedule_selector(self, selector) -> None:
         started = schedule_cycle(self.state, selector)
@@ -399,10 +440,10 @@ class Simulation:
             key = heuristics.priority_key(kind, state)
             if kind in heuristics.TIME_INVARIANT_KINDS:
                 state.rank_key = key    # before any job has arrived
-                schedule = lambda: self._schedule_heuristic(state.rank_heap,
-                                                            key)
+                schedule = lambda: self._schedule_heuristic(key,
+                                                            state.rank_heap)
             else:
-                schedule = lambda: self._schedule_aging(key)
+                schedule = lambda: self._schedule_heuristic(key)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)
         else:

@@ -139,6 +139,13 @@ class SyntheticConfig:
             raise ConfigError("cost distribution parameters must be >= 0")
         if not (1.0 <= self.overestimate_min <= self.overestimate_max):
             raise ConfigError("need 1 <= overestimate_min <= overestimate_max")
+        # a drawn runtime is rounded to whole seconds, so it can exceed
+        # runtime_max by up to 1 s, and its estimate by that times the factor
+        if not math.isfinite((self.runtime_max + 1.0) * self.overestimate_max):
+            raise ConfigError(
+                "requested times up to (runtime_max + 1) * overestimate_max "
+                f"must be finite; got runtime_max {self.runtime_max!r} and "
+                f"overestimate_max {self.overestimate_max!r}")
         exp = self.max_cores_exp
         if exp is not None and not (0 <= exp <= math.log2(self.total_procs)):
             raise ConfigError("max_cores_exp must satisfy 2**exp <= total_procs")

@@ -197,6 +197,38 @@ def test_train_divergence_writes_last_good_model(tmp_path, cfg_file,
     assert all(np.all(np.isfinite(p)) for p in model.actor.parameters())
 
 
+@pytest.mark.parametrize("ppo", ["off", "on"])
+def test_huge_learning_rate_exit_3_with_last_good_model(tmp_path, ppo,
+                                                       capsys):
+    # the first Adam step leaves the actor's parameters finite, near 1e308,
+    # and its outputs infinite; the step is undone and train exits 3
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"[agent]\nactor_lr = 1e308\nppo = {ppo}\n")
+    out = tmp_path / "tr"
+    assert run_cli("train", "--synthetic", "20", "--epochs", "2",
+                   "--config", str(conf), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "Traceback" not in err
+    model = agent.load_model(out / "model.json")
+    fresh = agent.new_model(model.hyper)
+    assert model.epoch == 0 and model.actor_adam.t == 0
+    for a, b in zip(model.actor.parameters(), fresh.actor.parameters()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("argv", [["gen", "--count", "20"],
+                                  ["simulate", "--synthetic", "20"]])
+def test_unbounded_requested_time_exit_2(tmp_path, argv, capsys):
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[synthetic]\noverestimate_max = 1e308\n")
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--config", str(conf), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "overestimate_max must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
     # compare takes its policies only from --policies
     conf = tmp_path / "conf.ini"

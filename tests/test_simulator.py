@@ -4,17 +4,21 @@ The hand cases are small enough to simulate by hand; expected start and end
 times in the asserts come from that hand simulation, not from the code.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from helpers import make_job, make_trace
+from marsched import heuristics
 from marsched.agent import make_random_selector
 from marsched.errors import ConfigError, ContractError, SchedulingError
 from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
 from marsched.simulator import (EventKind, Simulation, backfill_easy,
                                 compute_reservation, job_csv_rows,
-                                new_cluster, ready_jobs, run_episode,
-                                schedule_cycle, start_job, write_jobs_csv)
+                                new_cluster, next_event_time, ready_jobs,
+                                run_episode, schedule_cycle, start_job,
+                                write_jobs_csv)
 from marsched.workload import JobStatus, SyntheticConfig, generate_synthetic
 
 
@@ -47,6 +51,17 @@ def test_fcfs_backfill_hand_case():
     assert jobs[3].start_time == 10     # fits the 90s window before the shadow
     assert jobs[2].start_time == 100    # head start unchanged by the backfill
     assert res.stats.backfilled == 1
+    assert res.stats.first_blocked_head == 2
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "wfp3"])
+def test_first_blocked_head_on_a_full_cluster(policy):
+    # job 2 arrives while job 1 holds all 4 processors: that cycle can start
+    # nothing, but it is where job 2 is first blocked
+    jobs = [make_job(1, submit=0, run=100, procs=4),
+            make_job(2, submit=10, run=10, procs=1)]
+    res = run_episode(jobs, policy, backfill=True, total_procs=4)
+    assert by_id(res.jobs)[2].start_time == 100
     assert res.stats.first_blocked_head == 2
 
 
@@ -304,6 +319,80 @@ def test_heuristic_cycle_matches_naive_reference(kind, backfill):
     assert shared_instants          # completions and arrivals at one instant
     # reservations over overrunning jobs, and backfills, were compared
     assert (counts["clamped"] and counts["backfilled"]) or not backfill
+
+
+def burst_trace(seed, n=40, procs=8):
+    """Every job submitted in the first 5 s on a narrow cluster, so the
+    cluster fills and later arrivals and completions meet it full."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(1, n + 1):
+        run = int(rng.integers(1, 30))
+        factor = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        jobs.append(make_job(i, submit=int(rng.integers(0, 6)), run=run,
+                             req_time=max(1, int(run * factor)),
+                             procs=int(rng.choice([1, 1, 2, 3, 4, 8]))))
+    return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
+
+
+def full_cycle_probe(full):
+    """on_event probe: counts the instants whose scheduling cycle finds no
+    processor free and a ready job waiting."""
+    def probe(state, event):
+        if (next_event_time(state) != state.clock and not state.free_procs
+                and state.ready):
+            full.append(state.clock)
+    return probe
+
+
+@pytest.mark.parametrize("backfill", [True, False])
+@pytest.mark.parametrize("kind", [PolicyKind.WFP3, PolicyKind.UNICEF])
+def test_aging_cycle_on_a_full_cluster_matches_naive_reference(kind,
+                                                               backfill):
+    # aging kinds skip the cycles that find no processor free; the naive
+    # selector runs every one of them
+    counts, full = {"clamped": 0, "backfilled": 0}, []
+    for seed in range(20):
+        jobs, procs = burst_trace(seed)
+        got = run_episode(jobs, kind, backfill=backfill, total_procs=procs,
+                          on_event=full_cycle_probe(full))
+        backfilled = counts["backfilled"]
+        want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
+                           total_procs=procs)
+        assert want.stats.forced_starts == 0
+        assert {j.id: j.start_time for j in got.jobs} == \
+            {j.id: j.start_time for j in want.jobs}, seed
+        assert got.stats.started == len(jobs)
+        assert got.stats.backfilled == counts["backfilled"] - backfilled
+    assert full                 # cycles with no free processor occurred
+    assert counts["backfilled"] or not backfill
+
+
+def test_aging_cycle_scores_each_ready_job_once(monkeypatch):
+    # one cycle runs per distinct clock value; the EASY pass must reuse the
+    # cycle's scores instead of scoring its candidates again
+    scored = collections.Counter()
+    for kind, fn in list(heuristics._AGING_SCORES.items()):
+        def counting(job, now, fn=fn, kind=kind):
+            scored[kind, now, job.id] += 1
+            return fn(job, now)
+        monkeypatch.setitem(heuristics._AGING_SCORES, kind, counting)
+    for kind in (PolicyKind.WFP3, PolicyKind.UNICEF):
+        for seed in range(5):
+            jobs, procs = burst_trace(seed)
+            scored.clear()
+            res = run_episode(jobs, kind, total_procs=procs)
+            assert res.stats.backfilled and scored
+            assert max(scored.values()) == 1, (kind, seed)
+
+
+@pytest.mark.parametrize("procs", [0, -2])
+def test_bare_list_job_without_processors_rejected(procs):
+    jobs = [make_job(1, procs=1), make_job(2, submit=5, procs=procs)]
+    with pytest.raises(ContractError, match="job 2"):
+        run_episode(jobs, "wfp3", total_procs=4)
+    with pytest.raises(ContractError):
+        Simulation([j.fresh_copy() for j in jobs], 4)
 
 
 # -- primitive contracts ------------------------------------------------------

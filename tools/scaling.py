@@ -1,7 +1,7 @@
 """Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_8.json
+        --checkout change=. --out BENCH_10.json
 
 A ``load`` row writes the synthetic trace below to an SWF file (untimed),
 then times ``workload.load_swf`` followed by ``workload.assign_costs`` with
@@ -51,6 +51,7 @@ ROWS = (("load", (1000, 4000, 16000)),
         ("simulate fcfs on", (1000, 4000)),
         ("simulate sjf on", (1000, 4000, 16000)),
         ("simulate wfp3 on", (1000, 4000)),
+        ("simulate unicef on", (1000, 4000)),
         ("train", (512, 2048)),
         ("evaluate", (500,)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
