@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -43,9 +43,6 @@ class Hyperparameters:
     epochs: int = 200
     workers: int = 1
     cost_weight: float = 0.0
-    ppo: bool = False
-    ppo_clip: float = 0.2
-    ppo_epochs: int = 4
     validate_every: int = 50
     rollback_patience: int = 3
     tau: float = DEFAULT_TAU
@@ -71,8 +68,6 @@ class Hyperparameters:
             raise ConfigError("tau and normalization constants must be > 0")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("hidden layer sizes must be >= 1")
-        if not (0 < self.ppo_clip < 1) or self.ppo_epochs < 1:
-            raise ConfigError("ppo_clip must be in (0,1), ppo_epochs >= 1")
 
     @property
     def state_dim(self) -> int:
@@ -308,12 +303,17 @@ class AgentModel:
         self.epoch = snap["epoch"]
 
 
+def _network_dims(hyper: Hyperparameters) -> tuple[list[int], list[int]]:
+    """Layer widths of the actor and of the critic."""
+    return ([hyper.state_dim, *hyper.hidden, hyper.action_dim],
+            [hyper.state_dim, *hyper.hidden, 1])
+
+
 def new_model(hyper: Hyperparameters,
               rng: np.random.Generator | None = None) -> AgentModel:
     hyper.validate()
     rng = rng if rng is not None else np.random.default_rng(hyper.seed)
-    dims_a = [hyper.state_dim, *hyper.hidden, hyper.action_dim]
-    dims_c = [hyper.state_dim, *hyper.hidden, 1]
+    dims_a, dims_c = _network_dims(hyper)
     actor = neural.init_network(dims_a, rng=rng)
     critic = neural.init_network(dims_c, rng=rng)
     return AgentModel(
@@ -330,10 +330,41 @@ def hyper_to_dict(h: Hyperparameters) -> dict:
     return d
 
 
+# fields of a removed training mode that format-1 model files carry; loading
+# drops them, so such a model evaluates and resumes with actor-critic
+RETIRED_HYPER_KEYS = ("ppo", "ppo_clip", "ppo_epochs")
+
+
 def hyper_from_dict(d: dict) -> Hyperparameters:
-    d = dict(d)
-    d["hidden"] = tuple(d.get("hidden", (64, 64)))
+    """Hyperparameters from a model file's ``hyper``, less the retired
+    keys; any other key must be exactly the fields of ``Hyperparameters``."""
+    if not isinstance(d, dict):
+        raise ModelFormatError("hyper is not a mapping")
+    d = {k: v for k, v in d.items() if k not in RETIRED_HYPER_KEYS}
+    names = {f.name for f in fields(Hyperparameters)}
+    for problem, keys in (("unknown", d.keys() - names),
+                          ("missing", names - d.keys())):
+        if keys:
+            raise ModelFormatError(
+                f"{problem} hyper key(s): {', '.join(sorted(keys))}")
+    d["hidden"] = tuple(d["hidden"])
     return Hyperparameters(**d)
+
+
+def _check_shapes(model: AgentModel) -> None:
+    """Every layer's weights and bias, and the Adam moments beside them,
+    have the shapes that the hyperparameters give each network."""
+    for name, net, adam, dims in zip(
+            ("actor", "critic"), (model.actor, model.critic),
+            (model.actor_adam, model.critic_adam), _network_dims(model.hyper)):
+        want = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
+        for part, arrays in (("parameter", net.parameters()),
+                             ("Adam m", adam.m), ("Adam v", adam.v)):
+            got = [a.shape for a in arrays]
+            if got != want:
+                raise ModelFormatError(
+                    f"{name} {part} shapes {got} do not match the "
+                    f"hyperparameters, which give {want}")
 
 
 def save_model(path, model: AgentModel) -> None:
@@ -357,7 +388,8 @@ def load_model(path) -> AgentModel:
             payload = json.load(fp)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
-    version = payload.get("format_version")
+    version = (payload.get("format_version") if isinstance(payload, dict)
+               else None)
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported model format version {version!r} "
@@ -372,9 +404,14 @@ def load_model(path) -> AgentModel:
             hyper=hyper,
             epoch=int(payload["epoch"]),
         )
-    except (KeyError, TypeError) as exc:
+        hyper.validate()
+        _check_shapes(model)
+    except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc}") from exc
-    hyper.validate()
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed field ({exc})") from exc
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return model
 
 
@@ -531,70 +568,6 @@ def actor_critic_step(model: AgentModel, trajs: list[EpisodeTrajectory],
             model.restore(before)
     return {"aborted": aborted, "delta_mean": float(np.mean(deltas)),
             "entropy": float(np.mean(entropies))}
-
-
-def ppo_update(model: AgentModel, trajs: list[EpisodeTrajectory],
-               hyper: Hyperparameters) -> dict:
-    """Clipped-surrogate updates over a batch of trajectories.
-
-    Shares the advantage machinery with the actor-critic path; runs
-    ppo_epochs passes of one Adam step each over the whole batch. A
-    nonfinite gradient, or a pass after which either network could overflow
-    (``_diverged``), undoes every pass, and the result reports ``aborted``.
-    """
-    usable = [t for t in trajs if len(t) > 0]
-    if not usable:
-        return {"aborted": False, "steps": 0, "delta_mean": 0.0,
-                "entropy": 0.0}
-    state_list, adv_list, tgt_list = [], [], []
-    for t in usable:
-        states = np.stack(t.states)
-        values, _ = forward(model.critic, states)
-        adv, tgt = compute_advantages(t, values[:, 0], hyper.gamma)
-        state_list.append(states)
-        adv_list.append(adv)
-        tgt_list.append(tgt)
-    advantages = np.concatenate(adv_list)
-    targets = np.concatenate(tgt_list)
-    states = np.concatenate(state_list)
-    masks = np.concatenate([np.stack(t.masks) for t in usable])
-    actions = np.concatenate([np.asarray(t.actions) for t in usable])
-    old_logp = np.concatenate([np.asarray(t.log_probs) for t in usable])
-    costs = np.concatenate([np.stack(t.cost_norms) for t in usable])
-    n = len(actions)
-
-    before = model.snapshot()
-    entropy, aborted = 0.0, False
-    for _ in range(hyper.ppo_epochs):
-        probs, cache_a = _masked_probs(model.actor, states, masks)
-        new_logp = np.log(probs[np.arange(n), actions])
-        ratio = np.exp(new_logp - old_logp)
-        clipped_out = ((advantages >= 0) & (ratio > 1 + hyper.ppo_clip)) | \
-                      ((advantages < 0) & (ratio < 1 - hyper.ppo_clip))
-        coef = np.where(clipped_out, 0.0, ratio * advantages) / n
-        dlogits = -coef[:, None] * (_one_hot(actions, hyper.action_dim) - probs)
-        if hyper.cost_weight > 0:
-            expected = (probs * costs).sum(axis=-1, keepdims=True)
-            dlogits = dlogits + hyper.cost_weight * probs * (costs - expected) / n
-        try:
-            neural.apply_adam(model.actor,
-                              backward(model.actor, cache_a, dlogits),
-                              model.actor_adam)
-            values, cache_c = forward(model.critic, states)
-            dv = ((values[:, 0] - targets) / n)[:, None]
-            neural.apply_adam(model.critic,
-                              backward(model.critic, cache_c, dv),
-                              model.critic_adam)
-        except TrainingDiverged:        # adam_step met a nonfinite gradient
-            aborted = True
-        else:
-            aborted = _diverged(model)
-        if aborted:
-            model.restore(before)
-            break
-        entropy = _mean_entropy(probs)
-    return {"aborted": aborted, "steps": n,
-            "delta_mean": float(np.mean(advantages)), "entropy": entropy}
 
 
 # -- the agent --------------------------------------------------------------
@@ -756,8 +729,7 @@ def train(env_factory, hyper: Hyperparameters,
         if trajs is None:
             raise last_error
 
-        update = ppo_update if hyper.ppo else actor_critic_step
-        diag = update(agent.model, trajs, hyper)
+        diag = actor_critic_step(agent.model, trajs, hyper)
         if diag["aborted"]:
             raise TrainingDiverged(
                 f"nonfinite gradient or update in epoch {epoch + 1}")

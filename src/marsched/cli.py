@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--workers", type=int,
                    help="episodes per epoch, run one after another")
-    p.add_argument("--ppo", action="store_true",
-                   help="use the clipped-surrogate update instead of "
-                        "per-episode actor-critic")
     p.add_argument("--resume", help="continue training from a model file")
     p.set_defaults(func=cmd_train)
 
@@ -205,8 +202,7 @@ def _thresholds(settings: Settings) -> decision.Thresholds:
 
 def _hyper(args, settings: Settings, seed: int, tau: float) -> Hyperparameters:
     flags = {"epochs": getattr(args, "epochs", None),
-             "workers": getattr(args, "workers", None),
-             "ppo": True if getattr(args, "ppo", False) else None}
+             "workers": getattr(args, "workers", None)}
     hyper = settings.fill(Hyperparameters, "agent", flags, seed=seed, tau=tau)
     hyper.validate()
     return hyper
@@ -329,7 +325,7 @@ def cmd_train(args, settings: Settings) -> int:
     if args.resume:
         model = load_model(args.resume)
         run_keys = {"epochs": hyper.epochs, "workers": hyper.workers,
-                    "ppo": hyper.ppo, "seed": hyper.seed, "tau": hyper.tau,
+                    "seed": hyper.seed, "tau": hyper.tau,
                     "validate_every": hyper.validate_every}
         hyper = dataclasses.replace(model.hyper, **run_keys)
         hyper.validate()

@@ -100,7 +100,7 @@ def as_int_tuple(value, context: str) -> tuple[int, ...]:
 
 # one cast per field annotation (a string under postponed evaluation)
 CASTS = {"int": as_int, "int | None": as_int, "float": as_float,
-         "bool": as_bool, "tuple[int, ...]": as_int_tuple, "str": None}
+         "tuple[int, ...]": as_int_tuple, "str": None}
 
 
 class Settings:

@@ -30,7 +30,8 @@ class SchedulingError(MarschedError):
 
 
 class ModelFormatError(MarschedError):
-    """Model file is unreadable or carries an unsupported format version."""
+    """Model file is unreadable, carries an unsupported format version, or
+    does not match its own hyperparameters."""
 
 
 class TrainingDiverged(MarschedError):

@@ -231,7 +231,7 @@ def net_from_dict(d: dict) -> Network:
                         bias=np.array(ld["bias"], dtype=float),
                         activation=ld["activation"])
                   for ld in d["layers"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ContractError) as exc:
         raise ModelFormatError(f"bad network payload: {exc}") from exc
     return Network(layers=layers)
 

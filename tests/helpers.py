@@ -1,6 +1,13 @@
-"""Shared factories for the test suite."""
+"""Shared factories and file digests for the test suite."""
+
+import hashlib
 
 from marsched.workload import Job, JobStatus, WorkloadTrace
+
+
+def sha256(path) -> str:
+    with open(path, "rb") as fp:
+        return hashlib.sha256(fp.read()).hexdigest()
 
 
 def make_job(id, submit=0.0, run=100.0, procs=1, req_time=None, cost=0.0,

@@ -6,6 +6,7 @@ sign or masking mistake in either path cannot cancel out.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from marsched.agent import (CostAdjustStats, EpisodeTrajectory,
                             actor_critic_step, apply_cost_adjustment,
                             compute_advantages,
                             encode_state, episode_gradients, episode_reward,
-                            fit_mask, load_model, new_model, ppo_update,
+                            fit_mask, load_model, new_model,
                             random_baseline, sample_index, save_model,
                             select_action, slot_cost_factors, train,
                             visible_window)
@@ -400,25 +401,6 @@ def test_actor_critic_update_abort_restores_parameters():
             assert np.array_equal(a, b)
 
 
-def test_ppo_update_runs_and_reports():
-    hyper = Hyperparameters(slots=3, hidden=(6,), ppo=True, seed=2)
-    agent = MarsAgent(hyper)
-    trace = small_trace(seed=3, jobs=15)
-    trajs = []
-    for w in range(2):
-        _, traj, _, _ = agent.run_collect(trace.jobs, trace.total_procs,
-                                          rng=np.random.default_rng(w),
-                                          record=True)
-        trajs.append(traj)
-    before = agent.model.actor.copy_parameters()
-    diag = ppo_update(agent.model, trajs, hyper)
-    assert diag["steps"] == sum(len(t) for t in trajs)
-    assert math.isfinite(diag["entropy"])
-    moved = any(not np.array_equal(a, b)
-                for a, b in zip(agent.model.actor.parameters(), before))
-    assert moved
-
-
 # -- versioning ----------------------------------------------------------------
 
 def test_model_versions_rollback_semantics():
@@ -494,8 +476,30 @@ def test_load_model_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError):
         load_model(path)
-    path.write_text("not json")
-    with pytest.raises(ModelFormatError):
+    for text in ("not json", "[]"):
+        path.write_text(text)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+@pytest.mark.parametrize("problem, edit", [
+    ("unknown hyper key(s): bogus", lambda p: p["hyper"].update(bogus=1)),
+    ("missing hyper key(s): slots", lambda p: p["hyper"].pop("slots")),
+    ("hyper is not a mapping", lambda p: p.update(hyper=[1, 2])),
+    ("malformed field", lambda p: p.update(epoch="two")),
+    ("bad network payload: unknown activation 'sigmoid'",
+     lambda p: p["actor"]["layers"][0].update(activation="sigmoid"))],
+    ids=["unknown-key", "missing-key", "not-a-mapping", "malformed",
+         "activation"])
+def test_load_model_rejects_bad_payload(tmp_path, problem, edit):
+    import json
+    path = tmp_path / "m.json"
+    save_model(path, new_model(SMALL))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"{path}: {problem}")):
         load_model(path)
 
 
@@ -609,5 +613,3 @@ def test_hyperparameter_validation():
         Hyperparameters(cost_weight=-1).validate()
     with pytest.raises(ConfigError):
         Hyperparameters(hidden=()).validate()
-    with pytest.raises(ConfigError):
-        Hyperparameters(ppo_clip=1.5).validate()

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import sha256
 from marsched import __version__, agent, cli, config, workload
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -197,13 +198,11 @@ def test_train_divergence_writes_last_good_model(tmp_path, cfg_file,
     assert all(np.all(np.isfinite(p)) for p in model.actor.parameters())
 
 
-@pytest.mark.parametrize("ppo", ["off", "on"])
-def test_huge_learning_rate_exit_3_with_last_good_model(tmp_path, ppo,
-                                                       capsys):
+def test_huge_learning_rate_exit_3_with_last_good_model(tmp_path, capsys):
     # the first Adam step leaves the actor's parameters finite, near 1e308,
     # and its outputs infinite; the step is undone and train exits 3
     conf = tmp_path / "conf.ini"
-    conf.write_text(f"[agent]\nactor_lr = 1e308\nppo = {ppo}\n")
+    conf.write_text("[agent]\nactor_lr = 1e308\n")
     out = tmp_path / "tr"
     assert run_cli("train", "--synthetic", "20", "--epochs", "2",
                    "--config", str(conf), "--out", str(out)) == 3
@@ -243,8 +242,7 @@ def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
 AGENT_VALUES = {
     "gamma": ("0.9", 0.9), "actor_lr": ("0.002", 0.002),
     "critic_lr": ("0.02", 0.02), "slots": ("5", 5), "epochs": ("7", 7),
-    "workers": ("2", 2), "cost_weight": ("0.5", 0.5), "ppo": ("on", True),
-    "ppo_clip": ("0.3", 0.3), "ppo_epochs": ("2", 2),
+    "workers": ("2", 2), "cost_weight": ("0.5", 0.5),
     "validate_every": ("9", 9), "rollback_patience": ("4", 4),
     "hidden": ("6,3", [6, 3]), "time_norm": ("3600", 3600.0),
     "cost_norm": ("5", 5.0),
@@ -338,6 +336,87 @@ def test_train_from_heuristic_rejected(tmp_path, trace_file, capsys):
     assert run_cli("simulate", "--config", str(conf), "--trace", trace_file,
                    "--out", str(tmp_path / "o")) == 2
     assert "unknown key 'train_from_heuristic'" in capsys.readouterr().err
+
+
+def test_ppo_flag_and_keys_rejected(tmp_path, trace_file, capsys):
+    # PPO is gone: its flag is a usage error, each of its keys an unknown key
+    out = tmp_path / "flag"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--trace", trace_file, "--ppo", "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+    for key, value in (("ppo", "on"), ("ppo_clip", "0.2"),
+                       ("ppo_epochs", "4")):
+        conf = tmp_path / f"{key}.ini"
+        conf.write_text(f"[agent]\n{key} = {value}\n")
+        out = tmp_path / key
+        assert run_cli("train", "--config", str(conf), "--trace", trace_file,
+                       "--out", str(out)) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+
+# written by `marsched train --synthetic 20 --epochs 2` with `[agent] slots =
+# 3, hidden = 4, ppo = true` before PPO was removed; its hyper carries ppo,
+# ppo_clip and ppo_epochs, as every format-1 model file of that time does
+PPO_MODEL = ROOT / "tests" / "data" / "model_v1_ppo.json"
+# sha256 of jobs.csv and report.csv of `evaluate --synthetic 40 --seed 5`
+# with that model, as the program wrote them before PPO was removed. They go
+# through numpy matmuls, so they hold for the build named in test_golden.py.
+PPO_MODEL_EVALUATE = (
+    '7083cf08e52e51013398ff0c1f1719e4a504a31b5e521629e0e6ec1c27ceadf3',
+    '55ca541935dcbc57ac330f0eb04ecefaa637c4238e5fe48a69d614e2b8a623a5')
+
+
+def test_model_written_with_ppo_loads_and_evaluates(tmp_path):
+    model = agent.load_model(PPO_MODEL)
+    assert model.epoch == 2
+    assert model.hyper == agent.Hyperparameters(slots=3, hidden=(4,),
+                                                epochs=2)
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", "--synthetic", "40", "--seed", "5",
+                   "--model", str(PPO_MODEL), "--out", str(out)) == 0
+    assert (sha256(out / "jobs.csv"),
+            sha256(out / "report.csv")) == PPO_MODEL_EVALUATE
+
+
+def test_model_written_with_ppo_resumes_with_actor_critic(tmp_path):
+    # the retired keys change nothing: resuming the file as written and
+    # resuming it without them write the same model
+    stripped = tmp_path / "stripped.json"
+    payload = json.loads(PPO_MODEL.read_text())
+    for key in ("ppo", "ppo_clip", "ppo_epochs"):
+        del payload["hyper"][key]
+    stripped.write_text(json.dumps(payload))
+    written = []
+    for source, out in ((PPO_MODEL, tmp_path / "a"), (stripped, tmp_path / "b")):
+        assert run_cli("train", "--synthetic", "20", "--epochs", "2",
+                       "--resume", str(source), "--out", str(out)) == 0
+        written.append((out / "model.json").read_bytes())
+    assert written[0] == written[1]
+    resumed = json.loads(written[0])
+    assert resumed["epoch"] == 4
+    assert set(resumed["hyper"]) == {
+        f.name for f in dataclasses.fields(agent.Hyperparameters)}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["hyper"].update(slots=16),
+    lambda m: m["hyper"].update(hidden=[5]),
+    lambda m: m["critic"]["layers"][-1].update(bias=[0.0, 0.0]),
+    lambda m: m["actor_adam"]["m"].pop(),
+    lambda m: m["critic_adam"]["v"][0].pop()],
+    ids=["slots", "hidden", "critic-bias", "actor-adam-m", "critic-adam-v"])
+def test_model_shapes_must_match_hyper_exit_2(tmp_path, edit, capsys):
+    payload = json.loads(PPO_MODEL.read_text())
+    edit(payload)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("evaluate", "--synthetic", "20", "--model", str(bad),
+                   "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert "do not match the hyperparameters" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):

@@ -107,8 +107,8 @@ def test_known_keys_unchanged_by_deriving_them_from_the_fields():
         },
         "agent": {
             "gamma", "actor_lr", "critic_lr", "slots", "epochs", "workers",
-            "cost_weight", "ppo", "ppo_clip", "ppo_epochs", "validate_every",
-            "rollback_patience", "hidden", "time_norm", "cost_norm",
+            "cost_weight", "validate_every", "rollback_patience", "hidden",
+            "time_norm", "cost_norm",
         },
         "decision": {"min", "median", "max"},
     }

@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import sha256
 from marsched import cli
 from marsched.agent import Hyperparameters, MarsAgent, random_baseline
 from marsched.heuristics import HEURISTIC_KINDS
@@ -198,11 +199,6 @@ GOLDEN_OVERRUN = {
 }
 
 
-def sha256(path) -> str:
-    with open(path, "rb") as fp:
-        return hashlib.sha256(fp.read()).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def swf_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -257,11 +253,10 @@ RL_TRAIN = SyntheticConfig(job_count=120, arrival_rate=0.005, seed=111, **RL_MIX
 # a burst: the ready queue stays deeper than the 16 visible slots
 RL_EVAL = SyntheticConfig(job_count=200, arrival_rate=2.0, seed=112, **RL_MIX)
 
-# case -> extra [agent] keys, and extra train flags
+# case -> extra [agent] keys
 RL_CASES = {
-    "plain": ("", []),
-    "cost": ("cost_weight = 0.1\n", []),
-    "ppo": ("", ["--ppo"]),
+    "plain": "",
+    "cost": "cost_weight = 0.1\n",
 }
 
 # case -> (curve rewards of the 4 epochs, sha256 of evaluate's jobs.csv,
@@ -275,10 +270,6 @@ GOLDEN_RL = {
                -5.916601086102196],
               '1c40d3c2a369c199bb991b879b52dc7eea588c353d792efb453b2902ea99a3fc',
               '7fe4798c70b8b3936b91148e4e23c661c397eeae214c3281fb1cb55c33dee234'),
-    "ppo": ([-5.661973774160776, -6.4827933553551755, -2.924062750447293,
-             -3.3020805827540896],
-            '0d7d33547c9f424b3fcae6353512075b6a64e36b6cac8c0a1980ff1c7a940683',
-            '55ef220419f2b090dec81ebc4964aca31627a5b625107a3a11966b0925c7ff3b'),
 }
 
 
@@ -294,14 +285,13 @@ def rl_paths(tmp_path_factory):
 def test_golden_rl_train_and_evaluate(rl_paths, tmp_path, case):
     """A short seeded ``train`` gives these exact curve rewards, and
     ``evaluate`` of the model it writes gives these exact outputs."""
-    keys, flags = RL_CASES[case]
     config = tmp_path / "agent.ini"
     config.write_text("[agent]\ntime_norm = 3600.0\nactor_lr = 0.01\n"
-                      "critic_lr = 0.05\nvalidate_every = 2\n" + keys)
+                      "critic_lr = 0.05\nvalidate_every = 2\n" + RL_CASES[case])
     train_out, eval_out = tmp_path / "train", tmp_path / "eval"
     assert cli.main(["train", "--trace", str(rl_paths / "train.swf"),
                      "--epochs", "4", "--seed", "7", "--config", str(config),
-                     "--out", str(train_out), *flags]) == 0
+                     "--out", str(train_out)]) == 0
     with open(train_out / "curve.csv") as fp:
         rows = [line.split(",") for line in fp.read().splitlines()[2:]]
     rewards = [float(row[1]) for row in rows]
