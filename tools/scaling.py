@@ -55,6 +55,7 @@ ROWS = (("load", (1000, 4000, 16000)),
         ("train", (512, 2048)),
         ("evaluate", (500,)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
+# acceptance check c08's job mix; tools/learning.py builds c08's trace from it
 C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
                overestimate_min=1.0, overestimate_max=1.0, seed=1)
 TRAIN_RATE, BURST_RATE = 0.005, 2.0
