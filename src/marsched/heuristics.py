@@ -50,26 +50,29 @@ def _log10_clamped(x: float) -> float:
     return math.log10(max(x, 1.0))
 
 
-# the aging scores run for every ready job in every cycle: a test is cheaper
-# than a call to max(w_t, 0.0) and gives the same value
+# The aging kinds score every ready job in every cycle, so each formula is
+# written once, as a batch: the entries (score, submit time, id, job) of an
+# iterable of jobs at one clock, built by one list comprehension. ``score``
+# and ``priority_key`` take the entry of a one-job batch. The wait is clamped
+# at 0 by a test, which gives max(w, 0.0)'s value without a call per job.
 
-def _wfp3(job: Job, now: float) -> float:
-    w_t = now - job.submit_time
-    if w_t < 0.0:
-        w_t = 0.0
-    return -((w_t / job.requested_time) ** 3) * job.requested_procs
-
-
-def _unicef(job: Job, now: float) -> float:
-    w_t = now - job.submit_time
-    if w_t < 0.0:
-        w_t = 0.0
-    n_t = job.requested_procs
-    denom = math.log2(n_t) if n_t > 1 else 1.0
-    return -w_t / (denom * job.requested_time)
+def _wfp3_entries(jobs, now: float) -> list[tuple]:
+    return [(-(((0.0 if (w := now - j.submit_time) < 0.0 else w)
+                / j.requested_time) ** 3) * j.requested_procs,
+             j.submit_time, j.id, j) for j in jobs]
 
 
-_AGING_SCORES = {PolicyKind.WFP3: _wfp3, PolicyKind.UNICEF: _unicef}
+def _unicef_entries(jobs, now: float) -> list[tuple]:
+    log2 = math.log2
+    return [(-(0.0 if (w := now - j.submit_time) < 0.0 else w)
+             / ((log2(n) if (n := j.requested_procs) > 1 else 1.0)
+                * j.requested_time),
+             j.submit_time, j.id, j) for j in jobs]
+
+
+# kind -> batch scorer (jobs, now) -> entries (score, submit, id, job)
+AGING_ENTRIES = {PolicyKind.WFP3: _wfp3_entries,
+                 PolicyKind.UNICEF: _unicef_entries}
 
 
 def score(job: Job, now: float, kind: PolicyKind) -> float:
@@ -84,8 +87,8 @@ def score(job: Job, now: float, kind: PolicyKind) -> float:
         return s_t
     if kind is PolicyKind.SJF:
         return r_t
-    if kind in _AGING_SCORES:
-        return _AGING_SCORES[kind](job, now)
+    if kind in AGING_ENTRIES:
+        return AGING_ENTRIES[kind]((job,), now)[0][0]
     if kind is PolicyKind.F1:
         return _log10_clamped(r_t) * n_t + _F1_C * _log10_clamped(s_t)
     if kind is PolicyKind.F2:
@@ -105,17 +108,16 @@ def priority_key(kind: PolicyKind, state):
     """Sort key of one run's scheduling cycles; lower runs first.
 
     ``state`` carries the run's ``arrivals`` and its current ``clock``. An
-    aging kind keys a job to the entry (score, submit, id, job) at the clock
-    of the call, through its own score function rather than ``score``'s
-    dispatch on the kind; ids are unique, so the job never takes part in a
-    comparison, and an aging cycle heaps these entries as they are. The
-    other kinds ignore the clock, so every job is scored once, up front, and
-    keyed by its int rank, which compares faster than the (score, submit,
-    id) tuple it stands for.
+    aging kind keys a job to its entry (score, submit, id, job) from
+    ``AGING_ENTRIES`` at the clock of the call; ids are unique, so the job
+    never takes part in a comparison. An aging cycle builds the same entries
+    for the whole ready set in one batch. The other kinds ignore the clock,
+    so every job is scored once, up front, and keyed by its int rank, which
+    compares faster than the (score, submit, id) tuple it stands for.
     """
     if kind not in TIME_INVARIANT_KINDS:
-        fn = _AGING_SCORES[kind]
-        return lambda j: (fn(j, state.clock), j.submit_time, j.id, j)
+        entries = AGING_ENTRIES[kind]
+        return lambda j: entries((j,), state.clock)[0]
     order = sorted(state.arrivals, key=lambda j: sort_key(j, state.clock, kind))
     rank = {j.id: r for r, j in enumerate(order)}
     return lambda j: rank[j.id]

@@ -16,40 +16,45 @@ DEFAULT_TAU = 10.0
 REPORT_SCHEMA = "marsched.report.v1"
 
 
-def slowdown(wait: float, run: float) -> float:
-    """(T_w + T_r) / T_r for one finished job."""
-    if run <= 0:
-        raise ValueError(f"run time must be positive, got {run}")
-    if wait < 0:
-        raise ValueError(f"wait time must be nonnegative, got {wait}")
-    return (wait + run) / run
+def job_slowdowns(wait, run, procs, tau: float = DEFAULT_TAU):
+    """Slowdowns of finished jobs from columns of wait, run time and procs.
 
-def bounded_slowdown(wait: float, run: float, tau: float = DEFAULT_TAU) -> float:
-    """max{(T_w + T_r) / max{T_r, tau}, 1}."""
-    if run <= 0:
-        raise ValueError(f"run time must be positive, got {run}")
-    if wait < 0:
-        raise ValueError(f"wait time must be nonnegative, got {wait}")
+    Returns three arrays: the slowdown (T_w + T_r) / T_r, the bounded
+    slowdown max{(T_w + T_r) / max{T_r, tau}, 1}, and the per-processor
+    variant, which divides the bounded one's quotient by the processor count
+    before flooring it at 1.
+    """
+    wait = np.asarray(wait, dtype=float)
+    run = np.asarray(run, dtype=float)
+    procs = np.asarray(procs, dtype=float)
+    if (run <= 0).any():
+        raise ValueError(f"run time must be positive, got {run[run <= 0][0]}")
+    if (wait < 0).any():
+        raise ValueError(
+            f"wait time must be nonnegative, got {wait[wait < 0][0]}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return max((wait + run) / max(run, tau), 1.0)
+    if (procs < 1).any():
+        raise ValueError(
+            f"processor count must be >= 1, got {procs[procs < 1][0]}")
+    total = wait + run
+    shielded = np.maximum(run, tau)
+    return (total / run, np.maximum(total / shielded, 1.0),
+            np.maximum(total / (procs * shielded), 1.0))
 
-def pp_slowdown(wait: float, run: float, tau: float, procs: int) -> float:
-    """Bounded slowdown normalized by the job's processor count."""
-    if procs < 1:
-        raise ValueError(f"processor count must be >= 1, got {procs}")
-    if run <= 0:
-        raise ValueError(f"run time must be positive, got {run}")
-    if wait < 0:
-        raise ValueError(f"wait time must be nonnegative, got {wait}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return max((wait + run) / (procs * max(run, tau)), 1.0)
+
+def _columns(jobs):
+    """(submit, wait, run, procs) float columns of finished jobs."""
+    submit, start, run, procs = np.array(
+        [(j.submit_time, j.start_time, j.run_time, j.requested_procs)
+         for j in jobs], dtype=float).reshape(-1, 4).T
+    return submit, start - submit, run, procs
 
 
 def bounded_slowdowns(jobs, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Vector of bounded slowdowns for a list of finished jobs, in list order."""
-    return np.array([bounded_slowdown(j.wait_time, j.run_time, tau) for j in jobs], dtype=float)
+    _, wait, run, procs = _columns(jobs)
+    return job_slowdowns(wait, run, procs, tau)[1]
 
 
 @dataclass
@@ -98,14 +103,9 @@ def aggregate(jobs, tau: float = DEFAULT_TAU, policy: str = "",
     jobs = list(jobs)
     if not jobs:
         raise ValueError("cannot aggregate metrics over zero jobs")
-    sds = np.array([slowdown(j.wait_time, j.run_time) for j in jobs], dtype=float)
-    bsds = bounded_slowdowns(jobs, tau)
-    ppsds = np.array(
-        [pp_slowdown(j.wait_time, j.run_time, tau, j.requested_procs) for j in jobs],
-        dtype=float,
-    )
-    ends = [j.submit_time + j.wait_time + j.run_time for j in jobs]
-    makespan = float(max(ends) - min(j.submit_time for j in jobs))
+    submit, wait, run, procs = _columns(jobs)
+    sds, bsds, ppsds = job_slowdowns(wait, run, procs, tau)
+    makespan = float((submit + wait + run).max() - submit.min())
     return MetricsReport(
         policy=policy,
         tau=tau,

@@ -23,10 +23,10 @@ ignores the clock (``heuristics.TIME_INVARIANT_KINDS``) keep one heap of
 entry in ``ClusterState.rank_heap``, pushed when it entered the ready set;
 any other entry belongs to a job an EASY pass started, and it is dropped when
 it reaches the top. A cycle then pops only the jobs it starts. WFP3 and
-UNICEF age, so each of their cycles scores every ready job once, into a
-fresh heap of entries (score, submit time, id, job); the cycle pops the jobs
-it starts, and the EASY pass takes the entries left, so no job is scored
-twice at one clock.
+UNICEF age, so each of their cycles scores every ready job once, in one batch
+(``heuristics.AGING_ENTRIES``), into a fresh heap of entries (score, submit
+time, id, job); the cycle pops the jobs it starts, and the EASY pass takes
+the entries left, so no job is scored twice at one clock.
 
 No free processor, no cycle. ``Simulation`` rejects a job that requests
 fewer than 1 processor, so every job needs at least one free processor to
@@ -36,19 +36,37 @@ recorded, such a cycle returns before it scores, pops or backfills. (A
 ready job wider than the cluster is then reported by the next cycle that
 finds a processor free.)
 
-EASY filters, then sorts. Within one pass ``free_procs`` and the head's
-spare processors ``extra`` only fall, and the shadow time never rises (the
-pass checks it): a backfilled job either ends by the shadow, which leaves
-the processors free at the shadow as they were, or fits the spare
-processors, which it then uses up. A candidate that fails ``procs <= free``
-or ``clock + requested_time <= shadow or procs <= extra`` at the start of
-the pass therefore fails at every later point of it. Keeping the candidates
-that pass both tests at the start, sorting only them, and walking them in
-order with the same tests starts the same jobs as walking the whole sorted
-queue. The time-invariant kinds key only these candidates; the aging kinds
-filter the entries their cycle already scored. When no ready job fits the
-free processors, no reservation is computed. ``ClusterState.releases`` keeps
-the running jobs' projected releases sorted as jobs start and finish, so a
+EASY reads a processor index, then sorts. Within one pass the shadow time
+stays where it is (the pass checks that it never rises), and ``free_procs``
+and the head's spare processors ``extra`` only fall: a backfilled job either
+ends by the shadow, which leaves the processors free at the shadow as they
+were, or fits the spare processors, and then takes its processors from both.
+A candidate that fails ``procs <= free`` or ``clock + requested_time <=
+shadow or procs <= extra`` at the start of the pass therefore fails at every
+later point of it, and once no processor is free every candidate fails.
+Collecting the candidates that pass both tests at the start, sorting only
+them, and walking them in order with the same tests until no processor is
+free starts the same jobs as walking the whole sorted queue. The blocked
+head needs more than the free processors, so it is never a candidate.
+
+The time-invariant kinds collect the candidates from an index kept next to
+the rank heap: ``ClusterState.by_procs`` buckets the ready jobs by requested
+processors, each bucket sorted by (requested time, rank, job), and
+``ClusterState.proc_counts`` holds the bucket keys in order, with no empty
+bucket. A job enters its bucket when it is pushed to the rank heap and
+leaves it when it starts. A pass visits only the buckets with ``procs <=
+free``. From each it takes the prefix whose ``clock + requested_time <=
+shadow``, found with that same float test (tried on the bucket's two ends
+before it bisects): adding ``clock`` never reverses the order of two
+requested times, so the jobs that pass form a prefix. When ``procs <=
+extra``, the rest of the bucket can start only on spare processors. The
+walk meets them in rank order and starts them until the first one that no
+longer fits the spare or the free processors, and each start uses
+``procs`` of both, so only the first ``min(extra, free) // procs`` of them
+by rank can start, and only those are taken. The aging kinds filter the
+entries their cycle already scored. When no ready job fits the free
+processors, no reservation is computed. ``ClusterState.releases`` keeps the
+running jobs' projected releases sorted as jobs start and finish, so a
 reservation walks a list instead of sorting the running set.
 """
 
@@ -60,6 +78,8 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import heuristics, metrics
 from .errors import ConfigError, ContractError, SchedulingError
@@ -73,8 +93,7 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 1
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     kind: EventKind
     job_id: int
@@ -97,10 +116,15 @@ class ClusterState:
     finished_ids: set[int] = field(default_factory=set)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
-    # time-invariant heuristic runs only: the run's priority key, and a heap
-    # of (key, job) holding every ready job plus started ones not yet dropped
+    # time-invariant heuristic runs only: the run's priority key, a heap of
+    # (key, job) holding every ready job plus started ones not yet dropped,
+    # and the ready jobs by requested procs, each bucket sorted by
+    # (requested_time, key, job), with the sorted keys of the nonempty buckets
     rank_key: Callable[[Job], int] | None = None
     rank_heap: list[tuple[int, Job]] = field(default_factory=list)
+    by_procs: dict[int, list[tuple[float, int, Job]]] = field(
+        default_factory=dict)
+    proc_counts: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -129,6 +153,8 @@ def new_cluster(total_procs: int, arrivals: list[Job] | None = None) -> ClusterS
 
 
 def deps_met(state: ClusterState, job: Job) -> bool:
+    if not job.dependencies:
+        return True
     return all(d in state.finished_ids for d in job.dependencies)
 
 
@@ -141,6 +167,31 @@ def _arrival_key(job: Job) -> tuple[float, int]:
     return job.submit_time, job.id
 
 
+def _rank_ready(state: ClusterState, job: Job) -> None:
+    """Enter a job that became ready into the rank heap and its bucket."""
+    rank = state.rank_key(job)
+    heapq.heappush(state.rank_heap, (rank, job))
+    procs = job.requested_procs
+    bucket = state.by_procs.get(procs)
+    if bucket is None:
+        state.by_procs[procs] = [(job.requested_time, rank, job)]
+        bisect.insort(state.proc_counts, procs)
+    else:
+        bisect.insort(bucket, (job.requested_time, rank, job))
+
+
+def _unrank_started(state: ClusterState, job: Job) -> None:
+    """Take a started job out of its bucket; its heap entry goes lazily."""
+    procs = job.requested_procs
+    bucket = state.by_procs[procs]
+    if len(bucket) == 1:
+        del state.by_procs[procs]
+        state.proc_counts.remove(procs)
+    else:
+        del bucket[bisect.bisect_left(
+            bucket, (job.requested_time, state.rank_key(job)))]
+
+
 def _release_dependents(state: ClusterState, job: Job) -> None:
     """Count the finished job off its dependents; the last one makes them ready."""
     for dep in state.dependents.pop(job.id, ()):
@@ -151,7 +202,7 @@ def _release_dependents(state: ClusterState, job: Job) -> None:
         last = next(reversed(state.ready.values()), None)
         state.ready[dep.id] = dep
         if state.rank_key is not None:
-            heapq.heappush(state.rank_heap, (state.rank_key(dep), dep))
+            _rank_ready(state, dep)
         if last is not None and _arrival_key(dep) < _arrival_key(last):
             state.ready = dict(sorted(state.ready.items(),
                                       key=lambda item: _arrival_key(item[1])))
@@ -167,6 +218,8 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
         return False
     del state.pending[job.id]
     del state.ready[job.id]
+    if state.rank_key is not None:
+        _unrank_started(state, job)
     job.start_time = now
     job.status = JobStatus.RUNNING
     state.free_procs -= job.requested_procs
@@ -213,7 +266,7 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
     if deps_met(state, job):
         state.ready[job.id] = job       # every ready job arrived before it
         if state.rank_key is not None:
-            heapq.heappush(state.rank_heap, (state.rank_key(job), job))
+            _rank_ready(state, job)
     else:
         waiting_on = {d for d in job.dependencies if d not in state.finished_ids}
         state.unmet[job.id] = len(waiting_on)
@@ -270,43 +323,56 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
         f"(free {state.free_procs} of {state.total_procs})")
 
 
-def backfill_easy(state: ClusterState, head: Job, key,
+def backfill_easy(state: ClusterState, head: Job,
                   stats: RunStats | None = None,
                   entries: list[tuple] | None = None) -> list[int]:
     """One EASY pass behind a blocked head; returns the started ids.
 
-    The head gets a reservation; other ready jobs start now, in ``key``
+    The head gets a reservation; other ready jobs start now, in priority
     order, only if they fit free processors and either finish (by their own
     estimate) before the shadow time or use no more than the spare
-    processors. Candidates are filtered before they are sorted (module
-    docstring). ``entries``, when given, holds one keyed entry per ready job
+    processors. ``entries``, when given, holds one keyed entry per ready job
     with the job as its last field, as an aging cycle's heap does, and is
-    filtered and sorted without keying a job again; otherwise only the ready
-    jobs that pass the filter are keyed. The head's reservation is
-    recomputed after every backfill and may only move earlier.
+    filtered and sorted without keying a job again; otherwise the candidates
+    come from the processor index of a time-invariant run, in rank order
+    (module docstring). The head's reservation is recomputed after every
+    backfill and may only move earlier.
     """
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
-    if entries is None:
-        fitting = [job for job in state.ready.values()
-                   if job.requested_procs <= free and job is not head]
-    else:
-        fitting = [e for e in entries
-                   if e[-1].requested_procs <= free and e[-1] is not head]
-    if not fitting:
-        return []
     clock = state.clock
-    shadow, extra = compute_reservation(state, head)
     if entries is None:
-        queue = [(key(job), job) for job in fitting
-                 if clock + job.requested_time <= shadow
-                 or job.requested_procs <= extra]
+        counts = state.proc_counts[:bisect.bisect_right(state.proc_counts,
+                                                        free)]
+        if not counts:
+            return []
+        shadow, extra = compute_reservation(state, head)
+        queue = []
+        for procs in counts:
+            bucket = state.by_procs[procs]
+            if clock + bucket[-1][0] <= shadow:
+                cut = len(bucket)
+            elif clock + bucket[0][0] > shadow:
+                cut = 0
+            else:
+                cut = bisect.bisect_right(bucket, shadow,
+                                          key=lambda e: clock + e[0])
+            queue += bucket[:cut]
+            if procs <= extra and cut < len(bucket):
+                # past the shadow: only the first few by rank can start
+                rest = sorted(bucket[cut:], key=itemgetter(1))
+                queue += rest[:min(extra, free) // procs]
+        queue.sort(key=itemgetter(1))
     else:
+        fitting = [e for e in entries if e[-1].requested_procs <= free]
+        if not fitting:
+            return []
+        shadow, extra = compute_reservation(state, head)
         queue = [e for e in fitting
                  if clock + e[-1].requested_time <= shadow
                  or e[-1].requested_procs <= extra]
-    queue.sort()
+        queue.sort()
     started: list[int] = []
     for entry in queue:
         cand = entry[-1]
@@ -325,6 +391,8 @@ def backfill_easy(state: ClusterState, head: Job, key,
                 f"backfill of job {cand.id} delayed the head reservation "
                 f"({shadow} -> {new_shadow})")
         shadow = new_shadow
+        if not state.free_procs:
+            break
     return started
 
 
@@ -346,26 +414,27 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_heuristic(self, key, rank_heap: list | None = None) -> None:
+    def _schedule_heuristic(self, score_all=None) -> None:
         """Start ready jobs in priority order until the head does not fit,
         then run EASY behind it.
 
-        ``rank_heap`` is the run's (rank, job) heap of a time-invariant kind;
-        its entries of jobs no longer ready are dropped. An aging kind passes
-        none: the cycle keys every ready job once into a fresh heap of
-        entries (score, submit, id, job), and EASY reuses what is left of it.
-        A cycle with no free processor after the first blocked head starts
+        A time-invariant kind passes no ``score_all`` and uses the run's
+        (rank, job) heap; its entries of jobs no longer ready are dropped. An
+        aging kind passes its batch scorer from ``heuristics.AGING_ENTRIES``:
+        the cycle scores every ready job once into a fresh heap of entries
+        (score, submit, id, job), and EASY reuses what is left of it. A
+        cycle with no free processor after the first blocked head starts
         nothing, so it returns at once (module docstring).
         """
         state = self.state
         stats = self.stats
         if not state.free_procs and stats.first_blocked_head is not None:
             return
-        if rank_heap is None:
-            heap = list(map(key, state.ready.values()))
-            heapq.heapify(heap)
+        if score_all is None:
+            heap = state.rank_heap
         else:
-            heap = rank_heap
+            heap = score_all(state.ready.values(), state.clock)
+            heapq.heapify(heap)
         ready = state.ready
         while heap:
             head = heap[0][-1]
@@ -386,8 +455,8 @@ class Simulation:
                 f"job {head.id} requests {head.requested_procs} processors, "
                 f"system has {state.total_procs}: it can never start")
         if self.backfill:
-            started = backfill_easy(state, head, key, stats,
-                                    heap if rank_heap is None else None)
+            started = backfill_easy(state, head, stats,
+                                    None if score_all is None else heap)
             stats.started += len(started)
 
     def _schedule_selector(self, selector) -> None:
@@ -437,13 +506,13 @@ class Simulation:
             kind = PolicyKind.from_name(policy) if isinstance(policy, str) else policy
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
-            key = heuristics.priority_key(kind, state)
             if kind in heuristics.TIME_INVARIANT_KINDS:
-                state.rank_key = key    # before any job has arrived
-                schedule = lambda: self._schedule_heuristic(key,
-                                                            state.rank_heap)
+                # before any job has arrived
+                state.rank_key = heuristics.priority_key(kind, state)
+                schedule = self._schedule_heuristic
             else:
-                schedule = lambda: self._schedule_heuristic(key)
+                score_all = heuristics.AGING_ENTRIES[kind]
+                schedule = lambda: self._schedule_heuristic(score_all)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -166,9 +167,11 @@ class SwfField(enum.IntEnum):
     STATUS = 10
 
 SWF_FIELD_COUNT = 18
-_SWF_READ_FIELDS = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
-                    SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
-                    SwfField.REQUESTED_TIME)
+# the six fields parse_swf reads, in the order it unpacks them
+_read_swf_fields = itemgetter(
+    SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
+    SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
+    SwfField.REQUESTED_TIME)
 
 
 def parse_swf(text: str, name: str = "") -> WorkloadTrace:
@@ -185,6 +188,7 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     dropped = 0
     line_errors: list[tuple[int, str]] = []
     max_procs_header: int | None = None
+    isfinite = math.isfinite
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -203,21 +207,22 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
             line_errors.append((lineno, f"expected >= 9 fields, got {len(tokens)}"))
             continue
         try:
-            values = [float(t) for t in tokens]
+            values = list(map(float, tokens))
         except ValueError:
             line_errors.append((lineno, "non-numeric field"))
             continue
-        if not all(math.isfinite(values[f]) for f in _SWF_READ_FIELDS):
+        job_id, submit, run, alloc, req_procs, req_time = \
+            _read_swf_fields(values)
+        if not (isfinite(job_id) and isfinite(submit) and isfinite(run)
+                and isfinite(alloc) and isfinite(req_procs)
+                and isfinite(req_time)):
             line_errors.append((lineno, "non-finite field"))
             continue
 
-        job_id = int(values[SwfField.JOB_ID])
-        submit = values[SwfField.SUBMIT_TIME]
-        run = values[SwfField.RUN_TIME]
-        procs = int(values[SwfField.ALLOCATED_PROCS])
+        job_id = int(job_id)
+        procs = int(alloc)
         if procs == -1:
-            procs = int(values[SwfField.REQUESTED_PROCS])
-        req_time = values[SwfField.REQUESTED_TIME]
+            procs = int(req_procs)
         if req_time == -1:
             req_time = run
 
@@ -227,8 +232,7 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
         if job_id < 1 or submit < 0 or req_time <= 0:
             line_errors.append((lineno, f"job {job_id}: field out of range"))
             continue
-        jobs.append(Job(id=job_id, submit_time=submit, run_time=run,
-                        requested_procs=procs, requested_time=req_time))
+        jobs.append(Job(job_id, submit, run, procs, req_time))
 
     if not jobs:
         raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
@@ -268,10 +272,12 @@ def write_swf(path, trace: WorkloadTrace) -> None:
         fp.write("\n".join(lines) + "\n")
 
 
-def _truncated_gauss(rng: np.random.Generator, mean: float, std: float) -> float:
+def _truncated_gauss(normal, mean: float, std: float) -> float:
+    """One draw of ``normal(mean, std)`` (a generator's ``normal`` method)
+    truncated at 0."""
     # resample below zero; clamp only if the distribution is badly placed
     for _ in range(100):
-        x = rng.normal(mean, std)
+        x = normal(mean, std)
         if x >= 0:
             return float(x)
     return 0.0
@@ -311,7 +317,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
             run_time=float(runtimes[i]),
             requested_procs=int(cores[i]),
             requested_time=float(req_times[i]),
-            cost_rate=_truncated_gauss(rng, cfg.cost_mean, cfg.cost_std),
+            cost_rate=_truncated_gauss(rng.normal, cfg.cost_mean,
+                                       cfg.cost_std),
         ))
     jobs.sort(key=lambda j: (j.submit_time, j.id))
     trace = WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs, name=cfg.name)
@@ -408,7 +415,11 @@ def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> No
         widths += ids >= 2 ** (32 * k)
     seed_words = _uint32_words([seed], _word_count(seed))
     bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
+    normal = np.random.Generator(bitgen).normal
+    # one state dict, refilled per job
+    pcg = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": "PCG64", "state": pcg,
+                    "has_uint32": 0, "uinteger": 0}
     for width in np.unique(widths):
         rows = np.flatnonzero(widths == width)
         entropy = np.hstack([np.repeat(seed_words, len(rows), axis=0),
@@ -418,10 +429,10 @@ def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> No
             # PCG64's pcg_setseq_128_srandom_r
             inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
             state = (inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state & _MASK128, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            jobs[row].cost_rate = _truncated_gauss(rng, mean, std)
+            pcg["state"] = state & _MASK128
+            pcg["inc"] = inc
+            bitgen.state = bitgen_state
+            jobs[row].cost_rate = _truncated_gauss(normal, mean, std)
 
 
 def slice_trace(trace: WorkloadTrace, start_index: int,

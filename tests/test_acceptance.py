@@ -56,9 +56,8 @@ def test_c01_metric_formulas_match_rational_oracle(capsys):
         want_b = float(max(Fraction(wait + run, max(run, tau)), Fraction(1)))
         want_p = float(max(Fraction(wait + run, procs * max(run, tau)),
                            Fraction(1)))
-        got = (metrics.slowdown(wait, run),
-               metrics.bounded_slowdown(wait, run, float(tau)),
-               metrics.pp_slowdown(wait, run, float(tau), procs))
+        got = tuple(float(column[0]) for column in metrics.job_slowdowns(
+            [wait], [run], [procs], float(tau)))
         if got != (want_s, want_b, want_p):
             failures.append((case, wait, run, procs, got))
     elapsed = time.monotonic() - t0

@@ -27,20 +27,35 @@ def oracle_pp(wait: int, run: int, tau: int, procs: int) -> float:
     return float(max(Fraction(wait + run, procs * max(run, tau)), Fraction(1)))
 
 
+def one_job(wait, run, tau=10.0, procs=1):
+    """(slowdown, bounded, per-processor) of one job, as Python floats."""
+    return tuple(float(column[0]) for column in
+                 metrics.job_slowdowns([wait], [run], [procs], tau))
+
+
 def test_hand_cases():
     # zero wait floors every variant at 1
-    assert metrics.slowdown(0, 50) == 1.0
-    assert metrics.bounded_slowdown(0, 50, 10.0) == 1.0
-    assert metrics.pp_slowdown(0, 50, 10.0, 8) == 1.0
+    assert one_job(0, 50, 10.0, 8) == (1.0, 1.0, 1.0)
     # long wait on a job at the tau boundary
-    assert metrics.slowdown(90, 10) == 10.0
-    assert metrics.bounded_slowdown(90, 10, 10.0) == 10.0
-    assert metrics.pp_slowdown(90, 10, 10.0, 4) == 2.5
+    assert one_job(90, 10, 10.0, 4) == (10.0, 10.0, 2.5)
     # tau shields a 1-second job from slowdown blowup
-    assert metrics.slowdown(5, 1) == 6.0
-    assert metrics.bounded_slowdown(5, 1, 10.0) == 1.0
+    assert one_job(5, 1, 10.0)[:2] == (6.0, 1.0)
     # wide job: per-processor variant floors at 1
-    assert metrics.pp_slowdown(100, 10, 10.0, 1024) == 1.0
+    assert one_job(100, 10, 10.0, 1024)[2] == 1.0
+
+
+def test_columns_match_rational_oracle():
+    # one call over 50 jobs gives each job's exact value
+    rng = np.random.default_rng(7)
+    wait = rng.integers(0, 10**6, 50).tolist()
+    run = rng.integers(1, 10**6, 50).tolist()
+    procs = rng.integers(1, 4096, 50).tolist()
+    plain, bounded, pp = metrics.job_slowdowns(wait, run, procs, 10)
+    assert plain.tolist() == [oracle_slowdown(w, r) for w, r in zip(wait, run)]
+    assert bounded.tolist() == [oracle_bounded(w, r, 10)
+                                for w, r in zip(wait, run)]
+    assert pp.tolist() == [oracle_pp(w, r, 10, p)
+                           for w, r, p in zip(wait, run, procs)]
 
 
 def test_oracle_agreement_50_random_cases():
@@ -50,32 +65,28 @@ def test_oracle_agreement_50_random_cases():
         run = int(rng.integers(1, 10**6))
         procs = int(rng.integers(1, 4096))
         tau = int(rng.integers(1, 100))
-        assert metrics.slowdown(wait, run) == oracle_slowdown(wait, run)
-        assert metrics.bounded_slowdown(wait, run, tau) == \
-            oracle_bounded(wait, run, tau)
-        assert metrics.pp_slowdown(wait, run, tau, procs) == \
-            oracle_pp(wait, run, tau, procs)
+        assert one_job(wait, run, tau, procs) == (
+            oracle_slowdown(wait, run), oracle_bounded(wait, run, tau),
+            oracle_pp(wait, run, tau, procs))
 
 
 @given(wait=st.integers(0, 10**9), run=st.integers(1, 10**9),
        tau=st.integers(1, 10**4), procs=st.integers(1, 2**16))
 @settings(max_examples=200)
 def test_invariants(wait, run, tau, procs):
-    s = metrics.slowdown(wait, run)
-    b = metrics.bounded_slowdown(wait, run, tau)
-    p = metrics.pp_slowdown(wait, run, tau, procs)
+    s, b, p = one_job(wait, run, tau, procs)
     assert s >= 1.0 and b >= 1.0 and p >= 1.0
     assert b <= s          # max(run, tau) >= run
     assert p <= b          # procs >= 1
     # weak monotonicity in wait
-    assert metrics.bounded_slowdown(wait + 7, run, tau) >= b
+    assert one_job(wait + 7, run, tau, procs)[1] >= b
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: metrics.slowdown(1, 0),
-    lambda: metrics.slowdown(-1, 10),
-    lambda: metrics.bounded_slowdown(1, 10, 0),
-    lambda: metrics.pp_slowdown(1, 10, 10, 0),
+    lambda: one_job(1, 0),                   # run time 0
+    lambda: one_job(-1, 10),                 # negative wait
+    lambda: one_job(1, 10, tau=0),
+    lambda: one_job(1, 10, procs=0),
 ])
 def test_validation(bad):
     with pytest.raises(ValueError):

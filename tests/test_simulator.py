@@ -5,6 +5,7 @@ times in the asserts come from that hand simulation, not from the code.
 """
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -85,6 +86,34 @@ def test_backfill_rejects_when_both_rules_fail():
     got = by_id(res.jobs)
     assert got[3].start_time == 200     # waits for the head to finish
     assert res.stats.backfilled == 0
+
+
+@pytest.mark.parametrize("kind", [k for k in HEURISTIC_KINDS
+                                  if k in heuristics.TIME_INVARIANT_KINDS],
+                         ids=lambda k: k.value)
+def test_backfill_shadow_test_is_the_rounded_sum(kind):
+    # 0.2 + 128.0 rounds to 128.2, the shadow, although the exact sum of the
+    # two doubles exceeds it and 128.0 > 128.2 - 0.2; the pass tests the
+    # rounded sum, and the processor index must cut its bucket of 1-proc
+    # jobs at the same place: job 3 ends by the shadow, job 4, one ulp
+    # longer, does not
+    longer = math.nextafter(128.0, math.inf)
+    assert 0.2 + 128.0 == 128.2 and 128.0 > 128.2 - 0.2
+    assert 0.2 + longer > 128.2
+    jobs = [make_job(1, submit=0, run=128.2, procs=2),
+            make_job(2, submit=0.2, run=10, procs=4),
+            make_job(3, submit=0.2, run=128.0, procs=1),
+            make_job(4, submit=0.2, run=longer, procs=1)]
+    counts = {"clamped": 0, "backfilled": 0}
+    got = run_episode(jobs, kind, total_procs=4, on_event=state_probe([]))
+    want = run_episode(jobs, naive_heuristic(kind, True, counts),
+                       total_procs=4)
+    assert {j.id: j.start_time for j in got.jobs} == \
+        {j.id: j.start_time for j in want.jobs}
+    if kind is PolicyKind.FCFS:
+        starts = {j.id: j.start_time for j in got.jobs}
+        assert starts == {1: 0.0, 2: 128.2, 3: 0.2, 4: 138.2}
+        assert got.stats.backfilled == 1
 
 
 def test_overrun_job_projected_not_killed():
@@ -281,16 +310,30 @@ def tangled_trace(seed, n=40, procs=8):
 
 
 def state_probe(events):
-    """on_event probe: the release profile and the rank heap hold what the
-    module docstring says they hold; every event goes to ``events``."""
+    """on_event probe: the release profile, the rank heap and the processor
+    index hold what the module docstring says they hold; every event goes to
+    ``events``."""
     def probe(state, event):
         events.append(event)
         assert state.releases == sorted(
             (j.start_time + j.requested_time, j.id, j.requested_procs)
             for j in state.running.values())
-        if state.rank_key is not None:
-            live = [j.id for _, j in state.rank_heap if j.id in state.ready]
-            assert sorted(live) == sorted(state.ready)
+        if state.rank_key is None:
+            assert not state.by_procs and not state.proc_counts
+            return
+        live = [j.id for _, j in state.rank_heap if j.id in state.ready]
+        assert sorted(live) == sorted(state.ready)
+        # every ready job sits in exactly one bucket, the one of its procs,
+        # under its rank; buckets are sorted and none is empty
+        indexed = [e[-1].id for bucket in state.by_procs.values()
+                   for e in bucket]
+        assert sorted(indexed) == sorted(state.ready)
+        assert state.proc_counts == sorted(state.by_procs)
+        for procs, bucket in state.by_procs.items():
+            assert bucket and bucket == sorted(bucket)
+            assert all(e == (j.requested_time, state.rank_key(j), j)
+                       and j.requested_procs == procs
+                       for e in bucket for j in [e[-1]])
     return probe
 
 
@@ -372,11 +415,13 @@ def test_aging_cycle_scores_each_ready_job_once(monkeypatch):
     # one cycle runs per distinct clock value; the EASY pass must reuse the
     # cycle's scores instead of scoring its candidates again
     scored = collections.Counter()
-    for kind, fn in list(heuristics._AGING_SCORES.items()):
-        def counting(job, now, fn=fn, kind=kind):
-            scored[kind, now, job.id] += 1
-            return fn(job, now)
-        monkeypatch.setitem(heuristics._AGING_SCORES, kind, counting)
+    for kind, fn in list(heuristics.AGING_ENTRIES.items()):
+        def counting(jobs, now, fn=fn, kind=kind):
+            jobs = list(jobs)
+            for job in jobs:
+                scored[kind, now, job.id] += 1
+            return fn(jobs, now)
+        monkeypatch.setitem(heuristics.AGING_ENTRIES, kind, counting)
     for kind in (PolicyKind.WFP3, PolicyKind.UNICEF):
         for seed in range(5):
             jobs, procs = burst_trace(seed)

@@ -192,7 +192,8 @@ def test_assign_costs_equals_per_job_generators(seed, mean, std):
     trace = WorkloadTrace(jobs=[make_job(i) for i in EQUIVALENCE_IDS],
                           total_procs=1)
     assign_costs(trace, mean, std, seed)
-    expected = [_truncated_gauss(np.random.default_rng([seed, i]), mean, std)
+    expected = [_truncated_gauss(np.random.default_rng([seed, i]).normal,
+                                 mean, std)
                 for i in EQUIVALENCE_IDS]
     assert [j.cost_rate for j in trace.jobs] == expected
 
