@@ -49,25 +49,29 @@ them, and walking them in order with the same tests until no processor is
 free starts the same jobs as walking the whole sorted queue. The blocked
 head needs more than the free processors, so it is never a candidate.
 
-The time-invariant kinds collect the candidates from an index kept next to
-the rank heap: ``ClusterState.by_procs`` buckets the ready jobs by requested
-processors, each bucket sorted by (requested time, rank, job), and
+Every heuristic run keeps a processor index of its ready set:
+``ClusterState.by_procs`` buckets the ready jobs by requested processors,
+each bucket sorted by (requested time, rank, job), and
 ``ClusterState.proc_counts`` holds the bucket keys in order, with no empty
-bucket. A job enters its bucket when it is pushed to the rank heap and
-leaves it when it starts. A pass visits only the buckets with ``procs <=
-free``. From each it takes the prefix whose ``clock + requested_time <=
-shadow``, found with that same float test (tried on the bucket's two ends
-before it bisects): adding ``clock`` never reverses the order of two
-requested times, so the jobs that pass form a prefix. When ``procs <=
-extra``, the rest of the bucket can start only on spare processors. The
-walk meets them in rank order and starts them until the first one that no
-longer fits the spare or the free processors, and each start uses
-``procs`` of both, so only the first ``min(extra, free) // procs`` of them
-by rank can start, and only those are taken. The aging kinds filter the
-entries their cycle already scored. When no ready job fits the free
-processors, no reservation is computed. ``ClusterState.releases`` keeps the
-running jobs' projected releases sorted as jobs start and finish, so a
-reservation walks a list instead of sorting the running set.
+bucket. The rank is the run's priority rank for the time-invariant kinds and
+the job id for the aging kinds. A job enters its bucket when it enters the
+ready set and leaves it when it starts. A pass that finds the smallest key
+above the free processors has no candidate and computes no reservation.
+
+The time-invariant kinds collect the candidates from the index. A pass
+visits only the buckets with ``procs <= free``. From each it takes the
+prefix whose ``clock + requested_time <= shadow``, found with that same
+float test (tried on the bucket's two ends before it bisects): adding
+``clock`` never reverses the order of two requested times, so the jobs that
+pass form a prefix. When ``procs <= extra``, the rest of the bucket can
+start only on spare processors. The walk meets them in rank order and starts
+them until the first one that no longer fits the spare or the free
+processors, and each start uses ``procs`` of both, so only the first
+``min(extra, free) // procs`` of them by rank can start, and only those are
+taken. The aging kinds filter the entries their cycle already scored, with
+both tests in one pass. ``ClusterState.releases`` keeps the running jobs'
+projected releases sorted as jobs start and finish, so a reservation walks a
+list instead of sorting the running set.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import heuristics, metrics
@@ -116,12 +120,14 @@ class ClusterState:
     finished_ids: set[int] = field(default_factory=set)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
-    # time-invariant heuristic runs only: the run's priority key, a heap of
-    # (key, job) holding every ready job plus started ones not yet dropped,
-    # and the ready jobs by requested procs, each bucket sorted by
-    # (requested_time, key, job), with the sorted keys of the nonempty buckets
+    # heuristic runs only: the processor index of the ready set (buckets
+    # of (requested_time, rank_key(job), job) by requested procs, and the
+    # sorted keys of the nonempty buckets); rank_key is the priority rank of
+    # a time-invariant kind, whose runs also keep a heap of (rank, job)
+    # holding every ready job plus started ones not yet dropped, and the id
+    # for an aging kind
     rank_key: Callable[[Job], int] | None = None
-    rank_heap: list[tuple[int, Job]] = field(default_factory=list)
+    rank_heap: list[tuple[int, Job]] | None = None
     by_procs: dict[int, list[tuple[float, int, Job]]] = field(
         default_factory=dict)
     proc_counts: list[int] = field(default_factory=list)
@@ -167,10 +173,11 @@ def _arrival_key(job: Job) -> tuple[float, int]:
     return job.submit_time, job.id
 
 
-def _rank_ready(state: ClusterState, job: Job) -> None:
-    """Enter a job that became ready into the rank heap and its bucket."""
+def _index_ready(state: ClusterState, job: Job) -> None:
+    """Enter a job that became ready into its bucket and the rank heap."""
     rank = state.rank_key(job)
-    heapq.heappush(state.rank_heap, (rank, job))
+    if state.rank_heap is not None:
+        heapq.heappush(state.rank_heap, (rank, job))
     procs = job.requested_procs
     bucket = state.by_procs.get(procs)
     if bucket is None:
@@ -180,7 +187,7 @@ def _rank_ready(state: ClusterState, job: Job) -> None:
         bisect.insort(bucket, (job.requested_time, rank, job))
 
 
-def _unrank_started(state: ClusterState, job: Job) -> None:
+def _unindex_started(state: ClusterState, job: Job) -> None:
     """Take a started job out of its bucket; its heap entry goes lazily."""
     procs = job.requested_procs
     bucket = state.by_procs[procs]
@@ -202,7 +209,7 @@ def _release_dependents(state: ClusterState, job: Job) -> None:
         last = next(reversed(state.ready.values()), None)
         state.ready[dep.id] = dep
         if state.rank_key is not None:
-            _rank_ready(state, dep)
+            _index_ready(state, dep)
         if last is not None and _arrival_key(dep) < _arrival_key(last):
             state.ready = dict(sorted(state.ready.items(),
                                       key=lambda item: _arrival_key(item[1])))
@@ -219,7 +226,7 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
     del state.pending[job.id]
     del state.ready[job.id]
     if state.rank_key is not None:
-        _unrank_started(state, job)
+        _unindex_started(state, job)
     job.start_time = now
     job.status = JobStatus.RUNNING
     state.free_procs -= job.requested_procs
@@ -266,7 +273,7 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
     if deps_met(state, job):
         state.ready[job.id] = job       # every ready job arrived before it
         if state.rank_key is not None:
-            _rank_ready(state, job)
+            _index_ready(state, job)
     else:
         waiting_on = {d for d in job.dependencies if d not in state.finished_ids}
         state.unmet[job.id] = len(waiting_on)
@@ -307,20 +314,23 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
     clock = state.clock
     need = head.requested_procs
     avail = state.free_procs
-    at = None                   # time of the group being summed
-    for t, _, procs in state.releases:
-        if t < clock:           # past its estimate: projected to release now
-            t = clock
-        if t != at:
-            if at is not None and avail >= need:
-                return at, avail - need
-            at = t
+    releases = iter(state.releases)
+    for t, _, procs in releases:
         avail += procs
-    if at is not None and avail >= need:
-        return at, avail - need
-    raise SchedulingError(
-        f"job {head.id} never fits under the current projection "
-        f"(free {state.free_procs} of {state.total_procs})")
+        if avail >= need:
+            break
+    else:
+        raise SchedulingError(
+            f"job {head.id} never fits under the current projection "
+            f"(free {state.free_procs} of {state.total_procs})")
+    # the releases projected to the same time as the one the head fits at
+    # are spare too; every release before the clock is projected to it
+    at = t if t > clock else clock
+    for t, _, procs in releases:
+        if t > at:
+            break
+        avail += procs
+    return at, avail - need
 
 
 def backfill_easy(state: ClusterState, head: Job,
@@ -341,15 +351,14 @@ def backfill_easy(state: ClusterState, head: Job,
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
+    counts = state.proc_counts
+    if not counts or counts[0] > free:
+        return []
     clock = state.clock
+    shadow, extra = compute_reservation(state, head)
     if entries is None:
-        counts = state.proc_counts[:bisect.bisect_right(state.proc_counts,
-                                                        free)]
-        if not counts:
-            return []
-        shadow, extra = compute_reservation(state, head)
         queue = []
-        for procs in counts:
+        for procs in counts[:bisect.bisect_right(counts, free)]:
             bucket = state.by_procs[procs]
             if clock + bucket[-1][0] <= shadow:
                 cut = len(bucket)
@@ -365,13 +374,10 @@ def backfill_easy(state: ClusterState, head: Job,
                 queue += rest[:min(extra, free) // procs]
         queue.sort(key=itemgetter(1))
     else:
-        fitting = [e for e in entries if e[-1].requested_procs <= free]
-        if not fitting:
-            return []
-        shadow, extra = compute_reservation(state, head)
-        queue = [e for e in fitting
-                 if clock + e[-1].requested_time <= shadow
-                 or e[-1].requested_procs <= extra]
+        queue = [e for e in entries
+                 if (cand := e[-1]).requested_procs <= free
+                 and (clock + cand.requested_time <= shadow
+                      or cand.requested_procs <= extra)]
         queue.sort()
     started: list[int] = []
     for entry in queue:
@@ -506,11 +512,13 @@ class Simulation:
             kind = PolicyKind.from_name(policy) if isinstance(policy, str) else policy
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
+            # before any job has arrived
             if kind in heuristics.TIME_INVARIANT_KINDS:
-                # before any job has arrived
                 state.rank_key = heuristics.priority_key(kind, state)
+                state.rank_heap = []
                 schedule = self._schedule_heuristic
             else:
+                state.rank_key = attrgetter("id")
                 score_all = heuristics.AGING_ENTRIES[kind]
                 schedule = lambda: self._schedule_heuristic(score_all)
         elif callable(policy):

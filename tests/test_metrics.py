@@ -44,8 +44,9 @@ def test_hand_cases():
     assert one_job(100, 10, 10.0, 1024)[2] == 1.0
 
 
-def test_columns_match_rational_oracle():
-    # one call over 50 jobs gives each job's exact value
+def test_columns_match_rational_oracle_and_scalar_loop():
+    # one call over 50 jobs gives each job's exact value on integers, and
+    # the per-job Python formulas' value on fractional floats
     rng = np.random.default_rng(7)
     wait = rng.integers(0, 10**6, 50).tolist()
     run = rng.integers(1, 10**6, 50).tolist()
@@ -55,6 +56,15 @@ def test_columns_match_rational_oracle():
     assert bounded.tolist() == [oracle_bounded(w, r, 10)
                                 for w, r in zip(wait, run)]
     assert pp.tolist() == [oracle_pp(w, r, 10, p)
+                           for w, r, p in zip(wait, run, procs)]
+    wait = (rng.random(50) * 1e4).tolist()
+    run = (rng.random(50) * 30 + 1e-3).tolist()
+    tau = 9.7
+    plain, bounded, pp = metrics.job_slowdowns(wait, run, procs, tau)
+    assert plain.tolist() == [(w + r) / r for w, r in zip(wait, run)]
+    assert bounded.tolist() == [max((w + r) / max(r, tau), 1.0)
+                                for w, r in zip(wait, run)]
+    assert pp.tolist() == [max((w + r) / (p * max(r, tau)), 1.0)
                            for w, r, p in zip(wait, run, procs)]
 
 

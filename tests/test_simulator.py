@@ -321,8 +321,9 @@ def state_probe(events):
         if state.rank_key is None:
             assert not state.by_procs and not state.proc_counts
             return
-        live = [j.id for _, j in state.rank_heap if j.id in state.ready]
-        assert sorted(live) == sorted(state.ready)
+        if state.rank_heap is not None:
+            live = [j.id for _, j in state.rank_heap if j.id in state.ready]
+            assert sorted(live) == sorted(state.ready)
         # every ready job sits in exactly one bucket, the one of its procs,
         # under its rank; buckets are sorted and none is empty
         indexed = [e[-1].id for bucket in state.by_procs.values()
