@@ -370,8 +370,8 @@ def backfill_easy(state: ClusterState, head: Job,
             queue += bucket[:cut]
             if procs <= extra and cut < len(bucket):
                 # past the shadow: only the first few by rank can start
-                rest = sorted(bucket[cut:], key=itemgetter(1))
-                queue += rest[:min(extra, free) // procs]
+                queue += heapq.nsmallest(min(extra, free) // procs,
+                                         bucket[cut:], key=itemgetter(1))
         queue.sort(key=itemgetter(1))
     else:
         queue = [e for e in entries
