@@ -174,7 +174,7 @@ def _arrival_key(job: Job) -> tuple[float, int]:
 
 
 def _index_ready(state: ClusterState, job: Job) -> None:
-    """Enter a job that became ready into its bucket and the rank heap."""
+    """Put a newly ready job in its bucket and any rank heap of the run."""
     rank = state.rank_key(job)
     if state.rank_heap is not None:
         heapq.heappush(state.rank_heap, (rank, job))
@@ -188,7 +188,7 @@ def _index_ready(state: ClusterState, job: Job) -> None:
 
 
 def _unindex_started(state: ClusterState, job: Job) -> None:
-    """Take a started job out of its bucket; its heap entry goes lazily."""
+    """Take a started job out of its bucket; a rank heap drops it lazily."""
     procs = job.requested_procs
     bucket = state.by_procs[procs]
     if len(bucket) == 1:
