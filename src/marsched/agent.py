@@ -109,19 +109,26 @@ def encode_state(window: list[Job], queued: int, free_procs: int,
     """
     time_norm = hyper.time_norm
     row: list[float] = []
+    # the clips are comparisons that pick what max(x, 0.0) and min(x, 1.0)
+    # would, without a builtin call per feature
     for job in window:
-        wait = max(now - job.submit_time, 0.0)
-        row.append(min(wait / time_norm, 1.0))
+        wait = now - job.submit_time
+        if 0.0 > wait:
+            wait = 0.0
+        wait /= time_norm
+        row.append(1.0 if 1.0 < wait else wait)
         fixed = static.get(job.id)
         if fixed is None:
             fixed = static[job.id] = (
                 min(job.requested_time / time_norm, 1.0),
                 min(job.requested_procs / total_procs, 1.0),
                 min(job.cost_rate / hyper.cost_norm, 1.0))
-        row.extend(fixed)
-    row.extend([0.0] * (hyper.state_dim - CLUSTER_FEATURES - len(row)))
+        row += fixed
+    slots = hyper.slots
+    row += [0.0] * (FEATURES_PER_JOB * slots - len(row))
     row.append(free_procs / total_procs)
-    row.append(min(queued / hyper.slots, 1.0))
+    pressure = queued / slots
+    row.append(1.0 if 1.0 < pressure else pressure)
     return np.array(row)
 
 
@@ -202,8 +209,11 @@ def select_action(net: Network, state: np.ndarray, valid_mask: np.ndarray,
 
     Invalid actions get -inf logits, hence probability exactly 0. Returns
     (action index, log-probability under the sampled distribution, probs).
+    The logits are ``forward``'s for the one state, by ``neural.predict``:
+    nothing differentiates them, so no cache is built.
     """
-    probs, _ = _masked_probs(net, state, valid_mask)
+    logits = neural.predict(net, state[None, :])[0]
+    probs = softmax(np.where(valid_mask, logits, -np.inf))
     if cost_factors is not None and cost_weight > 0:
         probs = apply_cost_adjustment(probs, cost_factors, cost_weight,
                                       cost_stats)
@@ -273,7 +283,16 @@ def compute_advantages(traj: EpisodeTrajectory, values: np.ndarray,
 
 # -- model bundle and versioning ------------------------------------------
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+
+def _list_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+# how each readable format stores an array: format 1 as nested lists of
+# floats, format 2 as ``neural.encode_array`` gives it
+ARRAY_DECODERS = {1: _list_array, 2: neural.decode_array}
 
 
 @dataclass
@@ -284,6 +303,9 @@ class AgentModel:
     critic_adam: AdamState
     hyper: Hyperparameters
     epoch: int = 0
+    # the format of the file the model was read from; save_model always
+    # writes MODEL_FORMAT_VERSION
+    format_version: int = MODEL_FORMAT_VERSION
 
     def snapshot(self) -> dict:
         """In-memory copy of everything rollback must restore."""
@@ -377,7 +399,7 @@ def save_model(path, model: AgentModel) -> None:
         "actor_adam": neural.adam_to_dict(model.actor_adam),
         "critic_adam": neural.adam_to_dict(model.critic_adam),
     }
-    # compact, so that json uses its C encoder; floats keep their repr
+    # compact, so that json uses its C encoder
     with open(path, "w") as fp:
         fp.write(json.dumps(payload) + "\n")
 
@@ -390,19 +412,22 @@ def load_model(path) -> AgentModel:
             raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
     version = (payload.get("format_version") if isinstance(payload, dict)
                else None)
-    if version != MODEL_FORMAT_VERSION:
+    decode = ARRAY_DECODERS.get(version) if type(version) is int else None
+    if decode is None:
         raise ModelFormatError(
             f"{path}: unsupported model format version {version!r} "
-            f"(this build reads version {MODEL_FORMAT_VERSION})")
+            f"(this build reads versions "
+            f"{', '.join(map(str, ARRAY_DECODERS))})")
     try:
         hyper = hyper_from_dict(payload["hyper"])
         model = AgentModel(
-            actor=neural.net_from_dict(payload["actor"]),
-            critic=neural.net_from_dict(payload["critic"]),
-            actor_adam=neural.adam_from_dict(payload["actor_adam"]),
-            critic_adam=neural.adam_from_dict(payload["critic_adam"]),
+            actor=neural.net_from_dict(payload["actor"], decode),
+            critic=neural.net_from_dict(payload["critic"], decode),
+            actor_adam=neural.adam_from_dict(payload["actor_adam"], decode),
+            critic_adam=neural.adam_from_dict(payload["critic_adam"], decode),
             hyper=hyper,
             epoch=int(payload["epoch"]),
+            format_version=version,
         )
         hyper.validate()
         _check_shapes(model)
@@ -596,9 +621,16 @@ class MarsAgent:
         """
         hyper = self.hyper
         slots = hyper.slots
+        actor = self.model.actor
         static: dict[int, tuple[float, float, float]] = {}
+        # without a cost term every step's cost row is zero: one shared,
+        # read-only row instead of an allocation per step
+        zero_cost = np.zeros(hyper.action_dim)
+        zero_cost.flags.writeable = False
 
         def selector(state: ClusterState) -> int | None:
+            if state.free_procs == 0 or not state.ready:
+                return None
             seen = visible_window(state, slots)
             if seen is None:
                 return None
@@ -609,12 +641,12 @@ class MarsAgent:
             factors = None
             if greedy and hyper.cost_weight > 0:
                 factors = slot_cost_factors(window, slots)
-            action, log_prob, probs = select_action(
-                self.model.actor, vec, mask, rng, greedy=greedy,
+            action, log_prob, _ = select_action(
+                actor, vec, mask, rng, greedy=greedy,
                 cost_factors=factors, cost_weight=hyper.cost_weight,
                 cost_stats=self.cost_stats)
             if traj is not None:
-                cost_norm = np.zeros(hyper.action_dim)
+                cost_norm = zero_cost
                 if hyper.cost_weight > 0:
                     cost_norm = 1.0 - slot_cost_factors(window, slots)
                     cost_norm[-1] = 0.0

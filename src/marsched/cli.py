@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -17,9 +18,8 @@ import time
 import numpy as np
 
 from . import __version__, decision, metrics
-from .agent import (MODEL_FORMAT_VERSION, Hyperparameters, MarsAgent,
-                    ModelVersions, episode_reward, load_model, new_model,
-                    save_model, train)
+from .agent import (Hyperparameters, MarsAgent, ModelVersions,
+                    episode_reward, load_model, new_model, save_model, train)
 from .config import (ENV_CONFIG, Settings, as_bool, as_float, as_int,
                      load_config)
 from .errors import (ConfigError, ContractError, DagError, ModelFormatError,
@@ -63,6 +63,9 @@ def _add_common(sp: argparse.ArgumentParser, *, trace_source: bool = True):
                         help="EASY backfilling for heuristic runs (default on)")
 
 
+# built once per process: it depends only on constants, no argument has a
+# mutable default, and each parse fills a new namespace
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marsched",
@@ -258,7 +261,9 @@ def _write_run_outputs(out: str, results, reports) -> None:
     rows = []
     for result in results:
         rows.extend(job_csv_rows(result.jobs, result.policy))
-    rows.sort(key=lambda r: int(r[0]))
+    if len(results) > 1:
+        # each chunk's rows come sorted by id; a plan's chunks interleave
+        rows.sort(key=lambda r: int(r[0]))
     write_jobs_csv(os.path.join(out, "jobs.csv"), rows)
     metrics.write_report_csv(os.path.join(out, "report.csv"), reports)
 
@@ -446,7 +451,7 @@ def cmd_inspect(args, settings: Settings) -> int:
         model = load_model(args.model)
         dims = [model.actor.input_dim] + \
                [l.weights.shape[1] for l in model.actor.layers]
-        print(f"model {args.model}: format v{MODEL_FORMAT_VERSION}, "
+        print(f"model {args.model}: format v{model.format_version}, "
               f"epoch {model.epoch}")
         print(f"  actor dims {dims}, slots {model.hyper.slots}, "
               f"gamma {model.hyper.gamma}, cost_weight {model.hyper.cost_weight}")

@@ -1,5 +1,5 @@
 """Minimal feed-forward networks on numpy: forward, reverse-mode gradients,
-Adam, and JSON serialization.
+Adam, and JSON serialization with exact binary arrays.
 
 Tensors are plain numpy float64 arrays. Batches are row-major: input of
 shape (batch, input_dim), single samples may be passed as 1-D and come back
@@ -8,6 +8,8 @@ shape (batch, input_dim), single samples may be passed as 1-D and come back
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +130,15 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
                              acts=acts, squeezed=squeezed)
 
 
+def predict(net: Network, x: np.ndarray) -> np.ndarray:
+    """``forward``'s output for a 2-D batch of the network's input width,
+    by the same operations in the same order, without the checks and
+    without the cache that only ``backward`` reads."""
+    for layer in net.layers:
+        x = _act(layer.activation, x @ layer.weights + layer.bias)
+    return x
+
+
 def backward(net: Network, cache: ForwardCache,
              dout: np.ndarray) -> list[np.ndarray]:
     """Gradients in net.parameters() order for upstream gradient dout."""
@@ -211,24 +222,56 @@ def apply_adam(net: Network, grads: list[np.ndarray], state: AdamState) -> None:
 
 
 # -- serialization -------------------------------------------------------
-# JSON keeps floats via repr, which round-trips float64 exactly; that is
-# what makes version rollback bit-exact.
+# An array is stored as its shape and the base64 of its little-endian
+# float64 bytes, so every bit round-trips; that is what makes version
+# rollback and resume bit-exact.
+
+def encode_array(a: np.ndarray) -> dict:
+    raw = np.asarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(d) -> np.ndarray:
+    """The array that ``encode_array`` gave ``d``; ModelFormatError for
+    anything else."""
+    if not isinstance(d, dict) or d.keys() != {"shape", "data"}:
+        raise ModelFormatError(
+            f"expected an encoded array (shape and data), got "
+            f"{type(d).__name__}")
+    shape, data = d["shape"], d["data"]
+    if not isinstance(shape, list) \
+            or not all(type(n) is int and n >= 0 for n in shape):
+        raise ModelFormatError(
+            f"array shape {shape!r} is not a list of non-negative ints")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"array data is not base64 ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFormatError(
+            f"array data holds {len(raw)} bytes, shape {shape} needs "
+            f"{8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
 
 def net_to_dict(net: Network) -> dict:
     return {
         "layers": [
-            {"weights": layer.weights.tolist(),
-             "bias": layer.bias.tolist(),
+            {"weights": encode_array(layer.weights),
+             "bias": encode_array(layer.bias),
              "activation": layer.activation}
             for layer in net.layers
         ]
     }
 
 
-def net_from_dict(d: dict) -> Network:
+def net_from_dict(d: dict, decode=decode_array) -> Network:
+    """The network of a ``net_to_dict`` payload; ``decode`` reads each
+    array (a model file's format chooses it)."""
     try:
-        layers = [Layer(weights=np.array(ld["weights"], dtype=float),
-                        bias=np.array(ld["bias"], dtype=float),
+        layers = [Layer(weights=decode(ld["weights"]),
+                        bias=decode(ld["bias"]),
                         activation=ld["activation"])
                   for ld in d["layers"]]
     except (KeyError, TypeError, ContractError) as exc:
@@ -240,16 +283,16 @@ def adam_to_dict(state: AdamState) -> dict:
     return {
         "alpha": state.alpha, "beta1": state.beta1, "beta2": state.beta2,
         "eps": state.eps, "t": state.t,
-        "m": [a.tolist() for a in state.m],
-        "v": [a.tolist() for a in state.v],
+        "m": [encode_array(a) for a in state.m],
+        "v": [encode_array(a) for a in state.v],
     }
 
 
-def adam_from_dict(d: dict) -> AdamState:
+def adam_from_dict(d: dict, decode=decode_array) -> AdamState:
     try:
         return AdamState(alpha=d["alpha"], beta1=d["beta1"], beta2=d["beta2"],
                          eps=d["eps"], t=d["t"],
-                         m=[np.array(a, dtype=float) for a in d["m"]],
-                         v=[np.array(a, dtype=float) for a in d["v"]])
+                         m=[decode(a) for a in d["m"]],
+                         v=[decode(a) for a in d["v"]])
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad Adam payload: {exc}") from exc

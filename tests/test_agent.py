@@ -100,6 +100,23 @@ def test_visible_window_is_the_first_slots_ready_jobs():
     assert fits == [False, False, False, True, True]
 
 
+@pytest.mark.parametrize("free, arrived", [(0, True), (16, False)],
+                         ids=["no-free-processor", "empty-ready-set"])
+def test_selector_without_a_choice_returns_none(free, arrived):
+    sim = Simulation([make_job(i + 1, procs=1) for i in range(3)], 16)
+    state = sim.state
+    if arrived:
+        for job in state.arrivals:
+            state.ready[job.id] = job
+    state.free_procs = free
+    rng, traj = np.random.default_rng(0), EpisodeTrajectory()
+    before = rng.bit_generator.state
+    selector = MarsAgent(SMALL).make_selector(rng, traj=traj)
+    assert selector(state) is None
+    assert len(traj) == 0
+    assert rng.bit_generator.state == before
+
+
 # -- cost factors -------------------------------------------------------------
 
 def test_slot_cost_factors_oracle():
@@ -451,19 +468,33 @@ def test_snapshot_restore_bit_exact():
     assert model.actor_adam.t == 0
 
 
+def _model_arrays(model):
+    return (model.actor.parameters() + model.critic.parameters()
+            + model.actor_adam.m + model.actor_adam.v
+            + model.critic_adam.m + model.critic_adam.v)
+
+
 def test_save_load_round_trip(tmp_path):
     hyper = SMALL
-    model = new_model(hyper)
-    model.epoch = 13
+    trace = small_trace(seed=2, jobs=20)
+    model = train(lambda w, e: (trace.jobs, trace.total_procs),
+                  hyper)[0].model
+    # every parameter and Adam moment starts with negative zero, a
+    # subnormal and a value near the float limit, as far as its size allows
+    for a in _model_arrays(model):
+        k = min(3, a.size)
+        a.reshape(-1)[:k] = [-0.0, 5e-324, 1e308][:k]
     path = tmp_path / "model.json"
     save_model(path, model)
     loaded = load_model(path)
-    assert loaded.epoch == 13
+    assert loaded.format_version == 2
+    assert loaded.epoch == hyper.epochs
     assert loaded.hyper == hyper
-    for a, b in zip(model.actor.parameters(), loaded.actor.parameters()):
-        assert np.array_equal(a, b)
-    for a, b in zip(model.critic.parameters(), loaded.critic.parameters()):
-        assert np.array_equal(a, b)
+    assert loaded.actor_adam.t == model.actor_adam.t == hyper.epochs
+    pairs = list(zip(_model_arrays(model), _model_arrays(loaded)))
+    assert len(pairs) == 24
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_load_model_rejects_unknown_version(tmp_path):
@@ -488,9 +519,11 @@ def test_load_model_rejects_unknown_version(tmp_path):
     ("hyper is not a mapping", lambda p: p.update(hyper=[1, 2])),
     ("malformed field", lambda p: p.update(epoch="two")),
     ("bad network payload: unknown activation 'sigmoid'",
-     lambda p: p["actor"]["layers"][0].update(activation="sigmoid"))],
+     lambda p: p["actor"]["layers"][0].update(activation="sigmoid")),
+    ("expected an encoded array (shape and data), got list",
+     lambda p: p["critic_adam"]["v"].__setitem__(0, [[0.0]]))],
     ids=["unknown-key", "missing-key", "not-a-mapping", "malformed",
-         "activation"])
+         "activation", "list-in-format-2"])
 def test_load_model_rejects_bad_payload(tmp_path, problem, edit):
     import json
     path = tmp_path / "m.json"

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, and byte stability."""
 
+import argparse
+import base64
 import dataclasses
 import json
 import os
@@ -400,6 +402,61 @@ def test_model_written_with_ppo_resumes_with_actor_critic(tmp_path):
         f.name for f in dataclasses.fields(agent.Hyperparameters)}
 
 
+def test_model_v1_resumed_is_written_in_format_2(tmp_path):
+    # zero epochs keep the parameters: the format-2 file evaluates as the
+    # format-1 file it came from
+    out = tmp_path / "resumed"
+    assert run_cli("train", "--synthetic", "20", "--epochs", "0",
+                   "--resume", str(PPO_MODEL), "--out", str(out)) == 0
+    written = out / "model.json"
+    assert json.loads(written.read_text())["format_version"] == 2
+    old, new = agent.load_model(PPO_MODEL), agent.load_model(written)
+    assert new.format_version == 2 and new.epoch == old.epoch == 2
+    for net in ("actor", "critic"):
+        for a, b in zip(getattr(old, net).parameters(),
+                        getattr(new, net).parameters()):
+            assert a.tobytes() == b.tobytes()
+    ev = tmp_path / "ev"
+    assert run_cli("evaluate", "--synthetic", "40", "--seed", "5",
+                   "--model", str(written), "--out", str(ev)) == 0
+    assert (sha256(ev / "jobs.csv"),
+            sha256(ev / "report.csv")) == PPO_MODEL_EVALUATE
+
+
+def _first_weights(payload):
+    return payload["actor"]["layers"][0]["weights"]
+
+
+def _short_data(payload):
+    w = _first_weights(payload)
+    w["data"] = base64.b64encode(base64.b64decode(w["data"])[:-8]).decode()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: _first_weights(m).update(data="@@@@"), "is not base64"),
+    (_short_data, "bytes, shape [14, 4] needs"),
+    (lambda m: _first_weights(m).update(shape=[14, 5]),
+     "bytes, shape [14, 5] needs"),
+    (lambda m: _first_weights(m).update(shape=[-14, -4]),
+     "is not a list of non-negative ints"),
+    (lambda m: _first_weights(m).update(shape=[4, 14]),
+     "do not match the hyperparameters")],
+    ids=["bad-base64", "short-data", "shape-not-data", "negative-shape",
+         "shape-not-hyper"])
+def test_bad_format_2_arrays_exit_2(tmp_path, edit, message, capsys):
+    source = tmp_path / "v2.json"
+    agent.save_model(source, agent.load_model(PPO_MODEL))
+    payload = json.loads(source.read_text())
+    edit(payload)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("evaluate", "--synthetic", "20", "--model", str(bad),
+                   "--out", str(tmp_path / "ev")) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m["hyper"].update(slots=16),
     lambda m: m["hyper"].update(hidden=[5]),
@@ -457,6 +514,62 @@ def test_forced_start_warning(tmp_path, trace_file, cfg_file, monkeypatch,
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
+def test_parser_is_built_once_and_parses_afresh(tmp_path, trace_file,
+                                               cfg_file, monkeypatch):
+    seen = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        namespace = parse(self, *args, **kwargs)
+        seen.append(dict(vars(namespace)))
+        return namespace
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    model = tmp_path / "tr" / "model.json"
+    assert run_cli("train", "--config", cfg_file, "--epochs", "1",
+                   "--out", str(model.parent)) == 0
+    assert run_cli("simulate", "--trace", trace_file, "--policy", "mars",
+                   "--explain", "--backfill", "off", "--out",
+                   str(tmp_path / "m")) == 0
+    assert run_cli("evaluate", "--config", cfg_file, "--model", str(model),
+                   "--out", str(tmp_path / "ev")) == 0
+    assert run_cli("simulate", "--trace", trace_file,
+                   "--out", str(tmp_path / "s")) == 0
+    assert cli.build_parser() is cli.build_parser()
+    train, explain, evaluate, plain = seen
+    assert explain["explain"] and explain["policy"] == "mars"
+    for key in ("explain", "policy", "epochs", "train_on_demand"):
+        assert key not in evaluate
+    assert evaluate["backfill"] is None and evaluate["trace"] is None
+    assert evaluate["config"] == cfg_file
+    assert not plain["explain"]
+    assert plain["policy"] is None and plain["backfill"] is None
+
+
+def test_mars_chunks_write_jobs_in_id_order(tmp_path, cfg_file):
+    # ids fall as submit times rise, so the chunks that split the trace by
+    # position hold interleaved id ranges, last ids first
+    gen = workload.generate_synthetic(workload.SyntheticConfig(
+        job_count=24, arrival_rate=0.3, runtime_min=5, runtime_max=300,
+        total_procs=16, seed=4))
+    n = len(gen.jobs)
+    swf = tmp_path / "reversed.swf"
+    workload.write_swf(swf, dataclasses.replace(gen, jobs=[
+        dataclasses.replace(j, id=n - i) for i, j in enumerate(gen.jobs)]))
+    conf = tmp_path / "split.ini"
+    conf.write_text(open(cfg_file).read()
+                    + "\n[decision]\nmin = 2\nmedian = 3\nmax = 10\n")
+    out = tmp_path / "mars"
+    assert run_cli("simulate", "--config", str(conf), "--trace", str(swf),
+                   "--policy", "mars", "--train-on-demand",
+                   "--out", str(out)) == 0
+    report = (out / "report.csv").read_text().splitlines()
+    assert len([r for r in report if r.startswith("rl,")]) == 4
+    ids = [int(line.split(",")[0]) for line in
+           (out / "jobs.csv").read_text().splitlines()[1:]]
+    assert ids == list(range(1, n + 1))
+
+
 def test_evaluate_rejects_bad_model(tmp_path, cfg_file):
     bad = tmp_path / "model.json"
     bad.write_text('{"format_version": 99}')
@@ -503,7 +616,10 @@ def test_inspect(tmp_path, trace_file, cfg_file, capsys):
     assert run_cli("train", "--config", cfg_file, "--out", str(out)) == 0
     capsys.readouterr()
     assert run_cli("inspect", "--model", str(out / "model.json")) == 0
-    assert f"format v{agent.MODEL_FORMAT_VERSION}," in capsys.readouterr().out
+    assert "format v2, epoch 2" in capsys.readouterr().out
+    # the version read from the file, not the one this build writes
+    assert run_cli("inspect", "--model", str(PPO_MODEL)) == 0
+    assert "format v1, epoch 2" in capsys.readouterr().out
     assert run_cli("inspect") == 2
     assert run_cli("inspect", "--trace", trace_file, "--model", "x") == 2
 

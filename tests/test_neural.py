@@ -8,7 +8,8 @@ import pytest
 
 from marsched.errors import ContractError, ModelFormatError, TrainingDiverged
 from marsched.neural import (AdamState, Network, adam_from_dict, adam_step,
-                             adam_to_dict, apply_adam, backward, forward,
+                             adam_to_dict, apply_adam, backward,
+                             decode_array, encode_array, forward,
                              init_network, net_from_dict, net_to_dict,
                              softmax)
 
@@ -175,7 +176,7 @@ def test_serialization_round_trip_bit_exact():
     adam2 = adam_from_dict(loaded["adam"])
 
     for a, b in zip(net.parameters(), net2.parameters()):
-        assert np.array_equal(a, b)        # bit-exact via repr round trip
+        assert a.tobytes() == b.tobytes()  # bit-exact via the f8 bytes
     assert adam2.t == state.t
     for a, b in zip(state.m, adam2.m):
         assert np.array_equal(a, b)
@@ -193,6 +194,12 @@ def test_malformed_payloads_rejected():
         net_from_dict({})
     with pytest.raises(ModelFormatError):
         adam_from_dict({"alpha": 1e-3})
+    good = encode_array(np.zeros((2, 3)))
+    for bad in ([[0.0] * 3] * 2, dict(good, shape=[2, True, 1]),
+                dict(good, shape=(2, 3)), dict(good, extra=1),
+                dict(good, data=7)):
+        with pytest.raises(ModelFormatError):
+            decode_array(bad)
 
 
 def test_set_parameters_shape_check():

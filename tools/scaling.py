@@ -14,14 +14,17 @@ estimates) and the benchmark's training settings: a ``train`` row times
 ``agent.train`` for a few epochs on a trace at 0.005 jobs/s and reports
 seconds per epoch; the ``evaluate`` row trains a model for two epochs
 (untimed), then times one greedy episode over a burst (2 jobs/s) and reports
-decisions per second. Generating the traces is never timed. Every run is a
+decisions per second; the ``model io`` row trains a model as a ``train``
+row does (untimed), then times ``agent.save_model`` followed by
+``agent.load_model`` of it. Generating the traces is never timed. Every run is a
 fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
 on one thread, and the checkouts take turns run by run, so a slow stretch of
 a shared machine hits them alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
 and start times), the drawn cost rates (of the sorted job ids and cost
-rates) or the training curve's rewards. A row is ``"resolved": false`` when
+rates), the training curve's rewards or the bytes of every array of the
+model read back. A row is ``"resolved": false`` when
 the checkouts' medians differ by less than the first checkout's spread:
 the run-to-run noise is then as large as the difference, which says
 nothing about which checkout is faster. With one checkout no row is
@@ -53,7 +56,8 @@ ROWS = (("load", (1000, 4000, 16000)),
         ("simulate wfp3 on", (1000, 4000)),
         ("simulate unicef on", (1000, 4000)),
         ("train", (512, 2048)),
-        ("evaluate", (500,)))
+        ("evaluate", (500,)),
+        ("model io", (512,)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
 # acceptance check c08's job mix; tools/learning.py builds c08's trace from it
 C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
@@ -115,6 +119,20 @@ def worker(row: str, jobs: int) -> dict:
         _, _, curve = trained(trace, TRAIN_EPOCHS)
         return {"seconds": (time.perf_counter() - t0) / TRAIN_EPOCHS,
                 "output": _digest([p.reward for p in curve])}
+    if kind == "model":
+        model = trained(c08(jobs, TRAIN_RATE), TRAIN_EPOCHS)[0].model
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            t0 = time.perf_counter()
+            agent.save_model(path, model)
+            loaded = agent.load_model(path)
+            seconds = time.perf_counter() - t0
+        arrays = [a for m in (loaded.actor_adam, loaded.critic_adam)
+                  for a in m.m + m.v] \
+            + loaded.actor.parameters() + loaded.critic.parameters()
+        return {"seconds": seconds,
+                "output": hashlib.sha256(b"".join(
+                    a.tobytes() for a in arrays)).hexdigest()}
     mars, _, _ = trained(c08(512, TRAIN_RATE), 2)
     burst = c08(jobs, BURST_RATE)
     t0 = time.perf_counter()
@@ -207,7 +225,8 @@ def main(argv=None) -> int:
               "timed": {"load": "workload.load_swf + assign_costs",
                         "simulate": "simulator.run_episode",
                         "train": "agent.train, per epoch",
-                        "evaluate": "MarsAgent.run_collect, greedy"},
+                        "evaluate": "MarsAgent.run_collect, greedy",
+                        "model io": "agent.save_model + agent.load_model"},
               "machine": machine_facts(),
               "checkouts": {label: checkout_facts(root)
                             for label, root in checkouts.items()},
