@@ -248,10 +248,10 @@ def decode_array(d) -> np.ndarray:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"array data is not base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
         raise ModelFormatError(
-            f"array data holds {len(raw)} bytes, shape {shape} needs "
-            f"{8 * math.prod(shape)}")
+            f"array data holds {len(raw)} bytes, shape {shape} needs {need}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
@@ -266,9 +266,10 @@ def net_to_dict(net: Network) -> dict:
     }
 
 
-def net_from_dict(d: dict, decode=decode_array) -> Network:
-    """The network of a ``net_to_dict`` payload; ``decode`` reads each
-    array (a model file's format chooses it)."""
+def net_from_dict(d: dict, decode) -> Network:
+    """The network of a ``net_to_dict`` payload. ``decode`` reads each
+    array: ``decode_array`` for what ``net_to_dict`` writes, or the reader
+    of an older model file's arrays."""
     try:
         layers = [Layer(weights=decode(ld["weights"]),
                         bias=decode(ld["bias"]),
@@ -288,7 +289,7 @@ def adam_to_dict(state: AdamState) -> dict:
     }
 
 
-def adam_from_dict(d: dict, decode=decode_array) -> AdamState:
+def adam_from_dict(d: dict, decode) -> AdamState:
     try:
         return AdamState(alpha=d["alpha"], beta1=d["beta1"], beta2=d["beta2"],
                          eps=d["eps"], t=d["t"],

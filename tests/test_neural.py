@@ -172,8 +172,8 @@ def test_serialization_round_trip_bit_exact():
 
     blob = json.dumps({"net": net_to_dict(net), "adam": adam_to_dict(state)})
     loaded = json.loads(blob)
-    net2 = net_from_dict(loaded["net"])
-    adam2 = adam_from_dict(loaded["adam"])
+    net2 = net_from_dict(loaded["net"], decode_array)
+    adam2 = adam_from_dict(loaded["adam"], decode_array)
 
     for a, b in zip(net.parameters(), net2.parameters()):
         assert a.tobytes() == b.tobytes()  # bit-exact via the f8 bytes
@@ -189,11 +189,12 @@ def test_serialization_round_trip_bit_exact():
 
 def test_malformed_payloads_rejected():
     with pytest.raises(ModelFormatError):
-        net_from_dict({"layers": [{"weights": [[0.0]]}]})   # missing keys
+        net_from_dict({"layers": [{"weights": [[0.0]]}]},   # missing keys
+                      decode_array)
     with pytest.raises(ModelFormatError):
-        net_from_dict({})
+        net_from_dict({}, decode_array)
     with pytest.raises(ModelFormatError):
-        adam_from_dict({"alpha": 1e-3})
+        adam_from_dict({"alpha": 1e-3}, decode_array)
     good = encode_array(np.zeros((2, 3)))
     for bad in ([[0.0] * 3] * 2, dict(good, shape=[2, True, 1]),
                 dict(good, shape=(2, 3)), dict(good, extra=1),
