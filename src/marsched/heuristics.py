@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import attrgetter
 
 from .errors import ContractError
 from .workload import Job
@@ -35,9 +36,6 @@ class PolicyKind(enum.Enum):
 
 
 HEURISTIC_KINDS = tuple(k for k in PolicyKind if k is not PolicyKind.RL)
-# kinds whose score ignores `now`; the aging kinds WFP3 and UNICEF are left out
-TIME_INVARIANT_KINDS = frozenset(HEURISTIC_KINDS) - {PolicyKind.WFP3,
-                                                     PolicyKind.UNICEF}
 
 # fitted constants used verbatim by the F1-F4 formulas
 _F1_C = 8.70e2
@@ -48,6 +46,25 @@ _F4_C = 5.30e5
 
 def _log10_clamped(x: float) -> float:
     return math.log10(max(x, 1.0))
+
+
+# kind -> score of one job, for the kinds that rank a run once
+# (``priority_key``)
+RANK_SCORES = {
+    PolicyKind.FCFS: attrgetter("submit_time"),
+    PolicyKind.SJF: attrgetter("requested_time"),
+    PolicyKind.F1: lambda j: (_log10_clamped(j.requested_time)
+                              * j.requested_procs
+                              + _F1_C * _log10_clamped(j.submit_time)),
+    PolicyKind.F2: lambda j: (math.sqrt(j.requested_time) * j.requested_procs
+                              + _F2_C * _log10_clamped(j.submit_time)),
+    PolicyKind.F3: lambda j: (j.requested_time * j.requested_procs
+                              + _F3_C * _log10_clamped(j.submit_time)),
+    PolicyKind.F4: lambda j: (j.requested_time * math.sqrt(j.requested_procs)
+                              + _F4_C * _log10_clamped(j.submit_time)),
+}
+# kinds whose score ignores `now`; the aging kinds WFP3 and UNICEF are left out
+TIME_INVARIANT_KINDS = frozenset(RANK_SCORES)
 
 
 # The aging kinds score every ready job in every cycle, so each formula is
@@ -79,24 +96,10 @@ def score(job: Job, now: float, kind: PolicyKind) -> float:
     """Priority score; lower runs first. Pure in (job, now)."""
     if kind is PolicyKind.RL:
         raise ContractError("RL has no closed-form score; use the agent module")
-    s_t = job.submit_time
-    r_t = job.requested_time
-    n_t = job.requested_procs
-
-    if kind is PolicyKind.FCFS:
-        return s_t
-    if kind is PolicyKind.SJF:
-        return r_t
     if kind in AGING_ENTRIES:
         return AGING_ENTRIES[kind]((job,), now)[0][0]
-    if kind is PolicyKind.F1:
-        return _log10_clamped(r_t) * n_t + _F1_C * _log10_clamped(s_t)
-    if kind is PolicyKind.F2:
-        return math.sqrt(r_t) * n_t + _F2_C * _log10_clamped(s_t)
-    if kind is PolicyKind.F3:
-        return r_t * n_t + _F3_C * _log10_clamped(s_t)
-    if kind is PolicyKind.F4:
-        return r_t * math.sqrt(n_t) + _F4_C * _log10_clamped(s_t)
+    if kind in RANK_SCORES:
+        return RANK_SCORES[kind](job)
     raise ContractError(f"unhandled policy kind {kind}")
 
 
@@ -112,12 +115,16 @@ def priority_key(kind: PolicyKind, state):
     ``AGING_ENTRIES`` at the clock of the call; ids are unique, so the job
     never takes part in a comparison. An aging cycle builds the same entries
     for the whole ready set in one batch. The other kinds ignore the clock,
-    so every job is scored once, up front, and keyed by its int rank, which
-    compares faster than the (score, submit, id) tuple it stands for.
+    so every job is keyed once, up front, by ``RANK_SCORES`` in one
+    comprehension of (score, submit, id) and one sort, and ranked by its
+    place in that order: an int, which compares faster than the key it
+    stands for.
     """
     if kind not in TIME_INVARIANT_KINDS:
         entries = AGING_ENTRIES[kind]
         return lambda j: entries((j,), state.clock)[0]
-    order = sorted(state.arrivals, key=lambda j: sort_key(j, state.clock, kind))
-    rank = {j.id: r for r, j in enumerate(order)}
+    score_of = RANK_SCORES[kind]
+    keys = [(score_of(j), j.submit_time, j.id) for j in state.arrivals]
+    keys.sort()
+    rank = {key[2]: r for r, key in enumerate(keys)}
     return lambda j: rank[j.id]

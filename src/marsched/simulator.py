@@ -5,6 +5,20 @@ scheduling cycle starts whatever the active policy picks. Completions at a
 given instant are processed before arrivals at the same instant so freed
 processors are visible immediately; remaining ties break by job id.
 
+Event loop. After each cycle ``Simulation.run`` looks up the next event
+time once (``next_event_time``), then applies every event at that time, one
+``advance_to_next_event`` call each, until neither the run heap's top nor
+the next arrival is at that time. A ``SimEvent`` is built only for an
+``on_event`` probe.
+
+State per kind of run. Every run keeps the ready set, the run heap and the
+finished jobs. A time-invariant heuristic also keeps its rank heap. Only an
+EASY run (a heuristic with backfill on) keeps the release profile
+(``ClusterState.releases``) and the processor index (``by_procs``,
+``proc_counts``, and an aging kind's ``rank_key``); in runs without EASY,
+selector runs included, they are None and no start or completion pays for
+them.
+
 Ready set. ``ClusterState.ready`` holds the dependency-ready pending jobs in
 arrival order, and the events keep it current: a job enters when it arrives
 with its dependencies finished, or when its last unfinished dependency
@@ -34,7 +48,8 @@ start. A heuristic cycle that finds none free therefore starts nothing, and
 its EASY pass finds no candidate; once the run's first blocked head is
 recorded, such a cycle returns before it scores, pops or backfills. (A
 ready job wider than the cluster is then reported by the next cycle that
-finds a processor free.)
+finds a processor free.) A cycle with an empty ready set returns at once
+too.
 
 EASY reads a processor index, then sorts. Within one pass the shadow time
 stays where it is (the pass checks that it never rises), and ``free_procs``
@@ -49,7 +64,7 @@ them, and walking them in order with the same tests until no processor is
 free starts the same jobs as walking the whole sorted queue. The blocked
 head needs more than the free processors, so it is never a candidate.
 
-Every heuristic run keeps a processor index of its ready set:
+Every EASY run keeps a processor index of its ready set:
 ``ClusterState.by_procs`` buckets the ready jobs by requested processors,
 each bucket sorted by (requested time, rank, job), and
 ``ClusterState.proc_counts`` holds the bucket keys in order, with no empty
@@ -114,23 +129,22 @@ class ClusterState:
     dependents: dict[int, list[Job]] = field(default_factory=dict)  # dep id -> waiters
     running: dict[int, Job] = field(default_factory=dict)
     run_heap: list[tuple[float, int]] = field(default_factory=list)
-    # (start + requested_time, id, procs) of every running job, sorted
-    releases: list[tuple[float, int, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
     finished_ids: set[int] = field(default_factory=set)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
-    # heuristic runs only: the processor index of the ready set (buckets
-    # of (requested_time, rank_key(job), job) by requested procs, and the
-    # sorted keys of the nonempty buckets); rank_key is the priority rank of
-    # a time-invariant kind, whose runs also keep a heap of (rank, job)
-    # holding every ready job plus started ones not yet dropped, and the id
-    # for an aging kind
+    # time-invariant kinds: rank_key is the priority rank, and rank_heap
+    # holds (rank, job) for every ready job plus started ones not yet dropped
     rank_key: Callable[[Job], int] | None = None
     rank_heap: list[tuple[int, Job]] | None = None
-    by_procs: dict[int, list[tuple[float, int, Job]]] = field(
-        default_factory=dict)
-    proc_counts: list[int] = field(default_factory=list)
+    # EASY runs only (a heuristic with backfill on), None otherwise: the
+    # running jobs' (start + requested_time, id, procs), sorted; and the
+    # processor index of the ready set (buckets of (requested_time,
+    # rank_key(job), job) by requested procs, and the sorted keys of the
+    # nonempty buckets), where an aging kind's rank_key is the id
+    releases: list[tuple[float, int, int]] | None = None
+    by_procs: dict[int, list[tuple[float, int, Job]]] | None = None
+    proc_counts: list[int] | None = None
 
 
 @dataclass
@@ -174,10 +188,13 @@ def _arrival_key(job: Job) -> tuple[float, int]:
 
 
 def _index_ready(state: ClusterState, job: Job) -> None:
-    """Put a newly ready job in its bucket and any rank heap of the run."""
+    """Put a newly ready job in the run's rank heap and processor index,
+    whichever of them the run keeps."""
     rank = state.rank_key(job)
     if state.rank_heap is not None:
         heapq.heappush(state.rank_heap, (rank, job))
+    if state.by_procs is None:
+        return
     procs = job.requested_procs
     bucket = state.by_procs.get(procs)
     if bucket is None:
@@ -225,15 +242,15 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
         return False
     del state.pending[job.id]
     del state.ready[job.id]
-    if state.rank_key is not None:
-        _unindex_started(state, job)
     job.start_time = now
     job.status = JobStatus.RUNNING
     state.free_procs -= job.requested_procs
     state.running[job.id] = job
     heapq.heappush(state.run_heap, (now + job.run_time, job.id))
-    bisect.insort(state.releases,
-                  (now + job.requested_time, job.id, job.requested_procs))
+    if state.releases is not None:          # EASY runs
+        _unindex_started(state, job)
+        bisect.insort(state.releases,
+                      (now + job.requested_time, job.id, job.requested_procs))
     return True
 
 
@@ -245,8 +262,9 @@ def next_event_time(state: ClusterState) -> float:
     return t
 
 
-def advance_to_next_event(state: ClusterState) -> SimEvent:
-    """Jump the clock to the next event and apply it."""
+def advance_to_next_event(state: ClusterState) -> tuple[EventKind, int]:
+    """Jump the clock to the next event and apply it; returns the event's
+    kind and job id (its time is the new clock)."""
     heap = state.run_heap
     arriving = (state.arrivals[state.next_arrival]
                 if state.next_arrival < len(state.arrivals) else None)
@@ -256,14 +274,15 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
         job = state.running.pop(jid)
         job.status = JobStatus.FINISHED
         releases = state.releases
-        del releases[bisect.bisect_left(
-            releases, (job.start_time + job.requested_time, jid))]
+        if releases is not None:
+            del releases[bisect.bisect_left(
+                releases, (job.start_time + job.requested_time, jid))]
         state.free_procs += job.requested_procs
         state.finished.append(job)
         state.finished_ids.add(jid)
         if state.dependents:
             _release_dependents(state, job)
-        return SimEvent(t, EventKind.COMPLETION, jid)
+        return EventKind.COMPLETION, jid
     job = arriving
     if job is None:
         raise SchedulingError("no future events")
@@ -279,7 +298,7 @@ def advance_to_next_event(state: ClusterState) -> SimEvent:
         state.unmet[job.id] = len(waiting_on)
         for d in waiting_on:
             state.dependents.setdefault(d, []).append(job)
-    return SimEvent(job.submit_time, EventKind.ARRIVAL, job.id)
+    return EventKind.ARRIVAL, job.id
 
 
 def schedule_cycle(state: ClusterState, selector) -> list[int]:
@@ -429,12 +448,14 @@ class Simulation:
         aging kind passes its batch scorer from ``heuristics.AGING_ENTRIES``:
         the cycle scores every ready job once into a fresh heap of entries
         (score, submit, id, job), and EASY reuses what is left of it. A
-        cycle with no free processor after the first blocked head starts
-        nothing, so it returns at once (module docstring).
+        cycle with no ready job, or with no free processor after the first
+        blocked head, starts nothing, so it returns at once (module
+        docstring).
         """
         state = self.state
         stats = self.stats
-        if not state.free_procs and stats.first_blocked_head is not None:
+        if not state.ready or (not state.free_procs
+                               and stats.first_blocked_head is not None):
             return
         if score_all is None:
             heap = state.rank_heap
@@ -494,31 +515,27 @@ class Simulation:
 
     # -- event loop ------------------------------------------------------
 
-    def _drain_next_time(self) -> None:
-        """Apply every event at the next event time."""
-        state = self.state
-        while True:
-            event = advance_to_next_event(state)
-            self.stats.events += 1
-            if self.on_event is not None:
-                self.on_event(state, event)
-            if next_event_time(state) != state.clock:
-                return
-
     def run(self, policy) -> list[Job]:
-        """Drive the episode to completion; returns finished jobs in end order."""
+        """Drive the episode to completion; returns finished jobs in end order.
+
+        After each scheduling cycle the next event time is looked up once,
+        and every event at that time is applied before the next cycle.
+        """
         state = self.state
         if isinstance(policy, (str, PolicyKind)):
             kind = PolicyKind.from_name(policy) if isinstance(policy, str) else policy
             if kind is PolicyKind.RL:
                 raise ContractError("RL runs need a selector, not a policy name")
             # before any job has arrived
+            if self.backfill:
+                state.releases, state.by_procs, state.proc_counts = [], {}, []
             if kind in heuristics.TIME_INVARIANT_KINDS:
                 state.rank_key = heuristics.priority_key(kind, state)
                 state.rank_heap = []
                 schedule = self._schedule_heuristic
             else:
-                state.rank_key = attrgetter("id")
+                if self.backfill:
+                    state.rank_key = attrgetter("id")
                 score_all = heuristics.AGING_ENTRIES[kind]
                 schedule = lambda: self._schedule_heuristic(score_all)
         elif callable(policy):
@@ -526,16 +543,28 @@ class Simulation:
         else:
             raise ContractError(f"unsupported policy object {policy!r}")
 
-        while len(state.finished) < self.total_jobs:
+        stats, on_event = self.stats, self.on_event
+        run_heap, arrivals = state.run_heap, state.arrivals
+        total, finished = self.total_jobs, state.finished
+        while len(finished) < total:
             schedule()
-            if len(state.finished) >= self.total_jobs:
-                break
-            if next_event_time(state) < math.inf:
-                self._drain_next_time()
-            elif state.pending:
+            t = next_event_time(state)
+            if t == math.inf:
+                if not state.pending:
+                    raise SchedulingError(
+                        "event loop stalled with no pending jobs")
                 self._force_start_one()
-            else:
-                raise SchedulingError("event loop stalled with no pending jobs")
+                continue
+            while True:
+                what, jid = advance_to_next_event(state)
+                stats.events += 1
+                if on_event is not None:
+                    on_event(state, SimEvent(t, what, jid))
+                if not ((run_heap and run_heap[0][0] == t)
+                        or (state.next_arrival < total
+                            and arrivals[state.next_arrival].submit_time
+                            == t)):
+                    break
         return state.finished
 
 

@@ -196,6 +196,29 @@ def test_f_family_monotone_in_demand(submit, req, procs):
         assert score(bigger_n, 0, kind) >= score(j, 0, kind)
 
 
+def tied_queue(rng, n=60):
+    """Few distinct values, so scores tie and submit times tie; submit
+    times up to 1 all clamp to the same log10 in F1-F4, so their scores tie
+    across different submit times."""
+    return [make_job(i + 1, submit=float(rng.choice([0.0, 0.5, 1.0, 3.0])),
+                     run=10.0, procs=int(rng.choice([1, 2, 4])),
+                     req_time=float(rng.choice([1.0, 4.0, 9.0])))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", sorted(TIME_INVARIANT_KINDS,
+                                        key=lambda k: k.value))
+def test_run_rank_orders_like_sort_key(kind):
+    for seed in range(20):
+        state = new_cluster(1, tied_queue(np.random.default_rng(seed)))
+        keys = [sort_key(j, state.clock, kind) for j in state.arrivals]
+        assert len({k[0] for k in keys}) < len(keys)        # tied scores
+        assert len({k[:2] for k in keys}) < len(keys)       # and submits
+        rank = priority_key(kind, state)
+        want = sorted(state.arrivals, key=lambda j: sort_key(j, 0.0, kind))
+        assert sorted(state.arrivals, key=rank) == want, seed
+
+
 def test_sort_key_orders_full_queue():
     rng = np.random.default_rng(3)
     queue = random_queue(rng)

@@ -20,6 +20,8 @@ ALLOWED = {
     "parse_workflow": "workflow input for the DAG-level split (ROADMAP item 4)",
     "build_dag": "validated workflow DAG for the DAG-level split",
     "combine_parallel_tasks": "level sets for the DAG-level split",
+    "sort_key": "the reference order (score, submit, id) that the run ranks "
+                "must equal; bench/tracing.py patches it by name",
 }
 
 

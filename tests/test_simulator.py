@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import make_job, make_trace
-from marsched import heuristics
+from marsched import heuristics, simulator
 from marsched.agent import make_random_selector
 from marsched.errors import ConfigError, ContractError, SchedulingError
 from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
@@ -309,12 +309,21 @@ def tangled_trace(seed, n=40, procs=8):
     return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
 
 
-def state_probe(events):
+def state_probe(events, backfill=True):
     """on_event probe: the release profile, the rank heap and the processor
-    index hold what the module docstring says they hold; every event goes to
+    index hold what the module docstring says they hold, and a run without
+    EASY keeps neither the profile nor the index; every event goes to
     ``events``."""
     def probe(state, event):
         events.append(event)
+        if not backfill:
+            assert state.releases is None
+            assert state.by_procs is None and state.proc_counts is None
+            if state.rank_heap is not None:
+                live = [j.id for _, j in state.rank_heap
+                        if j.id in state.ready]
+                assert sorted(live) == sorted(state.ready)
+            return
         assert state.releases == sorted(
             (j.start_time + j.requested_time, j.id, j.requested_procs)
             for j in state.running.values())
@@ -346,7 +355,7 @@ def test_heuristic_cycle_matches_naive_reference(kind, backfill):
         jobs, procs = tangled_trace(seed)
         events = []
         got = run_episode(jobs, kind, backfill=backfill, total_procs=procs,
-                          on_event=state_probe(events))
+                          on_event=state_probe(events, backfill))
         backfilled = counts["backfilled"]
         want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
                            total_procs=procs)
@@ -430,6 +439,41 @@ def test_aging_cycle_scores_each_ready_job_once(monkeypatch):
             res = run_episode(jobs, kind, total_procs=procs)
             assert res.stats.backfilled and scored
             assert max(scored.values()) == 1, (kind, seed)
+
+
+@pytest.mark.parametrize("policy, backfill",
+                         [(k, b) for k in ("fcfs", "sjf", "wfp3")
+                          for b in (True, False)] + [("random", False)])
+def test_next_event_time_looked_up_once_per_cycle(monkeypatch, policy,
+                                                  backfill):
+    # every event at the next instant is applied after one lookup; the
+    # tangled traces put completions and arrivals at shared instants
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "next_event_time",
+                        counted("lookups", simulator.next_event_time))
+    for method in ("_schedule_heuristic", "_schedule_selector"):
+        monkeypatch.setattr(Simulation, method,
+                            counted("cycles", getattr(Simulation, method)))
+    for seed in range(10):
+        jobs, procs = tangled_trace(seed)
+        calls.clear()
+        if policy == "random":
+            # a selector run keeps no release profile and no processor index
+            res = run_episode(
+                jobs, make_random_selector(np.random.default_rng(seed), 4),
+                total_procs=procs, on_event=state_probe([], backfill=False))
+        else:
+            res = run_episode(jobs, policy, backfill=backfill,
+                              total_procs=procs)
+        assert res.stats.events == 2 * len(jobs)
+        assert 0 < calls["lookups"] <= calls["cycles"], (seed, calls)
 
 
 @pytest.mark.parametrize("procs", [0, -2])

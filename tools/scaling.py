@@ -1,7 +1,7 @@
 """Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_10.json
+        --checkout change=. --out BENCH_14.json
 
 A ``load`` row writes the synthetic trace below to an SWF file (untimed),
 then times ``workload.load_swf`` followed by ``workload.assign_costs`` with
@@ -50,7 +50,8 @@ import time
 
 # (row, job counts); a simulate row names its policy and backfill setting
 ROWS = (("load", (1000, 4000, 16000)),
-        ("simulate fcfs off", (1000, 4000)),
+        ("simulate fcfs off", (1000, 4000, 16000)),
+        ("simulate sjf off", (1000, 4000, 16000)),
         ("simulate fcfs on", (1000, 4000)),
         ("simulate sjf on", (1000, 4000, 16000)),
         ("simulate wfp3 on", (1000, 4000)),
