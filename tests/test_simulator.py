@@ -316,13 +316,12 @@ def state_probe(events, backfill=True):
     ``events``."""
     def probe(state, event):
         events.append(event)
+        if state.rank_heap is not None:
+            live = [j.id for _, j in state.rank_heap if j.id in state.ready]
+            assert sorted(live) == sorted(state.ready)
         if not backfill:
             assert state.releases is None
             assert state.by_procs is None and state.proc_counts is None
-            if state.rank_heap is not None:
-                live = [j.id for _, j in state.rank_heap
-                        if j.id in state.ready]
-                assert sorted(live) == sorted(state.ready)
             return
         assert state.releases == sorted(
             (j.start_time + j.requested_time, j.id, j.requested_procs)
@@ -330,9 +329,6 @@ def state_probe(events, backfill=True):
         if state.rank_key is None:
             assert not state.by_procs and not state.proc_counts
             return
-        if state.rank_heap is not None:
-            live = [j.id for _, j in state.rank_heap if j.id in state.ready]
-            assert sorted(live) == sorted(state.ready)
         # every ready job sits in exactly one bucket, the one of its procs,
         # under its rank; buckets are sorted and none is empty
         indexed = [e[-1].id for bucket in state.by_procs.values()
