@@ -28,14 +28,17 @@ from .heuristics import HEURISTIC_KINDS, PolicyKind
 from .metrics import DEFAULT_TAU
 from .simulator import job_csv_rows, write_jobs_csv
 from .workload import (SyntheticConfig, WorkloadTrace, assign_costs,
-                       generate_synthetic, load_swf, slice_trace, write_swf)
+                       check_cost_distribution, generate_synthetic, load_swf,
+                       slice_trace, write_swf)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-POLICY_NAMES = [k.value for k in HEURISTIC_KINDS] + ["rl", "mars"]
+# the policies that run the agent, the only reader of a job's cost rate
+AGENT_POLICY_NAMES = ["rl", "mars"]
+POLICY_NAMES = [k.value for k in HEURISTIC_KINDS] + AGENT_POLICY_NAMES
 
 CURVE_CSV_COLUMNS = ["epoch", "reward", "entropy", "delta_mean"]
 CURVE_SCHEMA = "marsched.curve.v1"
@@ -158,7 +161,11 @@ def _synthetic_config(args, settings: Settings, seed: int) -> SyntheticConfig:
         seed=settings.get("synthetic", "seed", None, seed, as_int))
 
 
-def _resolve_trace(args, settings: Settings, seed: int) -> WorkloadTrace:
+def _resolve_trace(args, settings: Settings, seed: int, *,
+                   draw_costs: bool) -> WorkloadTrace:
+    """The run's trace. An SWF trace gets per-job cost rates only when
+    ``draw_costs`` says the command runs the agent; the cost keys are read
+    and checked either way."""
     trace_path = settings.get("run", "trace", getattr(args, "trace", None))
     if trace_path and getattr(args, "synthetic", None) is not None:
         raise ConfigError("give either --trace or --synthetic, not both")
@@ -170,7 +177,10 @@ def _resolve_trace(args, settings: Settings, seed: int) -> WorkloadTrace:
                             SyntheticConfig.cost_mean, as_float)
         std = settings.get("synthetic", "cost_std", None,
                            SyntheticConfig.cost_std, as_float)
-        assign_costs(trace, mean, std, seed)
+        if draw_costs:
+            assign_costs(trace, mean, std, seed)
+        else:
+            check_cost_distribution(mean, std)
         return trace
     if getattr(args, "synthetic", None) is not None \
             or settings.get("synthetic", "job_count") is not None:
@@ -281,9 +291,10 @@ def cmd_simulate(args, settings: Settings) -> int:
     seed = _seed(args, settings)
     tau = _tau(args, settings)
     out = _out_dir(args, settings)
-    trace = _resolve_trace(args, settings, seed)
-    procs = _procs(args, settings, trace)
     label = settings.get("run", "policy", args.policy, "fcfs")
+    trace = _resolve_trace(args, settings, seed,
+                           draw_costs=label in AGENT_POLICY_NAMES)
+    procs = _procs(args, settings, trace)
     if label not in POLICY_NAMES:
         raise ConfigError(f"unknown policy {label!r}")
     hyper = _hyper(args, settings, seed, tau)
@@ -303,7 +314,7 @@ def cmd_evaluate(args, settings: Settings) -> int:
     seed = _seed(args, settings)
     tau = _tau(args, settings)
     out = _out_dir(args, settings)
-    trace = _resolve_trace(args, settings, seed)
+    trace = _resolve_trace(args, settings, seed, draw_costs=True)
     procs = _procs(args, settings, trace)
     agent = _load_agent(args, settings)
     if agent is None:
@@ -321,7 +332,7 @@ def cmd_train(args, settings: Settings) -> int:
     seed = _seed(args, settings)
     tau = _tau(args, settings)
     out = _out_dir(args, settings)
-    trace = _resolve_trace(args, settings, seed)
+    trace = _resolve_trace(args, settings, seed, draw_costs=True)
     procs = _procs(args, settings, trace)
     hyper = _hyper(args, settings, seed, tau)
 
@@ -390,7 +401,9 @@ def cmd_compare(args, settings: Settings) -> int:
     for label in labels:
         if label not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {label!r}")
-    trace = _resolve_trace(args, settings, seed)
+    trace = _resolve_trace(
+        args, settings, seed,
+        draw_costs=any(label in AGENT_POLICY_NAMES for label in labels))
     procs = _procs(args, settings, trace)
     backfill = _backfill(args, settings)
     hyper = _hyper(args, settings, seed, tau)

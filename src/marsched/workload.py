@@ -136,8 +136,7 @@ class SyntheticConfig:
             raise ConfigError("total_procs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.cost_std < 0 or self.cost_mean < 0:
-            raise ConfigError("cost distribution parameters must be >= 0")
+        check_cost_distribution(self.cost_mean, self.cost_std)
         if not (1.0 <= self.overestimate_min <= self.overestimate_max):
             raise ConfigError("need 1 <= overestimate_min <= overestimate_max")
         # a drawn runtime is rounded to whole seconds, so it can exceed
@@ -168,39 +167,43 @@ class SwfField(enum.IntEnum):
 
 SWF_FIELD_COUNT = 18
 # the six fields parse_swf reads, in the order it unpacks them
-_read_swf_fields = itemgetter(
-    SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
-    SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
-    SwfField.REQUESTED_TIME)
+_SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
+             SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
+             SwfField.REQUESTED_TIME)
+_read_swf_fields = itemgetter(*_SWF_READ)
+# a truncated id or processor count below this converts to int64 exactly
+_INT64_LIMIT = 2.0 ** 63
 
 
-def parse_swf(text: str, name: str = "") -> WorkloadTrace:
-    """Parse SWF text into a trace.
+def _max_procs_header(line: str) -> int | None:
+    """The count of a ``; MaxProcs: N`` comment line, None for any other
+    comment; raises ValueError or OverflowError when N is unreadable."""
+    header = line.lstrip("; ").strip()
+    if not header.lower().startswith("maxprocs:"):
+        return None
+    return int(float(header.split(":", 1)[1].strip()))
 
-    Field mapping: 1 -> id, 2 -> submit_time, 4 -> run_time, 5 -> procs
-    (falling back to field 8 when -1), 9 -> requested_time (falling back to
-    run_time when -1). Jobs with nonpositive run_time or proc count are
-    dropped and counted. Malformed lines, including a nan or infinite value
-    in any of those fields, are recorded with their line number and skipped;
-    a trace with zero valid jobs is a hard error.
-    """
+
+def _parse_swf_lines(lines: list[str]):
+    """Parse line by line; (jobs, dropped, line errors, MaxProcs header)."""
     jobs: list[Job] = []
     dropped = 0
     line_errors: list[tuple[int, str]] = []
     max_procs_header: int | None = None
     isfinite = math.isfinite
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith(";"):
-            header = line.lstrip("; ").strip()
-            if header.lower().startswith("maxprocs:"):
-                try:
-                    max_procs_header = int(float(header.split(":", 1)[1].strip()))
-                except (ValueError, OverflowError):
-                    line_errors.append((lineno, "unreadable MaxProcs header"))
+            try:
+                header = _max_procs_header(line)
+            except (ValueError, OverflowError):
+                line_errors.append((lineno, "unreadable MaxProcs header"))
+                continue
+            if header is not None:
+                max_procs_header = header
             continue
         tokens = line.split()
         if len(tokens) < SwfField.REQUESTED_TIME + 1:
@@ -233,7 +236,74 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
             line_errors.append((lineno, f"job {job_id}: field out of range"))
             continue
         jobs.append(Job(job_id, submit, run, procs, req_time))
+    return jobs, dropped, line_errors, max_procs_header
 
+
+def _parse_swf_block(lines: list[str]):
+    """Parse a regular body with one ``np.loadtxt`` call; the result of
+    ``_parse_swf_lines``, or None when a line would be a line error or numpy
+    cannot read the body exactly.
+
+    Regular means every data line has the same number of fields, at least
+    9, and every field is a number numpy reads. numpy converts a field with
+    ``PyOS_string_to_double``, as ``float()`` does, so the values are equal;
+    the tokens ``float()`` alone accepts (``1_000``, non-ASCII digits) make
+    numpy raise. The column rules below are the loop's, applied to whole
+    columns.
+    """
+    stripped = list(map(str.strip, lines))
+    data = [line for line in stripped if line and line[0] != ";"]
+    if not data:
+        return None
+    max_procs_header = None
+    for line in stripped:
+        if line[:1] == ";":
+            try:
+                header = _max_procs_header(line)
+            except (ValueError, OverflowError):
+                return None
+            if header is not None:
+                max_procs_header = header
+    try:
+        block = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[1] < SwfField.REQUESTED_TIME + 1:
+        return None
+    columns = block[:, _SWF_READ]
+    if not np.isfinite(columns).all():
+        return None
+    job_id, submit, run, alloc, req_procs, req_time = columns.T
+    procs = np.trunc(alloc)
+    procs = np.where(procs == -1, np.trunc(req_procs), procs)
+    req_time = np.where(req_time == -1, run, req_time)
+    kept = (run > 0) & (procs > 0)
+    job_id, submit, run, procs, req_time = (
+        np.trunc(job_id[kept]), submit[kept], run[kept], procs[kept],
+        req_time[kept])
+    if (job_id < 1).any() or (submit < 0).any() or (req_time <= 0).any() \
+            or (job_id >= _INT64_LIMIT).any() or (procs >= _INT64_LIMIT).any():
+        return None
+    jobs = list(map(Job, job_id.astype(np.int64).tolist(), submit.tolist(),
+                    run.tolist(), procs.astype(np.int64).tolist(),
+                    req_time.tolist()))
+    return jobs, len(kept) - len(jobs), [], max_procs_header
+
+
+def parse_swf(text: str, name: str = "") -> WorkloadTrace:
+    """Parse SWF text into a trace.
+
+    Field mapping: 1 -> id, 2 -> submit_time, 4 -> run_time, 5 -> procs
+    (falling back to field 8 when -1), 9 -> requested_time (falling back to
+    run_time when -1). Jobs with nonpositive run_time or proc count are
+    dropped and counted. Malformed lines, including a nan or infinite value
+    in any of those fields, are recorded with their line number and skipped;
+    a trace with zero valid jobs is a hard error. A regular body is read in
+    one numpy pass; any other text goes line by line, with the same result.
+    """
+    lines = text.splitlines()
+    parsed = _parse_swf_block(lines) or _parse_swf_lines(lines)
+    jobs, dropped, line_errors, max_procs_header = parsed
     if not jobs:
         raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
     jobs.sort(key=lambda j: (j.submit_time, j.id))
@@ -392,6 +462,12 @@ def _seed_states(entropy: np.ndarray) -> list[list[int]]:
                                 "<u4").view("<u8").tolist()
 
 
+def check_cost_distribution(mean: float, std: float) -> None:
+    """Reject a negative mean or standard deviation of the cost rates."""
+    if mean < 0 or std < 0:
+        raise ConfigError("cost distribution parameters must be >= 0")
+
+
 def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> None:
     """Draw per-job cost rates from a Gaussian truncated at 0.
 
@@ -400,8 +476,7 @@ def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> No
     ``np.random.default_rng([seed, job.id])``, with every job's generator
     seeded at once and drawn through one reused ``Generator``.
     """
-    if mean < 0 or std < 0:
-        raise ConfigError("cost distribution parameters must be >= 0")
+    check_cost_distribution(mean, std)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     jobs = trace.jobs

@@ -305,12 +305,14 @@ def test_negative_seed_exit_2(tmp_path, trace_file, argv, capsys):
     (["simulate", "--synthetic", "20", "--tau=BAD"], None),
     (["simulate", "--synthetic", "20"], "run tau"),
     (["simulate", "--trace", "TRACE"], "synthetic cost_mean"),
+    (["simulate", "--trace", "TRACE", "--policy", "sjf"],
+     "synthetic cost_std"),
     (["simulate", "--synthetic", "20"], "synthetic runtime_max"),
     (["simulate", "--synthetic", "20"], "synthetic overestimate_max"),
     (["train", "--synthetic", "20", "--epochs", "1"], "agent actor_lr")],
     ids=["--tau", "[run] tau", "[synthetic] cost_mean",
-         "[synthetic] runtime_max", "[synthetic] overestimate_max",
-         "[agent] actor_lr"])
+         "[synthetic] cost_std", "[synthetic] runtime_max",
+         "[synthetic] overestimate_max", "[agent] actor_lr"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_number_exit_2(tmp_path, trace_file, argv, key, bad,
                                   capsys):
@@ -663,8 +665,20 @@ def test_run_model_key_honoured_by_evaluate(tmp_path, cfg_file, capsys):
     assert "needs a model" in capsys.readouterr().err
 
 
-def test_swf_cost_rates_follow_synthetic_config_defaults(
-        tmp_path, trace_file, monkeypatch):
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A model trained for one epoch; the empty config keeps the run off
+    $MARSCHED_CONFIG."""
+    out = tmp_path_factory.mktemp("model")
+    empty = out / "empty.ini"
+    empty.write_text("")
+    assert run_cli("train", "--config", str(empty), "--synthetic", "20",
+                   "--epochs", "1", "--out", str(out)) == 0
+    return str(out / "model.json")
+
+
+def spy_on_cost_draws(monkeypatch):
+    """Record (mean, std) of every cli.assign_costs call, then draw."""
     seen = []
     real = cli.assign_costs
 
@@ -673,18 +687,65 @@ def test_swf_cost_rates_follow_synthetic_config_defaults(
         return real(trace, mean, std, seed)
 
     monkeypatch.setattr(cli, "assign_costs", spy)
+    return seen
+
+
+def test_swf_cost_rates_follow_synthetic_config_defaults(
+        tmp_path, trace_file, model_file, monkeypatch):
+    seen = spy_on_cost_draws(monkeypatch)
     empty = tmp_path / "empty.ini"
     empty.write_text("")
-    assert run_cli("simulate", "--config", str(empty), "--trace", trace_file,
-                   "--out", str(tmp_path / "a")) == 0
+    assert run_cli("evaluate", "--config", str(empty), "--trace", trace_file,
+                   "--model", model_file, "--out", str(tmp_path / "a")) == 0
     defaults = {f.name: f.default
                 for f in dataclasses.fields(workload.SyntheticConfig)}
     assert seen == [(defaults["cost_mean"], defaults["cost_std"])]
     costs = tmp_path / "costs.ini"
     costs.write_text("[synthetic]\ncost_mean = 2.5\ncost_std = 0.25\n")
-    assert run_cli("simulate", "--config", str(costs), "--trace", trace_file,
-                   "--out", str(tmp_path / "b")) == 0
+    assert run_cli("evaluate", "--config", str(costs), "--trace", trace_file,
+                   "--model", model_file, "--out", str(tmp_path / "b")) == 0
     assert seen[1] == (2.5, 0.25)
+
+
+# only the agent reads a cost rate, so only a command that runs it draws
+@pytest.mark.parametrize("argv, draws", [
+    *((["simulate", "--policy", name], 0) for name in cli.POLICY_NAMES
+      if name not in cli.AGENT_POLICY_NAMES),
+    (["compare", "--policies", "fcfs,sjf"], 0),
+    (["evaluate", "--model", "MODEL"], 1),
+    (["simulate", "--policy", "rl", "--model", "MODEL"], 1),
+    (["simulate", "--policy", "mars", "--model", "MODEL"], 1),
+    (["compare", "--policies", "fcfs,rl", "--model", "MODEL"], 1),
+    (["train", "--epochs", "1"], 1)],
+    ids=lambda v: " ".join(v).replace(" MODEL", "") if isinstance(v, list)
+    else None)
+def test_cost_rates_drawn_only_by_agent_commands(
+        tmp_path, trace_file, model_file, monkeypatch, argv, draws):
+    seen = spy_on_cost_draws(monkeypatch)
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    assert run_cli(*argv, "--trace", trace_file,
+                   "--out", str(tmp_path / "o")) == 0
+    assert len(seen) == draws
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "sjf"], ["compare", "--policies", "fcfs,sjf"],
+    ["evaluate", "--model", "never-read.json"], ["train", "--epochs", "1"]],
+    ids=["simulate sjf", "compare fcfs,sjf", "evaluate", "train"])
+@pytest.mark.parametrize("key", ["cost_mean", "cost_std"])
+def test_negative_cost_distribution_exit_2(tmp_path, trace_file, argv, key,
+                                           capsys):
+    # checked whether or not the command draws cost rates
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"[synthetic]\n{key} = -1\n")
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--config", str(conf), "--trace", trace_file,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "cost distribution parameters must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (out / "jobs.csv").exists()
+    assert not (out / "model.json").exists()
 
 
 # The wrapper pip's installer (distlib's ScriptMaker) writes for a

@@ -1,6 +1,8 @@
 """SWF parsing, serialization round trips, and synthetic generation."""
 
 import dataclasses
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_job, make_trace
+from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
 from marsched.workload import (Job, JobStatus, SyntheticConfig,
                                WorkloadTrace, _truncated_gauss, assign_costs,
@@ -112,6 +115,109 @@ def test_any_text_parses_or_raises_trace_format_error(text):
     trace.validate()
     for j in trace.jobs:
         assert all(np.isfinite([j.submit_time, j.run_time, j.requested_time]))
+
+
+def parse_outcome(text):
+    """Everything parse_swf returns, as text that tells 0.0 from -0.0 and
+    an int from a float; or the TraceFormatError's message."""
+    try:
+        trace = parse_swf(text, "d")
+    except TraceFormatError as exc:
+        return f"error: {exc}"
+    return repr(([repr(j) for j in trace.jobs], trace.dropped_jobs,
+                 trace.line_errors, trace.total_procs))
+
+
+def line_loop_outcome(text):
+    """parse_outcome with the one-pass parser switched off."""
+    with mock.patch.object(workload, "_parse_swf_block", return_value=None):
+        return parse_outcome(text)
+
+
+# tokens float() reads differently from numpy, or that read as a value no
+# job may have, or that split a line differently ("\xa0" is whitespace)
+SALT = ["1_000", "\u0661\u0662", "\xa0", ";", "x;", "0x1p3", "1e400",
+        "1e300", "-0", "2.5", "nan", "-inf", "9.3e18", "1e19"]
+# mostly values a job may have, so that many blocks parse
+BLOCK_VALUES = ["1", "2", "4", "16", "64", "100", "3600", "2.5"] * 6 \
+    + ["-1", "0", "-0", "-1.5"]
+COMMENT_LINES = ["; MaxProcs: 4096", "; MaxProcs: 64", "; Version: 2.2",
+                 ";", "", "   "] * 3 + ["; MaxProcs: inf", "; MaxProcs: x"]
+
+
+@st.composite
+def swf_texts(draw):
+    """A block of 9-20 fields a row; in about half of the texts one row is
+    salted, in a quarter one row is ragged, and some hold only comments."""
+    head = draw(st.lists(st.sampled_from(COMMENT_LINES), max_size=3))
+    width = draw(st.integers(9, 20))
+    rows = draw(st.integers(0, 6))
+    salted = draw(st.integers(-rows - 1, rows))       # out of range: no salt
+    ragged = draw(st.integers(-3 * rows - 1, rows))   # out of range: even
+    lines = []
+    for i in range(rows):
+        row = [str(i + 1)] + draw(st.lists(st.sampled_from(BLOCK_VALUES),
+                                           min_size=width - 1,
+                                           max_size=width - 1))
+        if i == salted:
+            row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(SALT))
+        if i == ragged:
+            row = row[:draw(st.integers(0, width + 2))] + ["1"] * 2
+        lines.append(" ".join(row))
+    tail = draw(st.lists(st.sampled_from(COMMENT_LINES), max_size=2))
+    return "\n".join(head + lines + tail)
+
+
+@given(swf_texts())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_parse_equals_line_loop(text):
+    # warnings as errors in the body only: numpy warns on a text with no
+    # data line, and the parser must not ask it to read one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_outcome(text) == line_loop_outcome(text)
+
+
+# (text, whether the one-pass parser reads it); each text has a valid job
+REGULAR = "\n".join(swf_line(i, 10 * i, 100, 4) for i in range(1, 4))
+UNREAD_HUGE = " ".join(["4", "0", "-1", "100", "4", "-1", "-1", "-1", "-1",
+                        "1e400"] + ["-1"] * 8)
+BLOCK_CASES = [
+    (HEADER + REGULAR, True),
+    (REGULAR.replace(" ", "\xa0"), True),
+    (HEADER + REGULAR + "\n" + swf_line(9, 0, 0, 4), True),      # dropped
+    (HEADER + swf_line(1, "-0", 100, -1.5, 2, 2.5), True),
+    (HEADER + REGULAR + "\n" + UNREAD_HUGE, True),
+    (swf_line(1, 0, 100, "1e18"), True),
+    (HEADER + REGULAR + "\n" + "5 " * 17 + "5 5", False),         # ragged
+    (HEADER + REGULAR + "\n" + "1 2 3", False),
+    (HEADER + REGULAR + "\n" + swf_line("1_000", 0, 100, 4), False),
+    (HEADER + REGULAR + "\n" + swf_line("\u0661\u0662", 0, 100, 4), False),
+    (HEADER + REGULAR + " ; done", False),
+    (HEADER + REGULAR + "\n" + swf_line(7, 0, "0x1p3", 4), False),
+    (HEADER + REGULAR + "\n" + swf_line(7, 0, 100, 4, req_time="inf"),
+     False),
+    (HEADER + REGULAR + "\n" + swf_line(0, 0, 100, 4), False),  # id < 1
+    (swf_line(1, 0, 100, "1e19"), False),                       # > int64
+    ("; MaxProcs: x\n" + REGULAR, False),
+]
+
+
+@pytest.mark.parametrize("text, one_pass", BLOCK_CASES)
+def test_one_pass_parser_reads_only_regular_text(text, one_pass):
+    block = workload._parse_swf_block(text.splitlines())
+    assert (block is not None) == one_pass
+    if one_pass:
+        assert block == workload._parse_swf_lines(text.splitlines())
+    assert parse_outcome(text) == line_loop_outcome(text)
+    assert not parse_outcome(text).startswith("error")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "; MaxProcs: 64\n; Note", "\n  \n"])
+def test_text_without_data_lines_is_an_error_without_warning(text):
+    with pytest.raises(TraceFormatError, match="no valid jobs"):
+        parse_swf(text, "t")
 
 
 def test_jobs_sorted_by_submit_then_id():

@@ -1,11 +1,13 @@
 """Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_14.json
+        --checkout change=. --out BENCH_15.json
 
-A ``load`` row writes the synthetic trace below to an SWF file (untimed),
-then times ``workload.load_swf`` followed by ``workload.assign_costs`` with
-the synthetic cost defaults and the trace's seed, as the CLI reads a trace.
+A ``parse`` row writes the synthetic trace below to an SWF file (untimed)
+and times ``workload.load_swf`` of it. A ``costs`` row loads that file
+(untimed), then times ``workload.assign_costs`` with the synthetic cost
+defaults and the trace's seed, as the CLI draws them for a command that runs
+the agent.
 A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
 jobs/s, seed 1, so the ready queue grows with the job count) under one
 policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
@@ -22,7 +24,8 @@ on one thread, and the checkouts take turns run by run, so a slow stretch of
 a shared machine hits them alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
-and start times), the drawn cost rates (of the sorted job ids and cost
+and start times), the parsed trace (every job's fields, the dropped jobs and the
+line errors), the drawn cost rates (of the sorted job ids and cost
 rates), the training curve's rewards or the bytes of every array of the
 model read back. A row is ``"resolved": false`` when
 the checkouts' medians differ by less than the first checkout's spread:
@@ -49,7 +52,8 @@ import tempfile
 import time
 
 # (row, job counts); a simulate row names its policy and backfill setting
-ROWS = (("load", (1000, 4000, 16000)),
+ROWS = (("parse", (1000, 4000, 16000)),
+        ("costs", (1000, 4000, 16000)),
         ("simulate fcfs off", (1000, 4000, 16000)),
         ("simulate sjf off", (1000, 4000, 16000)),
         ("simulate fcfs on", (1000, 4000)),
@@ -81,17 +85,22 @@ def worker(row: str, jobs: int) -> dict:
     import numpy
     from marsched import agent, simulator, workload
     kind, *setting = row.split()
-    if kind == "load":
+    if kind in ("parse", "costs"):
         cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.swf")
             workload.write_swf(path, workload.generate_synthetic(cfg))
             t0 = time.perf_counter()
-            trace = workload.load_swf(path)
-            workload.assign_costs(trace, cfg.cost_mean, cfg.cost_std,
-                                  cfg.seed)
+            trace = workload.load_swf(path, name="trace")
             seconds = time.perf_counter() - t0
-        return {"seconds": seconds,
+        if kind == "parse":
+            return {"seconds": seconds,
+                    "output": _digest(([repr(j) for j in trace.jobs],
+                                       trace.dropped_jobs,
+                                       trace.line_errors))}
+        t0 = time.perf_counter()
+        workload.assign_costs(trace, cfg.cost_mean, cfg.cost_std, cfg.seed)
+        return {"seconds": time.perf_counter() - t0,
                 "output": _digest(sorted((j.id, j.cost_rate)
                                          for j in trace.jobs))}
     if kind == "simulate":
@@ -223,7 +232,8 @@ def main(argv=None) -> int:
               "c08_mix": C08_MIX, "train_rate": TRAIN_RATE,
               "burst_rate": BURST_RATE, "train_epochs": TRAIN_EPOCHS,
               "repeats": REPEATS,
-              "timed": {"load": "workload.load_swf + assign_costs",
+              "timed": {"parse": "workload.load_swf",
+                        "costs": "workload.assign_costs",
                         "simulate": "simulator.run_episode",
                         "train": "agent.train, per epoch",
                         "evaluate": "MarsAgent.run_collect, greedy",
