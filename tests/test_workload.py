@@ -153,7 +153,7 @@ def swf_texts(draw):
     width = draw(st.integers(9, 20))
     rows = draw(st.integers(0, 6))
     salted = draw(st.integers(-rows - 1, rows))       # out of range: no salt
-    ragged = draw(st.integers(-3 * rows - 1, rows))   # out of range: even
+    ragged = draw(st.integers(-3 * rows - 1, rows))   # out of range: none
     lines = []
     for i in range(rows):
         row = [str(i + 1)] + draw(st.lists(st.sampled_from(BLOCK_VALUES),
