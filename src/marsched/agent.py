@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, neural
 from .errors import ConfigError, ContractError, ModelFormatError, TrainingDiverged
-from .metrics import DEFAULT_TAU
+from .metrics import DEFAULT_TAU, Schedule
 from .neural import AdamState, Network, backward, forward, softmax
 # ready_jobs is not called here but stays importable: bench/tracing.py
 # patches it at every module that imports it
@@ -254,12 +254,11 @@ class EpisodeTrajectory:
         self.terminal = True
 
 
-def episode_reward(jobs, tau: float = DEFAULT_TAU) -> float:
-    """Minus the mean bounded slowdown of the finished jobs."""
-    jobs = list(jobs)
-    if not jobs:
+def episode_reward(schedule: Schedule, tau: float = DEFAULT_TAU) -> float:
+    """Minus the mean bounded slowdown of a schedule's finished jobs."""
+    if not len(schedule):
         raise ValueError("episode reward needs at least one finished job")
-    return -float(np.mean(metrics.bounded_slowdowns(jobs, tau)))
+    return -float(np.mean(metrics.bounded_slowdowns(schedule, tau)))
 
 
 def compute_advantages(traj: EpisodeTrajectory, values: np.ndarray,
@@ -660,21 +659,22 @@ class MarsAgent:
     def run_collect(self, jobs: list[Job], total_procs: int, *,
                     rng: np.random.Generator, greedy: bool = False,
                     record: bool = False
-                    ) -> tuple[list[Job], EpisodeTrajectory | None, RunStats, float]:
-        sim = Simulation([j.fresh_copy() for j in jobs], total_procs)
+                    ) -> tuple[Schedule, EpisodeTrajectory | None, RunStats, float]:
+        """One episode over the jobs, which are read and never written."""
+        sim = Simulation(jobs, total_procs)
         traj = EpisodeTrajectory() if record else None
-        finished = sim.run(self.make_selector(rng, greedy=greedy, traj=traj))
-        reward = episode_reward(finished, self.hyper.tau)
+        schedule = sim.run(self.make_selector(rng, greedy=greedy, traj=traj))
+        reward = episode_reward(schedule, self.hyper.tau)
         if traj is not None:
             traj.finalize(reward)
-        return finished, traj, sim.stats, reward
+        return schedule, traj, sim.stats, reward
 
     def evaluate(self, jobs: list[Job], total_procs: int,
-                 seed: int = 0) -> tuple[list[Job], float]:
+                 seed: int = 0) -> tuple[Schedule, float]:
         rng = np.random.default_rng(seed)
-        finished, _, _, reward = self.run_collect(jobs, total_procs, rng=rng,
+        schedule, _, _, reward = self.run_collect(jobs, total_procs, rng=rng,
                                                   greedy=True)
-        return finished, reward
+        return schedule, reward
 
 
 def make_random_selector(rng: np.random.Generator, slots: int):
@@ -699,9 +699,9 @@ def random_baseline(jobs: list[Job], total_procs: int, hyper: Hyperparameters,
     rewards = []
     for i in range(episodes):
         rng = np.random.default_rng([seed, i])
-        sim = Simulation([j.fresh_copy() for j in jobs], total_procs)
-        finished = sim.run(make_random_selector(rng, hyper.slots))
-        rewards.append(episode_reward(finished, hyper.tau))
+        sim = Simulation(jobs, total_procs)
+        schedule = sim.run(make_random_selector(rng, hyper.slots))
+        rewards.append(episode_reward(schedule, hyper.tau))
     return float(np.mean(rewards))
 
 

@@ -262,19 +262,13 @@ def _run_policy(label: str, trace: WorkloadTrace, *, procs: int, tau: float,
     reports = [r.report for r in results]
     if label == "mars":
         reports.insert(0, metrics.aggregate(
-            [j for r in results for j in r.jobs], tau=tau, policy="mars",
-            total_procs=procs))
+            metrics.Schedule.concat([r.schedule for r in results]), tau=tau,
+            policy="mars", total_procs=procs))
     return plan, results, reports
 
 
 def _write_run_outputs(out: str, results, reports) -> None:
-    rows = []
-    for result in results:
-        rows.extend(job_csv_rows(result.jobs, result.policy))
-    if len(results) > 1:
-        # each chunk's rows come sorted by id; a plan's chunks interleave
-        rows.sort(key=lambda r: int(r[0]))
-    write_jobs_csv(os.path.join(out, "jobs.csv"), rows)
+    write_jobs_csv(os.path.join(out, "jobs.csv"), job_csv_rows(results))
     metrics.write_report_csv(os.path.join(out, "report.csv"), reports)
 
 
@@ -323,7 +317,7 @@ def cmd_evaluate(args, settings: Settings) -> int:
                                       seed=seed, agent=agent)
     _write_run_outputs(out, results, reports)
     _print_report(reports[0])
-    reward = episode_reward(results[0].jobs, agent.hyper.tau)
+    reward = episode_reward(results[0].schedule, agent.hyper.tau)
     print(f"episode_reward={reward:.4f}")
     return EXIT_OK
 

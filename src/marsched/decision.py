@@ -124,11 +124,11 @@ def run_plan(plan: Plan, *, total_procs: int, tau: float = DEFAULT_TAU,
                 agent, _, _ = train(
                     lambda w, e: (chunk.jobs, total_procs), hyper)
             rng = np.random.default_rng(seed)
-            finished, _, stats, _ = agent.run_collect(
+            schedule, _, stats, _ = agent.run_collect(
                 chunk.jobs, total_procs, rng=rng, greedy=True)
-            report = metrics.aggregate(finished, tau=tau, policy="rl",
+            report = metrics.aggregate(schedule, tau=tau, policy="rl",
                                        total_procs=total_procs)
-            results.append(RunResult(jobs=finished, report=report,
+            results.append(RunResult(schedule=schedule, report=report,
                                      stats=stats, policy="rl"))
         else:
             results.append(run_episode(chunk.jobs, chunk.policy,

@@ -7,7 +7,7 @@ normalizes by the job's processor count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,17 +43,38 @@ def job_slowdowns(wait, run, procs, tau: float = DEFAULT_TAU):
             np.maximum(total / (procs * shielded), 1.0))
 
 
-def _columns(jobs):
-    """(submit, wait, run, procs) float columns of finished jobs."""
-    submit, start, run, procs = np.array(
-        [(j.submit_time, j.start_time, j.run_time, j.requested_procs)
-         for j in jobs], dtype=float).reshape(-1, 4).T
-    return submit, start - submit, run, procs
+@dataclass
+class Schedule:
+    """A run's finished jobs as columns in end order: ``id`` and ``procs``
+    int64 (Python ints when a value does not fit), the times float64."""
+
+    id: np.ndarray
+    submit: np.ndarray
+    start: np.ndarray
+    run: np.ndarray
+    procs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    @classmethod
+    def concat(cls, schedules) -> "Schedule":
+        """The schedules' entries one after another, in the given order."""
+        return cls(*(np.concatenate([getattr(s, f.name) for s in schedules])
+                     for f in fields(cls)))
 
 
-def bounded_slowdowns(jobs, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Vector of bounded slowdowns for a list of finished jobs, in list order."""
-    _, wait, run, procs = _columns(jobs)
+def _columns(schedule: Schedule):
+    """(submit, wait, run, procs) float columns of a schedule."""
+    submit = schedule.submit
+    return (submit, schedule.start - submit, schedule.run,
+            schedule.procs.astype(float))
+
+
+def bounded_slowdowns(schedule: Schedule,
+                      tau: float = DEFAULT_TAU) -> np.ndarray:
+    """Vector of bounded slowdowns of a schedule, in its end order."""
+    _, wait, run, procs = _columns(schedule)
     return job_slowdowns(wait, run, procs, tau)[1]
 
 
@@ -97,20 +118,19 @@ class MetricsReport:
         }
 
 
-def aggregate(jobs, tau: float = DEFAULT_TAU, policy: str = "",
+def aggregate(schedule: Schedule, tau: float = DEFAULT_TAU, policy: str = "",
               total_procs: int | None = None) -> MetricsReport:
-    """Build a MetricsReport over finished jobs (wait_time must be set)."""
-    jobs = list(jobs)
-    if not jobs:
+    """Build a MetricsReport over a schedule's finished jobs."""
+    if not len(schedule):
         raise ValueError("cannot aggregate metrics over zero jobs")
-    submit, wait, run, procs = _columns(jobs)
+    submit, wait, run, procs = _columns(schedule)
     sds, bsds, ppsds = job_slowdowns(wait, run, procs, tau)
     makespan = float((submit + wait + run).max() - submit.min())
     return MetricsReport(
         policy=policy,
         tau=tau,
         total_procs=total_procs,
-        job_count=len(jobs),
+        job_count=len(schedule),
         makespan=makespan,
         slowdowns=sds,
         bounded=bsds,

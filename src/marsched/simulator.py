@@ -11,9 +11,11 @@ time once (``next_event_time``), then applies every event at that time, one
 the next arrival is at that time. A ``SimEvent`` is built only for an
 ``on_event`` probe.
 
-State per kind of run. Every run keeps the ready set, the run heap and the
-finished jobs. A time-invariant heuristic also keeps its rank heap. Only an
-EASY run (a heuristic with backfill on) keeps the release profile
+State per kind of run. Every run keeps the ready set, the run heap, the
+finished jobs and the start times (``ClusterState.start``); it writes no
+job, and returns its schedule as columns (``metrics.Schedule``). A
+time-invariant heuristic also keeps its rank heap. Only an EASY run (a
+heuristic with backfill on) keeps the release profile
 (``ClusterState.releases``) and the processor index (``by_procs``,
 ``proc_counts``, and an aging kind's ``rank_key``); in runs without EASY,
 selector runs included, they are None and no start or completion pays for
@@ -100,11 +102,13 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from . import heuristics, metrics
 from .errors import ConfigError, ContractError, SchedulingError
 from .heuristics import PolicyKind
-from .metrics import DEFAULT_TAU, MetricsReport
-from .workload import Job, JobStatus, WorkloadTrace
+from .metrics import DEFAULT_TAU, MetricsReport, Schedule
+from .workload import Job, WorkloadTrace
 
 
 class EventKind(enum.IntEnum):
@@ -128,6 +132,7 @@ class ClusterState:
     unmet: dict[int, int] = field(default_factory=dict)       # id -> unfinished deps
     dependents: dict[int, list[Job]] = field(default_factory=dict)  # dep id -> waiters
     running: dict[int, Job] = field(default_factory=dict)
+    start: dict[int, float] = field(default_factory=dict)     # id -> start time
     run_heap: list[tuple[float, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
     finished_ids: set[int] = field(default_factory=set)
@@ -158,7 +163,7 @@ class RunStats:
 
 @dataclass
 class RunResult:
-    jobs: list[Job]
+    schedule: Schedule
     report: MetricsReport
     stats: RunStats
     policy: str
@@ -242,8 +247,7 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
         return False
     del state.pending[job.id]
     del state.ready[job.id]
-    job.start_time = now
-    job.status = JobStatus.RUNNING
+    state.start[job.id] = now
     state.free_procs -= job.requested_procs
     state.running[job.id] = job
     heapq.heappush(state.run_heap, (now + job.run_time, job.id))
@@ -272,11 +276,10 @@ def advance_to_next_event(state: ClusterState) -> tuple[EventKind, int]:
         t, jid = heapq.heappop(heap)
         state.clock = t
         job = state.running.pop(jid)
-        job.status = JobStatus.FINISHED
         releases = state.releases
         if releases is not None:
             del releases[bisect.bisect_left(
-                releases, (job.start_time + job.requested_time, jid))]
+                releases, (state.start[jid] + job.requested_time, jid))]
         state.free_procs += job.requested_procs
         state.finished.append(job)
         state.finished_ids.add(jid)
@@ -515,8 +518,9 @@ class Simulation:
 
     # -- event loop ------------------------------------------------------
 
-    def run(self, policy) -> list[Job]:
-        """Drive the episode to completion; returns finished jobs in end order.
+    def run(self, policy) -> Schedule:
+        """Drive the episode to completion; returns the finished jobs' columns
+        in end order.
 
         After each scheduling cycle the next event time is looked up once,
         and every event at that time is applied before the next cycle.
@@ -565,7 +569,27 @@ class Simulation:
                             and arrivals[state.next_arrival].submit_time
                             == t)):
                     break
-        return state.finished
+        return _finished_schedule(state)
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """int64, or Python ints (object) when a value does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _finished_schedule(state: ClusterState) -> Schedule:
+    """The finished jobs' columns, in end order."""
+    finished = state.finished
+    ids = [j.id for j in finished]
+    return Schedule(
+        _int_column(ids),
+        np.array([j.submit_time for j in finished], dtype=float),
+        np.array(list(map(state.start.__getitem__, ids)), dtype=float),
+        np.array([j.run_time for j in finished], dtype=float),
+        _int_column([j.requested_procs for j in finished]))
 
 
 def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
@@ -574,44 +598,56 @@ def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
                 on_event=None) -> RunResult:
     """Simulate one policy over one trace and report metrics.
 
-    Deterministic: identical (trace, policy, options) gives identical
-    finished-job records.
+    Deterministic: identical (trace, policy, options) gives an identical
+    schedule. The jobs are read, never written, so runs share them.
     """
     if isinstance(trace, WorkloadTrace):
-        jobs = trace.fresh_jobs()
         procs = total_procs if total_procs is not None else trace.total_procs
+        trace = trace.jobs
+    elif total_procs is None:
+        raise ConfigError("total_procs is required when passing a bare job list")
     else:
-        jobs = [j.fresh_copy() for j in trace]
-        if total_procs is None:
-            raise ConfigError("total_procs is required when passing a bare job list")
         procs = total_procs
-    sim = Simulation(jobs, procs, backfill=backfill)
+    sim = Simulation(trace, procs, backfill=backfill)
     sim.on_event = on_event
     label = policy.value if isinstance(policy, PolicyKind) else (
         policy if isinstance(policy, str) else "selector")
-    finished = sim.run(policy)
-    report = metrics.aggregate(finished, tau=tau, policy=str(label), total_procs=procs)
-    return RunResult(jobs=finished, report=report, stats=sim.stats, policy=str(label))
+    schedule = sim.run(policy)
+    report = metrics.aggregate(schedule, tau=tau, policy=str(label),
+                               total_procs=procs)
+    return RunResult(schedule=schedule, report=report, stats=sim.stats,
+                     policy=str(label))
 
 
 JOBS_CSV_COLUMNS = ["id", "submit_time", "start_time", "end_time",
                     "wait_time", "procs", "policy"]
 
 
-def job_csv_rows(jobs: list[Job], policy: str) -> list[list[str]]:
-    def fmt(x: float) -> str:
-        xi = int(x)
-        return str(xi) if x == xi else repr(float(x))
-    rows = []
-    for j in sorted(jobs, key=lambda j: j.id):
-        rows.append([str(j.id), fmt(j.submit_time), fmt(j.start_time),
-                     fmt(j.end_time), fmt(j.wait_time), str(j.requested_procs),
-                     policy])
-    return rows
+def format_column(values: np.ndarray) -> list[str]:
+    """The jobs.csv text of a float column: ``str(int(x))`` for an integral
+    value, ``repr(x)`` otherwise; in one int64 pass when every value is
+    integral and below 2**63 in magnitude, so converts exactly."""
+    if (np.abs(values) < 2.0 ** 63).all() and (np.trunc(values) == values).all():
+        return list(map(str, values.astype(np.int64).tolist()))
+    return [str(xi) if x == (xi := int(x)) else repr(x)
+            for x in values.tolist()]
 
 
-def write_jobs_csv(path, rows: list[list[str]]) -> None:
-    lines = [",".join(JOBS_CSV_COLUMNS)]
-    lines.extend(",".join(r) for r in rows)
+def job_csv_rows(results: list[RunResult]) -> list[str]:
+    """One jobs.csv line per finished job of the runs, ordered by id; a
+    run's jobs carry its policy."""
+    schedule = Schedule.concat([r.schedule for r in results])
+    order = np.argsort(schedule.id, kind="stable")
+    submit, start = schedule.submit[order], schedule.start[order]
+    policy = np.repeat([r.policy for r in results],
+                       [len(r.schedule) for r in results])[order]
+    return list(map(",".join, zip(
+        map(str, schedule.id[order].tolist()), format_column(submit),
+        format_column(start), format_column(start + schedule.run[order]),
+        format_column(start - submit),
+        map(str, schedule.procs[order].tolist()), policy.tolist())))
+
+
+def write_jobs_csv(path, rows: list[str]) -> None:
     with open(path, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.write("\n".join([",".join(JOBS_CSV_COLUMNS), *rows]) + "\n")

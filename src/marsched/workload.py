@@ -17,18 +17,12 @@ import numpy as np
 from .errors import ConfigError, TraceFormatError
 
 
-class JobStatus(enum.Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    FINISHED = "finished"
-
-
 @dataclass
 class Job:
-    """One rigid, non-preemptable job.
-
-    Scheduling outcome (start_time, status) is filled in by the simulator;
-    a freshly loaded job is pending with start_time None.
+    """One rigid, non-preemptable job: an input, never written after load,
+    so runs share it. The one writer is ``assign_costs``, before any run and
+    only for the commands that run the agent. Not frozen: a frozen
+    constructor costs over four times as much per job.
     """
 
     id: int
@@ -38,8 +32,6 @@ class Job:
     requested_time: float      # r_t, user estimate
     cost_rate: float = 0.0     # currency per processor-second
     dependencies: tuple[int, ...] = ()
-    status: JobStatus = JobStatus.PENDING
-    start_time: float | None = None
 
     def validate(self) -> None:
         if self.id < 1:
@@ -54,25 +46,6 @@ class Job:
             raise TraceFormatError(f"job {self.id}: submit_time must be >= 0")
         if self.cost_rate < 0:
             raise TraceFormatError(f"job {self.id}: cost_rate must be >= 0")
-
-    @property
-    def wait_time(self) -> float | None:
-        if self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    @property
-    def end_time(self) -> float | None:
-        if self.start_time is None:
-            return None
-        return self.start_time + self.run_time
-
-    def fresh_copy(self, submit_time: float | None = None) -> "Job":
-        """A pending, unstarted copy, optionally submitted at another time."""
-        return Job(self.id,
-                   self.submit_time if submit_time is None else submit_time,
-                   self.run_time, self.requested_procs, self.requested_time,
-                   self.cost_rate, self.dependencies)
 
 
 @dataclass
@@ -101,10 +74,6 @@ class WorkloadTrace:
                 raise TraceFormatError(
                     f"trace {self.name!r}: job {job.id} requests {job.requested_procs} "
                     f"processors but the system has {self.total_procs}")
-
-    def fresh_jobs(self) -> list[Job]:
-        """Pristine copies for one simulation run; the trace itself stays clean."""
-        return [j.fresh_copy() for j in self.jobs]
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -521,7 +490,9 @@ def slice_trace(trace: WorkloadTrace, start_index: int,
     selected = jobs[start_index:start_index + count]
     label = f"{trace.name}[{start_index}:{start_index + count}]"
     base = selected[0].submit_time if selected else 0.0
-    rebased = [j.fresh_copy(submit_time=j.submit_time - base) for j in selected]
+    rebased = [Job(j.id, j.submit_time - base, j.run_time, j.requested_procs,
+                   j.requested_time, j.cost_rate, j.dependencies)
+               for j in selected]
     out = WorkloadTrace(jobs=rebased, total_procs=trace.total_procs, name=label)
     out.validate()
     return out

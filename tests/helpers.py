@@ -2,7 +2,10 @@
 
 import hashlib
 
-from marsched.workload import Job, JobStatus, WorkloadTrace
+import numpy as np
+
+from marsched.metrics import Schedule
+from marsched.workload import Job, WorkloadTrace
 
 
 def sha256(path) -> str:
@@ -18,11 +21,26 @@ def make_job(id, submit=0.0, run=100.0, procs=1, req_time=None, cost=0.0,
                cost_rate=float(cost), dependencies=tuple(deps))
 
 
-def make_finished(id, submit, start, run, procs=1, req_time=None):
-    j = make_job(id, submit, run, procs, req_time)
-    j.start_time = float(start)
-    j.status = JobStatus.FINISHED
-    return j
+def make_schedule(rows):
+    """A schedule of (id, submit, start, run[, procs]) rows, in end order;
+    procs defaults to 1."""
+    rows = [row if len(row) == 5 else (*row, 1) for row in rows]
+    ids, submit, start, run, procs = zip(*rows) if rows else [()] * 5
+    return Schedule(np.array(ids, dtype=np.int64),
+                    np.array(submit, dtype=float),
+                    np.array(start, dtype=float), np.array(run, dtype=float),
+                    np.array(procs, dtype=np.int64))
+
+
+def starts(schedule):
+    """{job id: start time} of a schedule."""
+    return dict(zip(schedule.id.tolist(), schedule.start.tolist()))
+
+
+def ends(schedule):
+    """{job id: end time} of a schedule."""
+    return dict(zip(schedule.id.tolist(),
+                    (schedule.start + schedule.run).tolist()))
 
 
 def make_trace(jobs, total_procs, name="test"):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import make_job
+from helpers import make_job, starts
 from marsched import cli, metrics
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             ModelVersions, actor_critic_step,
@@ -155,7 +155,7 @@ def test_c03_conservation_invariants_on_200_traces(capsys):
                               seed=3000 + i)
         trace = generate_synthetic(cfg)
         kind = HEURISTIC_KINDS[i % len(HEURISTIC_KINDS)]
-        sim = Simulation(trace.fresh_jobs(), trace.total_procs,
+        sim = Simulation(trace.jobs, trace.total_procs,
                          backfill=bool(i % 2))
 
         def probe(state, event):
@@ -165,14 +165,14 @@ def test_c03_conservation_invariants_on_200_traces(capsys):
             if used + state.free_procs != state.total_procs:
                 violations.append((i, "processors not conserved"))
             for j in state.running.values():
-                if j.start_time < j.submit_time:
+                if state.start[j.id] < j.submit_time:
                     violations.append((i, f"job {j.id} started early"))
 
         sim.on_event = probe
         finished = sim.run(kind)
         if len(finished) != len(trace.jobs):
             violations.append((i, "job lost or duplicated"))
-        if len({j.id for j in finished}) != len(finished):
+        if len(set(finished.id.tolist())) != len(finished):
             violations.append((i, "job ran more than once"))
     elapsed = time.monotonic() - t0
     ok = not violations and elapsed < 30.0
@@ -207,8 +207,8 @@ def test_c04_backfill_head_start_never_later_on_200_traces(capsys):
             head = on.stats.first_blocked_head
             if head is None:
                 continue
-            start_on = next(j.start_time for j in on.jobs if j.id == head)
-            start_off = next(j.start_time for j in off.jobs if j.id == head)
+            start_on = starts(on.schedule)[head]
+            start_off = starts(off.schedule)[head]
             checked += 1
             if start_on > start_off:
                 violations.append((i, kind.value, head, start_on, start_off))
@@ -418,10 +418,11 @@ def test_c10_routed_plan_beats_plain_fcfs(capsys):
                             time_norm=3600.0)
     plan = decide(trace.jobs, thresholds=Thresholds())
     routed = metrics.aggregate(
-        [j for r in run_plan(plan, total_procs=trace.total_procs, tau=10.0,
-                             backfill=False, train_on_demand=True,
-                             on_demand_hyper=hyper, seed=9)
-         for j in r.jobs],
+        metrics.Schedule.concat(
+            [r.schedule for r in run_plan(
+                plan, total_procs=trace.total_procs, tau=10.0,
+                backfill=False, train_on_demand=True, on_demand_hyper=hyper,
+                seed=9)]),
         tau=10.0, policy="mars", total_procs=trace.total_procs)
 
     # same slice arriving in sub-threshold batches: heuristic fallback chunks
@@ -431,8 +432,9 @@ def test_c10_routed_plan_beats_plain_fcfs(capsys):
         result = run_plan(batch_plan, total_procs=trace.total_procs, tau=10.0,
                           backfill=False, seed=9)
         for chunk in result:
-            finished.extend(chunk.jobs)
-    batched = metrics.aggregate(finished, tau=10.0, policy="mars")
+            finished.append(chunk.schedule)
+    batched = metrics.aggregate(metrics.Schedule.concat(finished), tau=10.0,
+                                policy="mars")
 
     elapsed = time.monotonic() - t0
     ok = (routed.mean_bounded <= fcfs.report.mean_bounded

@@ -232,12 +232,12 @@ def test_select_action_greedy_is_argmax():
 # -- rewards and advantages --------------------------------------------------
 
 def test_episode_reward_is_minus_mean_bounded():
-    from helpers import make_finished
-    jobs = [make_finished(1, 0, 0, 10),      # bounded slowdown 1
-            make_finished(2, 0, 90, 10)]     # bounded slowdown 10
-    assert episode_reward(jobs, tau=10.0) == -5.5
+    from helpers import make_schedule
+    schedule = make_schedule([(1, 0, 0, 10),     # bounded slowdown 1
+                              (2, 0, 90, 10)])   # bounded slowdown 10
+    assert episode_reward(schedule, tau=10.0) == -5.5
     with pytest.raises(ValueError):
-        episode_reward([])
+        episode_reward(make_schedule([]))
 
 
 def test_compute_advantages_hand_case():
@@ -551,8 +551,6 @@ def test_run_collect_trajectory_shape():
     for action, mask in zip(traj.actions, traj.masks):
         assert mask[action]              # never an invalid action
     assert reward == episode_reward(finished, SMALL.tau)
-    # the input jobs are untouched; the simulation ran on copies
-    assert all(j.start_time is None for j in trace.jobs)
 
 
 def test_greedy_evaluation_deterministic():
@@ -562,7 +560,8 @@ def test_greedy_evaluation_deterministic():
     b, rb = agent.evaluate(trace.jobs, trace.total_procs, seed=99)
     # greedy ignores the rng: identical schedules either way
     assert ra == rb
-    assert [(j.id, j.start_time) for j in a] == [(j.id, j.start_time) for j in b]
+    assert a.id.tolist() == b.id.tolist()
+    assert a.start.tolist() == b.start.tolist()
 
 
 def test_random_baseline_deterministic():

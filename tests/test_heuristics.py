@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_job
+from helpers import make_job, starts
 from marsched.errors import ContractError
 from marsched.heuristics import (HEURISTIC_KINDS, TIME_INVARIANT_KINDS,
                                  PolicyKind, priority_key, score, sort_key)
@@ -159,8 +159,7 @@ def test_pass_when_best_does_not_fit():
     # rather than skip to the small job, which waits behind it
     result = run_episode([first, big, small], PolicyKind.FCFS,
                          backfill=False, total_procs=8)
-    starts = {j.id: j.start_time for j in result.jobs}
-    assert starts == {1: 0.0, 2: 100.0, 3: 110.0}
+    assert starts(result.schedule) == {1: 0.0, 2: 100.0, 3: 110.0}
     assert shared_select([big, small], 5, PolicyKind.FCFS, free=4) is None
     assert shared_select([big, small], 5, PolicyKind.FCFS, free=8).id == 2
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_finished
+from helpers import make_schedule
 from marsched import metrics
 
 
@@ -105,9 +105,9 @@ def test_validation(bad):
 
 def test_aggregate_known_values():
     # waits 0, 10, 40, 90, 360 over run 10, tau 10
-    jobs = [make_finished(i + 1, submit=0, start=w, run=10, procs=2)
-            for i, w in enumerate([0, 10, 40, 90, 360])]
-    rep = metrics.aggregate(jobs, tau=10.0, policy="x", total_procs=4)
+    schedule = make_schedule([(i + 1, 0, w, 10, 2)
+                              for i, w in enumerate([0, 10, 40, 90, 360])])
+    rep = metrics.aggregate(schedule, tau=10.0, policy="x", total_procs=4)
     expect = np.array([1.0, 2.0, 5.0, 10.0, 37.0])
     assert np.array_equal(rep.bounded, expect)
     assert np.array_equal(rep.slowdowns, expect)
@@ -121,20 +121,19 @@ def test_aggregate_known_values():
 
 
 def test_aggregate_makespan_uses_earliest_submit():
-    jobs = [make_finished(1, submit=100, start=100, run=50),
-            make_finished(2, submit=120, start=160, run=10)]
-    rep = metrics.aggregate(jobs)
+    rep = metrics.aggregate(make_schedule([(1, 100, 100, 50),
+                                           (2, 120, 160, 10)]))
     assert rep.makespan == 70.0   # 170 - 100
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        metrics.aggregate([])
+        metrics.aggregate(make_schedule([]))
 
 
 def test_report_csv_round_trip(tmp_path):
-    jobs = [make_finished(1, 0, 3, 7, procs=3), make_finished(2, 1, 5, 13)]
-    rep = metrics.aggregate(jobs, tau=10.0, policy="fcfs", total_procs=64)
+    schedule = make_schedule([(1, 0, 3, 7, 3), (2, 1, 5, 13)])
+    rep = metrics.aggregate(schedule, tau=10.0, policy="fcfs", total_procs=64)
     path = tmp_path / "report.csv"
     metrics.write_report_csv(path, [rep])
     lines = path.read_text().splitlines()

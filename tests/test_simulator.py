@@ -9,22 +9,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_job, make_trace
+from helpers import ends, make_job, make_trace, starts
 from marsched import heuristics, simulator
 from marsched.agent import make_random_selector
 from marsched.errors import ConfigError, ContractError, SchedulingError
 from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
 from marsched.simulator import (EventKind, Simulation, backfill_easy,
-                                compute_reservation, job_csv_rows,
+                                compute_reservation, format_column,
+                                job_csv_rows,
                                 new_cluster, next_event_time, ready_jobs,
                                 run_episode, schedule_cycle, start_job,
                                 write_jobs_csv)
-from marsched.workload import JobStatus, SyntheticConfig, generate_synthetic
-
-
-def by_id(jobs):
-    return {j.id: j for j in jobs}
+from marsched.workload import SyntheticConfig, generate_synthetic
 
 
 # -- hand-simulated scenarios ------------------------------------------------
@@ -38,19 +37,19 @@ def contended_jobs():
 
 def test_fcfs_no_backfill_hand_case():
     res = run_episode(contended_jobs(), "fcfs", backfill=False, total_procs=4)
-    jobs = by_id(res.jobs)
-    assert jobs[1].start_time == 0
-    assert jobs[2].start_time == 100    # waits for job 1's processors
-    assert jobs[3].start_time == 150    # FCFS order holds without backfill
+    start = starts(res.schedule)
+    assert start[1] == 0
+    assert start[2] == 100              # waits for job 1's processors
+    assert start[3] == 150              # FCFS order holds without backfill
     assert res.stats.backfilled == 0
     assert res.stats.first_blocked_head == 2
 
 
 def test_fcfs_backfill_hand_case():
     res = run_episode(contended_jobs(), "fcfs", backfill=True, total_procs=4)
-    jobs = by_id(res.jobs)
-    assert jobs[3].start_time == 10     # fits the 90s window before the shadow
-    assert jobs[2].start_time == 100    # head start unchanged by the backfill
+    start = starts(res.schedule)
+    assert start[3] == 10               # fits the 90s window before the shadow
+    assert start[2] == 100              # head start unchanged by the backfill
     assert res.stats.backfilled == 1
     assert res.stats.first_blocked_head == 2
 
@@ -62,7 +61,7 @@ def test_first_blocked_head_on_a_full_cluster(policy):
     jobs = [make_job(1, submit=0, run=100, procs=4),
             make_job(2, submit=10, run=10, procs=1)]
     res = run_episode(jobs, policy, backfill=True, total_procs=4)
-    assert by_id(res.jobs)[2].start_time == 100
+    assert starts(res.schedule)[2] == 100
     assert res.stats.first_blocked_head == 2
 
 
@@ -72,9 +71,9 @@ def test_backfill_extra_procs_rule():
             make_job(2, submit=0, run=100, procs=6),
             make_job(3, submit=0, run=500, procs=2)]
     res = run_episode(jobs, "fcfs", backfill=True, total_procs=8)
-    got = by_id(res.jobs)
-    assert got[3].start_time == 0       # 2 <= extra of the (100s, 2 procs) hole
-    assert got[2].start_time == 100     # head starts exactly at its shadow
+    got = starts(res.schedule)
+    assert got[3] == 0                  # 2 <= extra of the (100s, 2 procs) hole
+    assert got[2] == 100                # head starts exactly at its shadow
     assert res.stats.backfilled == 1
 
 
@@ -83,8 +82,7 @@ def test_backfill_rejects_when_both_rules_fail():
             make_job(2, submit=0, run=100, procs=6),
             make_job(3, submit=0, run=500, procs=3)]   # > extra, > window
     res = run_episode(jobs, "fcfs", backfill=True, total_procs=8)
-    got = by_id(res.jobs)
-    assert got[3].start_time == 200     # waits for the head to finish
+    assert starts(res.schedule)[3] == 200   # waits for the head to finish
     assert res.stats.backfilled == 0
 
 
@@ -108,11 +106,9 @@ def test_backfill_shadow_test_is_the_rounded_sum(kind):
     got = run_episode(jobs, kind, total_procs=4, on_event=state_probe([]))
     want = run_episode(jobs, naive_heuristic(kind, True, counts),
                        total_procs=4)
-    assert {j.id: j.start_time for j in got.jobs} == \
-        {j.id: j.start_time for j in want.jobs}
+    assert starts(got.schedule) == starts(want.schedule)
     if kind is PolicyKind.FCFS:
-        starts = {j.id: j.start_time for j in got.jobs}
-        assert starts == {1: 0.0, 2: 128.2, 3: 0.2, 4: 138.2}
+        assert starts(got.schedule) == {1: 0.0, 2: 128.2, 3: 0.2, 4: 138.2}
         assert got.stats.backfilled == 1
 
 
@@ -122,9 +118,8 @@ def test_overrun_job_projected_not_killed():
     jobs = [make_job(1, submit=0, run=100, procs=4, req_time=10),
             make_job(2, submit=20, run=10, procs=4)]
     res = run_episode(jobs, "fcfs", backfill=True, total_procs=4)
-    got = by_id(res.jobs)
-    assert got[1].end_time == 100       # ran to its true runtime
-    assert got[2].start_time == 100
+    assert ends(res.schedule)[1] == 100     # ran to its true runtime
+    assert starts(res.schedule)[2] == 100
 
 
 def test_completion_processed_before_same_time_arrival():
@@ -133,7 +128,7 @@ def test_completion_processed_before_same_time_arrival():
     seen = []
     res = run_episode(jobs, "fcfs", total_procs=2,
                       on_event=lambda state, ev: seen.append(ev))
-    assert by_id(res.jobs)[2].start_time == 10   # freed procs visible at once
+    assert starts(res.schedule)[2] == 10    # freed procs visible at once
     kinds_at_10 = [e.kind for e in seen if e.time == 10]
     assert kinds_at_10 == [EventKind.COMPLETION, EventKind.ARRIVAL]
 
@@ -153,7 +148,7 @@ def test_dependency_gates_start():
             make_job(2, submit=0, run=1, procs=1, deps=(1,))]
     # SJF would prefer job 2, but it is not dependency-ready until t=100
     res = run_episode(jobs, "sjf", total_procs=4)
-    assert by_id(res.jobs)[2].start_time == 100
+    assert starts(res.schedule)[2] == 100
 
 
 def test_sjf_orders_by_requested_time():
@@ -161,10 +156,7 @@ def test_sjf_orders_by_requested_time():
             make_job(2, submit=0, run=90, procs=4, req_time=90),
             make_job(3, submit=0, run=10, procs=4, req_time=10)]
     res = run_episode(jobs, "sjf", total_procs=4)
-    got = by_id(res.jobs)
-    assert got[3].start_time == 0
-    assert got[2].start_time == 10
-    assert got[1].start_time == 100
+    assert starts(res.schedule) == {3: 0, 2: 10, 1: 100}
 
 
 # -- the incremental ready set -------------------------------------------------
@@ -197,10 +189,10 @@ def random_dag(seed, n=40, procs=8):
     return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
 
 
-def check_dependencies_respected(jobs):
-    end = {j.id: j.end_time for j in jobs}
+def check_dependencies_respected(jobs, schedule):
+    start, end = starts(schedule), ends(schedule)
     for j in jobs:
-        assert all(j.start_time >= end[d] for d in j.dependencies)
+        assert all(start[j.id] >= end[d] for d in j.dependencies)
 
 
 def test_ready_set_keeps_arrival_order_when_deps_finish_out_of_order():
@@ -225,8 +217,8 @@ def test_ready_set_matches_rescan_on_dags(kind, backfill):
         seen = []
         res = run_episode(jobs, kind, backfill=backfill, total_procs=procs,
                           on_event=ready_probe(seen))
-        assert len(res.jobs) == len(jobs) and seen
-        check_dependencies_respected(res.jobs)
+        assert len(res.schedule) == len(jobs) and seen
+        check_dependencies_respected(jobs, res.schedule)
 
 
 def test_ready_set_matches_rescan_under_random_selector():
@@ -236,8 +228,8 @@ def test_ready_set_matches_rescan_under_random_selector():
         selector = make_random_selector(np.random.default_rng(seed), slots=4)
         res = run_episode(jobs, selector, total_procs=procs,
                           on_event=ready_probe(seen))
-        assert len(res.jobs) == len(jobs) and seen
-        check_dependencies_respected(res.jobs)
+        assert len(res.schedule) == len(jobs) and seen
+        check_dependencies_respected(jobs, res.schedule)
 
 
 # -- differential check against a naive heuristic cycle -----------------------
@@ -246,7 +238,7 @@ def naive_reservation(state, head):
     """The head's (shadow, extra), rebuilt from the running set."""
     releases = {}
     for job in state.running.values():
-        t = max(job.start_time + job.requested_time, state.clock)
+        t = max(state.start[job.id] + job.requested_time, state.clock)
         releases[t] = releases.get(t, 0) + job.requested_procs
     avail = state.free_procs
     for t in sorted(releases):
@@ -275,7 +267,7 @@ def naive_heuristic(kind, backfill, counts):
         if not backfill:
             return None
         shadow, extra = naive_reservation(state, head)
-        if any(j.start_time + j.requested_time < clock
+        if any(state.start[j.id] + j.requested_time < clock
                for j in state.running.values()):
             counts["clamped"] += 1
         for cand in queue[1:]:
@@ -324,7 +316,7 @@ def state_probe(events, backfill=True):
             assert state.by_procs is None and state.proc_counts is None
             return
         assert state.releases == sorted(
-            (j.start_time + j.requested_time, j.id, j.requested_procs)
+            (state.start[j.id] + j.requested_time, j.id, j.requested_procs)
             for j in state.running.values())
         if state.rank_key is None:
             assert not state.by_procs and not state.proc_counts
@@ -356,11 +348,10 @@ def test_heuristic_cycle_matches_naive_reference(kind, backfill):
         want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
                            total_procs=procs)
         assert want.stats.forced_starts == 0
-        assert {j.id: j.start_time for j in got.jobs} == \
-            {j.id: j.start_time for j in want.jobs}, seed
+        assert starts(got.schedule) == starts(want.schedule), seed
         assert got.stats.started == len(jobs)
         assert got.stats.backfilled == counts["backfilled"] - backfilled
-        check_dependencies_respected(got.jobs)
+        check_dependencies_respected(jobs, got.schedule)
         kinds_at = {}
         for e in events:
             kinds_at.setdefault(e.time, set()).add(e.kind)
@@ -409,8 +400,7 @@ def test_aging_cycle_on_a_full_cluster_matches_naive_reference(kind,
         want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
                            total_procs=procs)
         assert want.stats.forced_starts == 0
-        assert {j.id: j.start_time for j in got.jobs} == \
-            {j.id: j.start_time for j in want.jobs}, seed
+        assert starts(got.schedule) == starts(want.schedule), seed
         assert got.stats.started == len(jobs)
         assert got.stats.backfilled == counts["backfilled"] - backfilled
     assert full                 # cycles with no free processor occurred
@@ -478,7 +468,7 @@ def test_bare_list_job_without_processors_rejected(procs):
     with pytest.raises(ContractError, match="job 2"):
         run_episode(jobs, "wfp3", total_procs=4)
     with pytest.raises(ContractError):
-        Simulation([j.fresh_copy() for j in jobs], 4)
+        Simulation(jobs, 4)
 
 
 # -- primitive contracts ------------------------------------------------------
@@ -497,7 +487,7 @@ def test_start_job_rejects_and_raises():
 
 def test_schedule_cycle_contract_errors():
     jobs = [make_job(1, submit=0, run=10, procs=8)]
-    sim = Simulation([j.fresh_copy() for j in jobs], 4)
+    sim = Simulation(jobs, 4)
     sim.state.clock = 0.0
     sim.state.pending[1] = sim.state.arrivals[0]
     sim.state.next_arrival = 1
@@ -523,11 +513,13 @@ def test_oversized_job_is_a_scheduling_error():
 def test_forced_start_breaks_selector_stall():
     jobs = [make_job(1, submit=0, run=10, procs=1),
             make_job(2, submit=0, run=10, procs=1)]
-    sim = Simulation([j.fresh_copy() for j in jobs], 4)
+    sim = Simulation(jobs, 4)
     finished = sim.run(lambda state: None)          # policy always passes
     assert len(finished) == 2
     assert sim.stats.forced_starts == 2
-    assert all(j.status is JobStatus.FINISHED for j in finished)
+    # each job finished once; the second waits for the first to end
+    assert finished.id.tolist() == [1, 2]
+    assert starts(finished) == {1: 0.0, 2: 10.0}
 
 
 def test_run_episode_bare_list_needs_procs():
@@ -553,16 +545,20 @@ def conservation_check(trace, policy, backfill=True):
         probes.append(event)
 
     res = run_episode(trace, policy, backfill=backfill, on_event=probe)
-    jobs = res.jobs
-    assert len(jobs) == len(trace.jobs)
-    assert {j.id for j in jobs} == {j.id for j in trace.jobs}
+    sched = res.schedule
+    assert len(sched) == len(trace.jobs)
+    assert sorted(sched.id.tolist()) == sorted(j.id for j in trace.jobs)
+    inputs = {j.id: j for j in trace.jobs}
     deltas = []
-    for j in jobs:
-        assert j.status is JobStatus.FINISHED
-        assert j.start_time is not None and j.start_time >= j.submit_time
-        assert j.end_time == j.start_time + j.run_time
-        deltas.append((j.start_time, 1, j.requested_procs))
-        deltas.append((j.end_time, 0, -j.requested_procs))
+    for jid, submit, start, run, procs in zip(
+            sched.id.tolist(), sched.submit.tolist(), sched.start.tolist(),
+            sched.run.tolist(), sched.procs.tolist()):
+        j = inputs[jid]
+        assert (submit, run, procs) == \
+            (j.submit_time, j.run_time, j.requested_procs)
+        assert math.isfinite(start) and start >= submit
+        deltas.append((start, 1, procs))
+        deltas.append((start + run, 0, -procs))
     # sweep with releases applied before same-time starts
     used = 0
     for _, _, d in sorted(deltas, key=lambda x: (x[0], x[1])):
@@ -600,8 +596,7 @@ def test_backfill_never_delays_head_with_exact_estimates():
         if head is None:
             continue
         assert on.stats.first_blocked_head == head
-        assert by_id(on.jobs)[head].start_time <= \
-            by_id(off.jobs)[head].start_time
+        assert starts(on.schedule)[head] <= starts(off.schedule)[head]
         checked += 1
     assert checked >= 10    # the configs above produce real contention
 
@@ -612,20 +607,75 @@ def test_deterministic_reruns():
     trace = generate_synthetic(cfg)
     a = run_episode(trace, "unicef")
     b = run_episode(trace, "unicef")
-    assert [(j.id, j.start_time) for j in a.jobs] == \
-           [(j.id, j.start_time) for j in b.jobs]
+    assert a.schedule.id.tolist() == b.schedule.id.tolist()
+    assert a.schedule.start.tolist() == b.schedule.start.tolist()
     assert a.report.mean_bounded == b.report.mean_bounded
-    # the trace itself is untouched by the runs
-    assert all(j.start_time is None for j in trace.jobs)
 
 
 def test_jobs_csv_output(tmp_path):
     res = run_episode(contended_jobs(), "fcfs", total_procs=4)
-    rows = job_csv_rows(res.jobs, "fcfs")
-    assert [r[0] for r in rows] == ["1", "2", "3"]   # sorted by id
+    rows = job_csv_rows([res])
+    assert [r.split(",")[0] for r in rows] == ["1", "2", "3"]   # sorted by id
     path = tmp_path / "jobs.csv"
     write_jobs_csv(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("id,submit_time,start_time")
     assert len(lines) == 4
     assert lines[1].split(",")[-1] == "fcfs"
+
+
+
+def test_jobs_csv_ids_beyond_int64():
+    # the line-by-line SWF parser accepts any positive integral id; such an
+    # id keeps its exact digits and its place in the id order
+    big = 10 ** 19
+    jobs = [make_job(big, submit=0, run=10), make_job(3, submit=1, run=5),
+            make_job(2 ** 100, submit=2, run=1)]
+    res = run_episode(jobs, "fcfs", total_procs=2)
+    assert [r.split(",")[0] for r in job_csv_rows([res])] == \
+        ["3", str(big), str(2 ** 100)]
+    assert starts(res.schedule) == {big: 0.0, 3: 1.0, 2 ** 100: 6.0}
+
+# -- jobs.csv number text, against the per-value rule it replaced ---------------
+
+def per_value_text(x: float) -> str:
+    """The oracle: jobs.csv's text of one number, value by value."""
+    xi = int(x)
+    return str(xi) if x == xi else repr(float(x))
+
+
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 0.1, 2.5, float(2 ** 53 - 1),
+         float(2 ** 53), float(2 ** 53 + 1), float(2 ** 53 + 2),
+         math.nextafter(2.0 ** 63, 0), 2.0 ** 63, -2.0 ** 63,
+         math.nextafter(-2.0 ** 63, 0), 1e300, -1e300, 1e18, 9.3e18]
+INTEGRAL = st.one_of(st.sampled_from([x for x in EDGES if x == int(x)]),
+                     st.integers(-2 ** 70, 2 ** 70).map(float),
+                     st.integers(-10 ** 6, 10 ** 6).map(float))
+FINITE = st.one_of(INTEGRAL, st.sampled_from(EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(INTEGRAL, max_size=30),
+                 st.lists(FINITE, max_size=30)))
+def test_format_column_equals_per_value_rule(values):
+    column = np.array(values, dtype=float)
+    assert format_column(column) == [per_value_text(x) for x in values]
+
+
+@pytest.mark.parametrize("values", [
+    [2.0 ** 63], [1.0, 2.0 ** 63], [-2.0 ** 63, 3.0], [1e300, 0.0],
+    [-1e300], [float(2 ** 64)]])
+def test_format_column_guards_int64_range(values):
+    # every value is integral, so only the magnitude guard keeps these off
+    # the int64 path, where they would not convert exactly
+    column = np.array(values, dtype=float)
+    assert format_column(column) == [per_value_text(x) for x in values]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_format_column_raises_as_the_per_value_rule(bad):
+    with pytest.raises(Exception) as want:
+        per_value_text(bad)
+    with pytest.raises(want.type):
+        format_column(np.array([1.0, bad]))

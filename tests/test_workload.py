@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import make_job, make_trace
 from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
-from marsched.workload import (Job, JobStatus, SyntheticConfig,
+from marsched.workload import (Job, SyntheticConfig,
                                WorkloadTrace, _truncated_gauss, assign_costs,
                                generate_synthetic, parse_swf, parse_workflow,
                                slice_trace, write_swf)
@@ -317,22 +317,16 @@ def test_synthetic_negative_seed_rejected():
         generate_synthetic(SyntheticConfig(job_count=5, seed=-1))
 
 
-def test_fresh_copy_resets_the_outcome_only():
-    job = make_job(7, submit=3, run=20, procs=2, req_time=40, cost=1.5,
-                   deps=(1, 2))
-    job.status, job.start_time = JobStatus.FINISHED, 9.0
-    assert job.fresh_copy() == dataclasses.replace(
-        job, status=JobStatus.PENDING, start_time=None)
-    assert job.fresh_copy(submit_time=0.0) == dataclasses.replace(
-        job, submit_time=0.0, status=JobStatus.PENDING, start_time=None)
-    assert job.status is JobStatus.FINISHED
-
-
 def test_slice_contiguous_rebased():
-    trace = make_trace([make_job(i, 10 * i, 5) for i in (1, 2, 3, 4)], 8)
+    trace = make_trace([make_job(i, 10 * i, 5 + i, procs=i, req_time=9 * i,
+                                 cost=0.5 * i, deps=range(1, i))
+                        for i in (1, 2, 3, 4)], 8)
     part = slice_trace(trace, 1, 2)
     assert [j.id for j in part.jobs] == [2, 3]
     assert [j.submit_time for j in part.jobs] == [0.0, 10.0]
+    # every other field is the source job's
+    assert part.jobs == [dataclasses.replace(j, submit_time=j.submit_time - 20)
+                         for j in trace.jobs[1:3]]
     # slicing never mutates the source
     assert [j.submit_time for j in trace.jobs] == [10.0, 20.0, 30.0, 40.0]
 

@@ -46,7 +46,7 @@ def best_heuristic(trace, tau: float, backfill: bool) -> tuple[str, float]:
     scores = []
     for kind in HEURISTIC_KINDS:
         result = simulator.run_episode(trace, kind.value, backfill=backfill)
-        scores.append((agent.episode_reward(result.jobs, tau), kind.value))
+        scores.append((agent.episode_reward(result.schedule, tau), kind.value))
     reward, name = max(scores)
     return name, reward
 

@@ -1,7 +1,7 @@
 """Scaling table of the simulator and the agent: seconds per run by job count.
 
     python3 tools/scaling.py --checkout parent=../marsched-parent \
-        --checkout change=. --out BENCH_15.json
+        --checkout change=. --out BENCH_16.json
 
 A ``parse`` row writes the synthetic trace below to an SWF file (untimed)
 and times ``workload.load_swf`` of it. A ``costs`` row loads that file
@@ -11,6 +11,10 @@ the agent.
 A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
 jobs/s, seed 1, so the ready queue grows with the job count) under one
 policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
+A ``cli simulate`` row writes that trace to an SWF file (untimed) and times
+the whole ``cli.main simulate`` of it in-process (parse, run, metrics and
+the jobs.csv and report.csv writes); its output is the sha256 of the two
+files.
 The agent's rows use c08's job mix (32 processors, runtimes 5-10000 s, exact
 estimates) and the benchmark's training settings: a ``train`` row times
 ``agent.train`` for a few epochs on a trace at 0.005 jobs/s and reports
@@ -24,7 +28,8 @@ on one thread, and the checkouts take turns run by run, so a slow stretch of
 a shared machine hits them alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
-and start times), the parsed trace (every job's fields, the dropped jobs and the
+and start times, read from the finished jobs or from the run's columns,
+whichever layout the checkout returns), the output files, the parsed trace (every job's fields, the dropped jobs and the
 line errors), the drawn cost rates (of the sorted job ids and cost
 rates), the training curve's rewards or the bytes of every array of the
 model read back. A row is ``"resolved": false`` when
@@ -40,8 +45,10 @@ numpy only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
 import platform
@@ -55,6 +62,7 @@ import time
 ROWS = (("parse", (1000, 4000, 16000)),
         ("costs", (1000, 4000, 16000)),
         ("simulate fcfs off", (1000, 4000, 16000)),
+        ("cli simulate fcfs off", (1000, 4000, 16000)),
         ("simulate sjf off", (1000, 4000, 16000)),
         ("simulate fcfs on", (1000, 4000)),
         ("simulate sjf on", (1000, 4000, 16000)),
@@ -76,8 +84,20 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _schedule(jobs) -> str:
-    return _digest(sorted((j.id, j.start_time) for j in jobs))
+def _schedule(finished) -> str:
+    """Digest of a run's sorted (id, start time) pairs; ``finished`` is the
+    run's columns, or a list of finished jobs that hold their start times."""
+    if hasattr(finished, "start"):
+        pairs = zip(finished.id.tolist(), finished.start.tolist())
+    else:
+        pairs = ((j.id, j.start_time) for j in finished)
+    return _digest(sorted(pairs))
+
+
+def _run_schedule(result) -> str:
+    """``_schedule`` of a ``RunResult`` in either layout."""
+    return _schedule(result.schedule if hasattr(result, "schedule")
+                     else result.jobs)
 
 
 def worker(row: str, jobs: int) -> dict:
@@ -111,7 +131,27 @@ def worker(row: str, jobs: int) -> dict:
         result = simulator.run_episode(trace, policy,
                                        backfill=backfill == "on")
         return {"seconds": time.perf_counter() - t0,
-                "output": _schedule(result.jobs)}
+                "output": _run_schedule(result)}
+    if kind == "cli":
+        from marsched import cli
+        command, policy, backfill = setting
+        cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.swf")
+            workload.write_swf(path, workload.generate_synthetic(cfg))
+            argv = [command, "--trace", path, "--policy", policy,
+                    "--backfill", backfill, "--out", tmp]
+            with contextlib.redirect_stdout(io.StringIO()):
+                t0 = time.perf_counter()
+                code = cli.main(argv)
+                seconds = time.perf_counter() - t0
+            if code != 0:
+                raise SystemExit(f"{row}: exit code {code}")
+            digest = hashlib.sha256()
+            for name in ("jobs.csv", "report.csv"):
+                with open(os.path.join(tmp, name), "rb") as fp:
+                    digest.update(fp.read())
+        return {"seconds": seconds, "output": digest.hexdigest()}
 
     def c08(count, rate):
         return workload.generate_synthetic(workload.SyntheticConfig(
@@ -235,6 +275,8 @@ def main(argv=None) -> int:
               "timed": {"parse": "workload.load_swf",
                         "costs": "workload.assign_costs",
                         "simulate": "simulator.run_episode",
+                        "cli simulate": "cli.main simulate: parse, run, "
+                                        "metrics, jobs.csv and report.csv",
                         "train": "agent.train, per epoch",
                         "evaluate": "MarsAgent.run_collect, greedy",
                         "model io": "agent.save_model + agent.load_model"},
