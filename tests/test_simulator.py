@@ -624,7 +624,6 @@ def test_jobs_csv_output(tmp_path):
     assert lines[1].split(",")[-1] == "fcfs"
 
 
-
 def test_jobs_csv_ids_beyond_int64():
     # the line-by-line SWF parser accepts any positive integral id; such an
     # id keeps its exact digits and its place in the id order
@@ -635,6 +634,7 @@ def test_jobs_csv_ids_beyond_int64():
     assert [r.split(",")[0] for r in job_csv_rows([res])] == \
         ["3", str(big), str(2 ** 100)]
     assert starts(res.schedule) == {big: 0.0, 3: 1.0, 2 ** 100: 6.0}
+
 
 # -- jobs.csv number text, against the per-value rule it replaced ---------------
 

@@ -29,10 +29,10 @@ a shared machine hits them alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
 and start times, read from the finished jobs or from the run's columns,
-whichever layout the checkout returns), the output files, the parsed trace (every job's fields, the dropped jobs and the
-line errors), the drawn cost rates (of the sorted job ids and cost
-rates), the training curve's rewards or the bytes of every array of the
-model read back. A row is ``"resolved": false`` when
+whichever layout the checkout returns), the output files, the parsed
+trace (every job's input fields, the dropped jobs and the line errors),
+the drawn cost rates (of the sorted job ids and cost rates), the training
+curve's rewards or the bytes of every array of the model read back. A row is ``"resolved": false`` when
 the checkouts' medians differ by less than the first checkout's spread:
 the run-to-run noise is then as large as the difference, which says
 nothing about which checkout is faster. With one checkout no row is
@@ -84,6 +84,12 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def _fields(job) -> tuple:
+    """A job's input fields, in every checkout's ``Job`` layout."""
+    return (job.id, job.submit_time, job.run_time, job.requested_procs,
+            job.requested_time, job.cost_rate, job.dependencies)
+
+
 def _schedule(finished) -> str:
     """Digest of a run's sorted (id, start time) pairs; ``finished`` is the
     run's columns, or a list of finished jobs that hold their start times."""
@@ -115,7 +121,7 @@ def worker(row: str, jobs: int) -> dict:
             seconds = time.perf_counter() - t0
         if kind == "parse":
             return {"seconds": seconds,
-                    "output": _digest(([repr(j) for j in trace.jobs],
+                    "output": _digest(([_fields(j) for j in trace.jobs],
                                        trace.dropped_jobs,
                                        trace.line_errors))}
         t0 = time.perf_counter()
