@@ -1,8 +1,8 @@
 """Actor-critic scheduling agent.
 
-State: a fixed window of the dependency-ready queue (slots x 4 job features,
-zero-padded) plus two cluster features. Actions: start the job in one visible
-slot, or pass. Rewards: 0 every step, minus the average bounded slowdown at
+State: a fixed window of the ready queue (slots x 4 job features, zero-padded)
+plus two cluster features. Actions: start the job in one visible slot, or
+pass. Rewards: 0 every step, minus the average bounded slowdown at
 episode end, so maximizing reward minimizes the headline metric.
 
 Cost handling is two-sided: at evaluation time the post-softmax probabilities

@@ -22,7 +22,7 @@ from .agent import (Hyperparameters, MarsAgent, ModelVersions,
                     episode_reward, load_model, new_model, save_model, train)
 from .config import (ENV_CONFIG, Settings, as_bool, as_float, as_int,
                      load_config)
-from .errors import (ConfigError, ContractError, DagError, ModelFormatError,
+from .errors import (ConfigError, ContractError, ModelFormatError,
                      SchedulingError, TraceFormatError, TrainingDiverged)
 from .heuristics import HEURISTIC_KINDS, PolicyKind
 from .metrics import DEFAULT_TAU
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     try:
         settings = Settings(load_config(getattr(args, "config", None)))
         return args.func(args, settings)
-    except (ConfigError, TraceFormatError, DagError, ModelFormatError) as exc:
+    except (ConfigError, TraceFormatError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SchedulingError, TrainingDiverged, ContractError) as exc:

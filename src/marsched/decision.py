@@ -13,7 +13,6 @@ import numpy as np
 
 from . import metrics
 from .agent import Hyperparameters, MarsAgent, train
-from .dag import split_workload
 from .errors import ConfigError
 from .heuristics import PolicyKind
 from .metrics import DEFAULT_TAU
@@ -60,6 +59,17 @@ class Plan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def split_workload(jobs: list, max_size: int) -> list[list]:
+    """Halve recursively (first half gets the ceiling) until chunks fit max_size."""
+    if max_size < 1:
+        raise ConfigError(f"max_size must be >= 1, got {max_size}")
+    jobs = list(jobs)
+    if len(jobs) <= max_size:
+        return [jobs]
+    mid = (len(jobs) + 1) // 2
+    return split_workload(jobs[:mid], max_size) + split_workload(jobs[mid:], max_size)
 
 
 def decide(current: list[Job], nxt: list[Job] | None = None,

@@ -14,11 +14,7 @@ class ConfigError(MarschedError):
 
 
 class TraceFormatError(MarschedError):
-    """Unrecoverable problem with a trace or workflow description file."""
-
-
-class DagError(MarschedError):
-    """Workflow graph violates a structural requirement (cycle, unknown id)."""
+    """Unrecoverable problem with a trace file."""
 
 
 class ContractError(MarschedError):

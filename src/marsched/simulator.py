@@ -21,16 +21,12 @@ heuristic with backfill on) keeps the release profile
 selector runs included, they are None and no start or completion pays for
 them.
 
-Ready set. ``ClusterState.ready`` holds the dependency-ready pending jobs in
-arrival order, and the events keep it current: a job enters when it arrives
-with its dependencies finished, or when its last unfinished dependency
-completes (it then takes its arrival position); it leaves when it starts.
-``ready_jobs`` returns it without rescanning ``pending``, and ``start_job``
-and ``backfill_easy`` test membership in it. Jobs without dependencies, which
-is every SWF job, enter on arrival, so for them pending equals ready.
+Ready set. ``ClusterState.ready`` holds the waiting jobs in arrival order:
+a job enters when it arrives and leaves when it starts. ``ready_jobs``
+returns it, and ``start_job`` and ``backfill_easy`` test membership in it.
 
-Heuristic cycle. Within a cycle the clock and the finished set are fixed,
-so every score is fixed, and the order (score, submit time, id) of
+Heuristic cycle. Within a cycle the clock is fixed, so every score is
+fixed, and the order (score, submit time, id) of
 ``heuristics.priority_key`` is total. Starting a job only removes it from
 that order; the others keep theirs. So taking the minimum again after every
 start starts exactly the jobs a full re-sort would. The kinds whose score
@@ -108,7 +104,7 @@ from . import heuristics, metrics
 from .errors import ConfigError, ContractError, SchedulingError
 from .heuristics import PolicyKind
 from .metrics import DEFAULT_TAU, MetricsReport, Schedule
-from .workload import Job, WorkloadTrace
+from .workload import Job, WorkloadTrace, format_column
 
 
 class EventKind(enum.IntEnum):
@@ -127,15 +123,11 @@ class ClusterState:
     total_procs: int
     free_procs: int
     clock: float = 0.0
-    pending: dict[int, Job] = field(default_factory=dict)     # arrival order
     ready: dict[int, Job] = field(default_factory=dict)       # arrival order
-    unmet: dict[int, int] = field(default_factory=dict)       # id -> unfinished deps
-    dependents: dict[int, list[Job]] = field(default_factory=dict)  # dep id -> waiters
     running: dict[int, Job] = field(default_factory=dict)
     start: dict[int, float] = field(default_factory=dict)     # id -> start time
     run_heap: list[tuple[float, int]] = field(default_factory=list)
     finished: list[Job] = field(default_factory=list)
-    finished_ids: set[int] = field(default_factory=set)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
     # time-invariant kinds: rank_key is the priority rank, and rank_heap
@@ -178,18 +170,14 @@ def new_cluster(total_procs: int, arrivals: list[Job] | None = None) -> ClusterS
 
 
 def deps_met(state: ClusterState, job: Job) -> bool:
-    if not job.dependencies:
-        return True
-    return all(d in state.finished_ids for d in job.dependencies)
+    """True: a job waits for nothing but processors. Nothing calls it;
+    bench/tracing.py patches it by name."""
+    return True
 
 
 def ready_jobs(state: ClusterState) -> list[Job]:
-    """Dependency-ready pending jobs, in arrival order."""
+    """The waiting jobs, in arrival order."""
     return list(state.ready.values())
-
-
-def _arrival_key(job: Job) -> tuple[float, int]:
-    return job.submit_time, job.id
 
 
 def _index_ready(state: ClusterState, job: Job) -> None:
@@ -221,31 +209,14 @@ def _unindex_started(state: ClusterState, job: Job) -> None:
             bucket, (job.requested_time, state.rank_key(job)))]
 
 
-def _release_dependents(state: ClusterState, job: Job) -> None:
-    """Count the finished job off its dependents; the last one makes them ready."""
-    for dep in state.dependents.pop(job.id, ()):
-        state.unmet[dep.id] -= 1
-        if state.unmet[dep.id]:
-            continue
-        del state.unmet[dep.id]
-        last = next(reversed(state.ready.values()), None)
-        state.ready[dep.id] = dep
-        if state.rank_key is not None:
-            _index_ready(state, dep)
-        if last is not None and _arrival_key(dep) < _arrival_key(last):
-            state.ready = dict(sorted(state.ready.items(),
-                                      key=lambda item: _arrival_key(item[1])))
-
-
 def start_job(state: ClusterState, job: Job, now: float) -> bool:
-    """Start a pending job; False means rejection (retry later), not an error."""
-    if job.id not in state.pending:
-        raise ContractError(f"job {job.id} is not pending")
+    """Start a ready job; False means rejection (retry later), not an error."""
+    if job.id not in state.ready:
+        raise ContractError(f"job {job.id} is not ready")
     if now < job.submit_time:
         raise ContractError(f"job {job.id} cannot start before submission")
-    if job.requested_procs > state.free_procs or job.id not in state.ready:
+    if job.requested_procs > state.free_procs:
         return False
-    del state.pending[job.id]
     del state.ready[job.id]
     state.start[job.id] = now
     state.free_procs -= job.requested_procs
@@ -282,25 +253,15 @@ def advance_to_next_event(state: ClusterState) -> tuple[EventKind, int]:
                 releases, (state.start[jid] + job.requested_time, jid))]
         state.free_procs += job.requested_procs
         state.finished.append(job)
-        state.finished_ids.add(jid)
-        if state.dependents:
-            _release_dependents(state, job)
         return EventKind.COMPLETION, jid
     job = arriving
     if job is None:
         raise SchedulingError("no future events")
     state.clock = job.submit_time
     state.next_arrival += 1
-    state.pending[job.id] = job
-    if deps_met(state, job):
-        state.ready[job.id] = job       # every ready job arrived before it
-        if state.rank_key is not None:
-            _index_ready(state, job)
-    else:
-        waiting_on = {d for d in job.dependencies if d not in state.finished_ids}
-        state.unmet[job.id] = len(waiting_on)
-        for d in waiting_on:
-            state.dependents.setdefault(d, []).append(job)
+    state.ready[job.id] = job
+    if state.rank_key is not None:
+        _index_ready(state, job)
     return EventKind.ARRIVAL, job.id
 
 
@@ -311,13 +272,13 @@ def schedule_cycle(state: ClusterState, selector) -> list[int]:
         choice = selector(state)
         if choice is None:
             return started
-        job = state.pending.get(choice)
+        job = state.ready.get(choice)
         if job is None:
-            raise ContractError(f"selector returned non-pending job id {choice}")
+            raise ContractError(f"selector returned non-ready job id {choice}")
         if not start_job(state, job, state.clock):
             raise ContractError(
-                f"selector chose job {choice} which cannot start "
-                f"(procs or dependencies)")
+                f"selector chose job {choice}, which needs more processors "
+                f"than are free")
         started.append(choice)
 
 
@@ -501,17 +462,13 @@ class Simulation:
         """
         state = self.state
         ready = ready_jobs(state)
-        if not ready:
+        job = next((j for j in ready if j.requested_procs <= state.free_procs),
+                   None)
+        if job is None:
             raise SchedulingError(
-                "pending jobs remain but none is dependency-ready: "
-                f"stuck ids {sorted(state.pending)}")
-        fitting = [j for j in ready if j.requested_procs <= state.free_procs]
-        if not fitting:
-            worst = min(ready, key=lambda j: (j.submit_time, j.id))
-            raise SchedulingError(
-                f"job {worst.id} requests {worst.requested_procs} processors, "
-                f"system has {state.total_procs}: it can never start")
-        job = min(fitting, key=lambda j: (j.submit_time, j.id))
+                f"job {ready[0].id} requests {ready[0].requested_procs} "
+                f"processors, system has {state.total_procs}: it can never "
+                f"start")
         start_job(state, job, state.clock)
         self.stats.started += 1
         self.stats.forced_starts += 1
@@ -554,9 +511,9 @@ class Simulation:
             schedule()
             t = next_event_time(state)
             if t == math.inf:
-                if not state.pending:
+                if not state.ready:
                     raise SchedulingError(
-                        "event loop stalled with no pending jobs")
+                        "event loop stalled with no ready jobs")
                 self._force_start_one()
                 continue
             while True:
@@ -621,16 +578,6 @@ def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
 
 JOBS_CSV_COLUMNS = ["id", "submit_time", "start_time", "end_time",
                     "wait_time", "procs", "policy"]
-
-
-def format_column(values: np.ndarray) -> list[str]:
-    """The jobs.csv text of a float column: ``str(int(x))`` for an integral
-    value, ``repr(x)`` otherwise; in one int64 pass when every value is
-    integral and below 2**63 in magnitude, so converts exactly."""
-    if (np.abs(values) < 2.0 ** 63).all() and (np.trunc(values) == values).all():
-        return list(map(str, values.astype(np.int64).tolist()))
-    return [str(xi) if x == (xi := int(x)) else repr(x)
-            for x in values.tolist()]
 
 
 def job_csv_rows(results: list[RunResult]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Workload ingestion: SWF traces, workflow descriptions, synthetic generation.
+"""Workload ingestion: SWF traces and synthetic generation.
 
 SWF here means the Standard Workload Format v2.2 used by the parallel
 workloads archive: ';' comment/header lines, then one job per line with 18
@@ -31,7 +31,6 @@ class Job:
     requested_procs: int       # n_t
     requested_time: float      # r_t, user estimate
     cost_rate: float = 0.0     # currency per processor-second
-    dependencies: tuple[int, ...] = ()
 
     def validate(self) -> None:
         if self.id < 1:
@@ -289,22 +288,32 @@ def load_swf(path, name: str | None = None) -> WorkloadTrace:
     return parse_swf(text, name=name if name is not None else str(path))
 
 
-def _fmt_num(x: float) -> str:
-    xi = int(x)
-    return str(xi) if x == xi else repr(float(x))
+def format_column(values: np.ndarray) -> list[str]:
+    """The SWF and jobs.csv text of a float column: ``str(int(x))`` for an
+    integral value, ``repr(x)`` otherwise; in one int64 pass when every value
+    is integral and below 2**63 in magnitude, so converts exactly."""
+    if (np.abs(values) < 2.0 ** 63).all() and (np.trunc(values) == values).all():
+        return list(map(str, values.astype(np.int64).tolist()))
+    return [str(xi) if x == (xi := int(x)) else repr(x)
+            for x in values.tolist()]
 
 
 def write_swf(path, trace: WorkloadTrace) -> None:
     """Serialize a trace to SWF; parse_swf(write_swf(t)) is field-equal to t."""
+    jobs = trace.jobs
+    submit, run, requested = (
+        format_column(np.array([getattr(j, name) for j in jobs], dtype=float))
+        for name in ("submit_time", "run_time", "requested_time"))
     lines = [f"; MaxProcs: {trace.total_procs}"]
-    for j in trace.jobs:
+    for j, submit_text, run_text, requested_text in zip(jobs, submit, run,
+                                                          requested):
         fields = ["-1"] * SWF_FIELD_COUNT
         fields[SwfField.JOB_ID] = str(j.id)
-        fields[SwfField.SUBMIT_TIME] = _fmt_num(j.submit_time)
-        fields[SwfField.RUN_TIME] = _fmt_num(j.run_time)
+        fields[SwfField.SUBMIT_TIME] = submit_text
+        fields[SwfField.RUN_TIME] = run_text
         fields[SwfField.ALLOCATED_PROCS] = str(j.requested_procs)
         fields[SwfField.REQUESTED_PROCS] = str(j.requested_procs)
-        fields[SwfField.REQUESTED_TIME] = _fmt_num(j.requested_time)
+        fields[SwfField.REQUESTED_TIME] = requested_text
         fields[SwfField.STATUS] = "1"
         lines.append(" ".join(fields))
     with open(path, "w") as fp:
@@ -491,50 +500,8 @@ def slice_trace(trace: WorkloadTrace, start_index: int,
     label = f"{trace.name}[{start_index}:{start_index + count}]"
     base = selected[0].submit_time if selected else 0.0
     rebased = [Job(j.id, j.submit_time - base, j.run_time, j.requested_procs,
-                   j.requested_time, j.cost_rate, j.dependencies)
+                   j.requested_time, j.cost_rate)
                for j in selected]
     out = WorkloadTrace(jobs=rebased, total_procs=trace.total_procs, name=label)
     out.validate()
     return out
-
-
-def parse_workflow(text: str) -> list[Job]:
-    """Parse the simplified workflow description format.
-
-    One task per line: ``<id> <label> <cores> <runtime> [dep,dep,...]``,
-    '#' comments. Runtime is the estimate; it doubles as the simulated
-    runtime since workflows carry no post-hoc measurement.
-    """
-    jobs: list[Job] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) not in (4, 5):
-            raise TraceFormatError(
-                f"workflow line {lineno}: expected 'id label cores runtime [deps]', "
-                f"got {len(tokens)} fields")
-        try:
-            task_id = int(tokens[0])
-            cores = int(tokens[2])
-            runtime = float(tokens[3])
-            deps: tuple[int, ...] = ()
-            if len(tokens) == 5:
-                deps = tuple(int(d) for d in tokens[4].split(",") if d)
-        except ValueError as exc:
-            raise TraceFormatError(f"workflow line {lineno}: {exc}") from exc
-        job = Job(id=task_id, submit_time=0.0, run_time=runtime,
-                  requested_procs=cores, requested_time=runtime,
-                  dependencies=deps)
-        job.validate()
-        jobs.append(job)
-    ids = {j.id for j in jobs}
-    if len(ids) != len(jobs):
-        raise TraceFormatError("workflow has duplicate task ids")
-    for j in jobs:
-        missing = [d for d in j.dependencies if d not in ids]
-        if missing:
-            raise TraceFormatError(f"task {j.id} depends on unknown task(s) {missing}")
-    return jobs
-

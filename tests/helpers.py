@@ -13,12 +13,11 @@ def sha256(path) -> str:
         return hashlib.sha256(fp.read()).hexdigest()
 
 
-def make_job(id, submit=0.0, run=100.0, procs=1, req_time=None, cost=0.0,
-             deps=()):
+def make_job(id, submit=0.0, run=100.0, procs=1, req_time=None, cost=0.0):
     return Job(id=id, submit_time=float(submit), run_time=float(run),
                requested_procs=int(procs),
                requested_time=float(req_time if req_time is not None else run),
-               cost_rate=float(cost), dependencies=tuple(deps))
+               cost_rate=float(cost))
 
 
 def make_schedule(rows):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import make_job
 from marsched.agent import Hyperparameters, MarsAgent
 from marsched.decision import (DEFAULT_MAX, DEFAULT_MEDIAN, DEFAULT_MIN,
-                               Thresholds, decide, run_plan)
+                               Thresholds, decide, run_plan, split_workload)
 from marsched.errors import ConfigError
 from marsched.heuristics import PolicyKind
 from marsched.workload import SyntheticConfig, generate_synthetic
@@ -69,6 +69,33 @@ def test_branch_oversized_splits():
 def test_split_sizes_50000():
     plan = decide(jobs_of(50000), None, TH)
     assert [len(c.jobs) for c in plan.chunks] == [12500] * 4
+
+
+def test_split_examples():
+    assert [len(c) for c in split_workload(list(range(50000)), 20000)] == \
+        [12500, 12500, 12500, 12500]
+    assert [len(c) for c in split_workload(list(range(20001)), 20000)] == \
+        [10001, 10000]
+    assert split_workload([1, 2, 3], 5) == [[1, 2, 3]]
+
+
+@given(st.integers(0, 3000), st.integers(1, 500))
+@settings(max_examples=200)
+def test_split_partition_property(n, max_size):
+    jobs = list(range(n))
+    chunks = split_workload(jobs, max_size)
+    assert [x for c in chunks for x in c] == jobs   # order-preserving partition
+    assert all(1 <= len(c) <= max_size for c in chunks) or n == 0
+    if n > max_size:
+        # every split node exceeded max_size, so no chunk can drop below
+        # half of it (the floor half of max_size + 1)
+        assert min(len(c) for c in chunks) >= (max_size + 1) // 2
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_split_rejects_max_size_below_one(max_size):
+    with pytest.raises(ConfigError, match="max_size must be >= 1"):
+        split_workload([1, 2, 3], max_size)
 
 
 def test_combine_branch():

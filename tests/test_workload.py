@@ -1,6 +1,7 @@
 """SWF parsing, serialization round trips, and synthetic generation."""
 
 import dataclasses
+import math
 import warnings
 from unittest import mock
 
@@ -14,7 +15,7 @@ from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
 from marsched.workload import (Job, SyntheticConfig,
                                WorkloadTrace, _truncated_gauss, assign_costs,
-                               generate_synthetic, parse_swf, parse_workflow,
+                               format_column, generate_synthetic, parse_swf,
                                slice_trace, write_swf)
 
 HEADER = "; MaxProcs: 64\n"
@@ -319,7 +320,7 @@ def test_synthetic_negative_seed_rejected():
 
 def test_slice_contiguous_rebased():
     trace = make_trace([make_job(i, 10 * i, 5 + i, procs=i, req_time=9 * i,
-                                 cost=0.5 * i, deps=range(1, i))
+                                 cost=0.5 * i)
                         for i in (1, 2, 3, 4)], 8)
     part = slice_trace(trace, 1, 2)
     assert [j.id for j in part.jobs] == [2, 3]
@@ -369,25 +370,62 @@ def test_round_trip_property(tmp_path_factory, rows):
                 b.requested_time)
 
 
-def test_workflow_parse():
-    text = """
-    # three-task chain with a fan-in
-    1 prep 2 100
-    2 sim  8 500 1
-    3 post 1 50  1,2
-    """
-    jobs = parse_workflow(text)
-    assert [j.id for j in jobs] == [1, 2, 3]
-    assert jobs[1].dependencies == (1,)
-    assert jobs[2].dependencies == (1, 2)
-    assert jobs[0].requested_time == jobs[0].run_time == 100.0
+# -- SWF and jobs.csv number text, against the per-value rule it replaced ------
+
+def per_value_text(x: float) -> str:
+    """The oracle: the SWF and jobs.csv text of one number, value by value."""
+    xi = int(x)
+    return str(xi) if x == xi else repr(float(x))
 
 
-def test_workflow_rejects_unknown_dep():
-    with pytest.raises(TraceFormatError):
-        parse_workflow("1 a 1 10\n2 b 1 10 7")
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 0.1, 2.5, float(2 ** 53 - 1),
+         float(2 ** 53), float(2 ** 53 + 1), float(2 ** 53 + 2),
+         math.nextafter(2.0 ** 63, 0), 2.0 ** 63, -2.0 ** 63,
+         math.nextafter(-2.0 ** 63, 0), 1e300, -1e300, 1e18, 9.3e18]
+INTEGRAL = st.one_of(st.sampled_from([x for x in EDGES if x == int(x)]),
+                     st.integers(-2 ** 70, 2 ** 70).map(float),
+                     st.integers(-10 ** 6, 10 ** 6).map(float))
+FINITE = st.one_of(INTEGRAL, st.sampled_from(EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
 
 
-def test_workflow_rejects_duplicate_id():
-    with pytest.raises(TraceFormatError):
-        parse_workflow("1 a 1 10\n1 b 1 10")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(INTEGRAL, max_size=30),
+                 st.lists(FINITE, max_size=30)))
+def test_format_column_equals_per_value_rule(values):
+    column = np.array(values, dtype=float)
+    assert format_column(column) == [per_value_text(x) for x in values]
+
+
+@pytest.mark.parametrize("values", [
+    [2.0 ** 63], [1.0, 2.0 ** 63], [-2.0 ** 63, 3.0], [1e300, 0.0],
+    [-1e300], [float(2 ** 64)]])
+def test_format_column_guards_int64_range(values):
+    # every value is integral, so only the magnitude guard keeps these off
+    # the int64 path, where they would not convert exactly
+    column = np.array(values, dtype=float)
+    assert format_column(column) == [per_value_text(x) for x in values]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_format_column_raises_as_the_per_value_rule(bad):
+    with pytest.raises(Exception) as want:
+        per_value_text(bad)
+    with pytest.raises(want.type):
+        format_column(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("value", [-0.0, float(2 ** 53 - 1),
+                                   float(2 ** 53 + 1), 2.0 ** 63, 1e300])
+def test_write_swf_numbers_round_trip(tmp_path, value):
+    # run and requested times must be positive, so -0.0 is a submit time only
+    times = value if value > 0 else 1.0
+    trace = make_trace([make_job(1, value, times, req_time=times)], 8)
+    path = tmp_path / "t.swf"
+    write_swf(path, trace)
+    fields = path.read_text().splitlines()[1].split()
+    assert [fields[1], fields[3], fields[8]] == \
+        [per_value_text(value), per_value_text(times), per_value_text(times)]
+    back = parse_swf(path.read_text(), "t").jobs[0]
+    assert (back.submit_time, back.run_time, back.requested_time) == \
+        (value, times, times)

@@ -85,9 +85,9 @@ def _digest(value) -> str:
 
 
 def _fields(job) -> tuple:
-    """A job's input fields, in every checkout's ``Job`` layout."""
+    """A job's six input fields, which every checkout's ``Job`` has."""
     return (job.id, job.submit_time, job.run_time, job.requested_procs,
-            job.requested_time, job.cost_rate, job.dependencies)
+            job.requested_time, job.cost_rate)
 
 
 def _schedule(finished) -> str:
