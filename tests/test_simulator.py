@@ -198,6 +198,36 @@ def test_ready_set_matches_rescan_under_random_selector():
         assert len(res.schedule) == len(jobs) and any(seen)
 
 
+def test_ready_set_keeps_arrival_order_when_starts_are_out_of_order():
+    jobs = [make_job(9, submit=0, run=100, procs=4),
+            make_job(3, submit=1, run=50, procs=4),
+            make_job(1, submit=2, run=10, procs=1),
+            make_job(2, submit=3, run=30, procs=4),
+            make_job(4, submit=4, run=20, procs=2)]
+    seen = []
+    res = run_episode(jobs, "sjf", backfill=False, total_procs=4,
+                      on_event=ready_probe(seen))
+    # at t=100 SJF starts jobs 1 and 4 ahead of 3 and 2; the two left wait
+    # in arrival order, which is neither their SJF order nor their id order
+    assert [3, 2] in seen
+    assert starts(res.schedule) == {9: 0, 1: 100, 4: 100, 2: 120, 3: 150}
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "sjf", "wfp3"])
+def test_arriving_job_enters_the_ready_set_at_once(policy):
+    jobs, procs = shuffled_jobs(7)
+    arrived = []
+
+    def probe(state, event):
+        if event.kind is EventKind.ARRIVAL:
+            assert ready_jobs(state)[-1].id == event.job_id
+            assert event.job_id in state.ready
+            arrived.append(event.job_id)
+
+    run_episode(jobs, policy, total_procs=procs, on_event=probe)
+    assert arrived == [j.id for j in jobs]
+
+
 # -- differential check against a naive heuristic cycle -----------------------
 
 def naive_reservation(state, head):
@@ -476,6 +506,19 @@ def test_forced_start_breaks_selector_stall():
     # each job finished once; the second waits for the first to end
     assert finished.id.tolist() == [1, 2]
     assert starts(finished) == {1: 0.0, 2: 10.0}
+
+
+def test_forced_start_passes_over_a_job_that_can_never_start():
+    jobs = [make_job(1, submit=0, run=10, procs=16),
+            make_job(2, submit=0, run=5, procs=1)]
+    sim = Simulation(jobs, 8)
+    with pytest.raises(SchedulingError, match="job 1 requests 16"):
+        sim.run(lambda state: None)                 # policy always passes
+    # the older job is too wide, so the stall starts the younger one; once
+    # it has finished, the wide job is all that is left
+    assert sim.state.start == {2: 0.0}
+    assert sim.stats.forced_starts == 1
+    assert [j.id for j in sim.state.finished] == [2]
 
 
 def test_run_episode_bare_list_needs_procs():

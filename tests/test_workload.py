@@ -1,7 +1,9 @@
 """SWF parsing, serialization round trips, and synthetic generation."""
 
 import dataclasses
+import importlib
 import math
+import pathlib
 import warnings
 from unittest import mock
 
@@ -368,6 +370,16 @@ def test_round_trip_property(tmp_path_factory, rows):
                 a.requested_time) == \
                (b.id, b.submit_time, b.run_time, b.requested_procs,
                 b.requested_time)
+
+
+def test_scaling_parse_digest_reads_every_job_field(monkeypatch):
+    # tools/scaling.py compares parsed traces across checkouts by these
+    # fields; a Job field it left out would go unchecked
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    scaling = importlib.import_module("scaling")
+    job = make_job(7, submit=1.5, run=20, procs=3, req_time=40, cost=0.25)
+    assert scaling._fields(job) == dataclasses.astuple(job)
 
 
 # -- SWF and jobs.csv number text, against the per-value rule it replaced ------
