@@ -69,9 +69,10 @@ TIME_INVARIANT_KINDS = frozenset(RANK_SCORES)
 
 # The aging kinds score every ready job in every cycle, so each formula is
 # written once, as a batch: the entries (score, submit time, id, job) of an
-# iterable of jobs at one clock, built by one list comprehension. ``score``
-# and ``priority_key`` take the entry of a one-job batch. The wait is clamped
-# at 0 by a test, which gives max(w, 0.0)'s value without a call per job.
+# iterable of jobs at one clock, built by one list comprehension; a
+# simulator's aging cycle orders by them. ``score`` takes the entry of a
+# one-job batch. The wait is clamped at 0 by a test, which gives max(w,
+# 0.0)'s value without a call per job.
 
 def _wfp3_entries(jobs, now: float) -> list[tuple]:
     return [(-(((0.0 if (w := now - j.submit_time) < 0.0 else w)
@@ -108,21 +109,16 @@ def sort_key(job: Job, now: float, kind: PolicyKind):
 
 
 def priority_key(kind: PolicyKind, state):
-    """Sort key of one run's scheduling cycles; lower runs first.
+    """Sort key of one run's scheduling cycles for a time-invariant kind
+    (``TIME_INVARIANT_KINDS``); lower runs first.
 
-    ``state`` carries the run's ``arrivals`` and its current ``clock``. An
-    aging kind keys a job to its entry (score, submit, id, job) from
-    ``AGING_ENTRIES`` at the clock of the call; ids are unique, so the job
-    never takes part in a comparison. An aging cycle builds the same entries
-    for the whole ready set in one batch. The other kinds ignore the clock,
-    so every job is keyed once, up front, by ``RANK_SCORES`` in one
+    ``state`` carries the run's ``arrivals``. The score ignores the clock, so
+    every job is keyed once, up front, by ``RANK_SCORES`` in one
     comprehension of (score, submit, id) and one sort, and ranked by its
     place in that order: an int, which compares faster than the key it
-    stands for.
+    stands for. The aging kinds are ordered by their ``AGING_ENTRIES``
+    batch instead.
     """
-    if kind not in TIME_INVARIANT_KINDS:
-        entries = AGING_ENTRIES[kind]
-        return lambda j: entries((j,), state.clock)[0]
     score_of = RANK_SCORES[kind]
     keys = [(score_of(j), j.submit_time, j.id) for j in state.arrivals]
     keys.sort()

@@ -26,12 +26,12 @@ a job enters when it arrives and leaves when it starts. ``ready_jobs``
 returns it, and ``start_job`` and ``backfill_easy`` test membership in it.
 
 Heuristic cycle. Within a cycle the clock is fixed, so every score is
-fixed, and the order (score, submit time, id) of
-``heuristics.priority_key`` is total. Starting a job only removes it from
-that order; the others keep theirs. So taking the minimum again after every
-start starts exactly the jobs a full re-sort would. The kinds whose score
-ignores the clock (``heuristics.TIME_INVARIANT_KINDS``) keep one heap of
-(rank, job) for the whole run. Invariant: every ready job has exactly one
+fixed, and the order (score, submit time, id) is total. Starting a job only
+removes it from that order; the others keep theirs. So taking the minimum
+again after every start starts exactly the jobs a full re-sort would. The
+kinds whose score ignores the clock (``heuristics.TIME_INVARIANT_KINDS``)
+keep one heap of (rank, job) for the whole run, ranked once by
+``heuristics.priority_key``. Invariant: every ready job has exactly one
 entry in ``ClusterState.rank_heap``, pushed when it entered the ready set;
 any other entry belongs to a job an EASY pass started, and it is dropped when
 it reaches the top. A cycle then pops only the jobs it starts. WFP3 and

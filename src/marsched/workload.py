@@ -374,72 +374,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
     return trace
 
 
-# numpy's SeedSequence hash (pool size 4, no spawn key) and PCG64's seeding,
-# so that the generators of np.random.default_rng([seed, id]) for many ids
-# are seeded in one pass of uint32 array arithmetic
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _word_count(n: int) -> int:
-    """How many 32-bit words numpy splits a seed value into; 0 is one word."""
-    return max(1, -(-int(n).bit_length() // 32))
-
-
-def _uint32_words(values, count: int) -> np.ndarray:
-    """Each value's ``count`` 32-bit words, least significant first, as rows."""
-    big = np.array(values, dtype=object)
-    return np.stack([((big >> 32 * k) & _MASK32).astype(np.uint32)
-                     for k in range(count)], axis=1)
-
-
-def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    value = value ^ np.uint32(const)
-    const = const * _MULT_A & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> _XSHIFT), const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _seed_states(entropy: np.ndarray) -> list[list[int]]:
-    """SeedSequence(row).generate_state(4, np.uint64) for each entropy row."""
-    rows, length = entropy.shape
-    pool = []
-    const = _INIT_A
-    for i in range(_POOL_SIZE):
-        word = entropy[:, i] if i < length else np.zeros(rows, np.uint32)
-        mixed, const = _hashmix(word, const)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(entropy[:, src], const)
-            pool[dst] = _mix(pool[dst], mixed)
-    # generate_state(4, np.uint64): eight words, then little-endian pairs
-    words = []
-    const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        words.append(value ^ (value >> _XSHIFT))
-    return np.ascontiguousarray(np.stack(words, axis=1),
-                                "<u4").view("<u8").tolist()
-
-
 def check_cost_distribution(mean: float, std: float) -> None:
     """Reject a negative mean or standard deviation of the cost rates."""
     if mean < 0 or std < 0:
@@ -449,43 +383,16 @@ def check_cost_distribution(mean: float, std: float) -> None:
 def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> None:
     """Draw per-job cost rates from a Gaussian truncated at 0.
 
-    Each job's draw is keyed by (seed, job id), so a job keeps its cost under
-    slicing or reordering of the trace. It is the draw of
-    ``np.random.default_rng([seed, job.id])``, with every job's generator
-    seeded at once and drawn through one reused ``Generator``.
+    Each job's rate is the ``_truncated_gauss`` draw of
+    ``np.random.default_rng([seed, job.id])``, so a job keeps its cost under
+    slicing or reordering of the trace.
     """
     check_cost_distribution(mean, std)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    jobs = trace.jobs
-    ids = np.array([job.id for job in jobs], dtype=object)
-    count = _word_count(max(ids, default=0))
-    words = _uint32_words(ids, count)
-    # an id's entropy runs up to its highest nonzero word, so ids of each
-    # width are hashed together
-    widths = np.ones(len(jobs), dtype=int)
-    for k in range(1, count):
-        widths += ids >= 2 ** (32 * k)
-    seed_words = _uint32_words([seed], _word_count(seed))
-    bitgen = np.random.PCG64()
-    normal = np.random.Generator(bitgen).normal
-    # one state dict, refilled per job
-    pcg = {"state": 0, "inc": 0}
-    bitgen_state = {"bit_generator": "PCG64", "state": pcg,
-                    "has_uint32": 0, "uinteger": 0}
-    for width in np.unique(widths):
-        rows = np.flatnonzero(widths == width)
-        entropy = np.hstack([np.repeat(seed_words, len(rows), axis=0),
-                             words[rows, :width]])
-        for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(
-                rows.tolist(), _seed_states(entropy)):
-            # PCG64's pcg_setseq_128_srandom_r
-            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-            state = (inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc
-            pcg["state"] = state & _MASK128
-            pcg["inc"] = inc
-            bitgen.state = bitgen_state
-            jobs[row].cost_rate = _truncated_gauss(normal, mean, std)
+    for job in trace.jobs:
+        job.cost_rate = _truncated_gauss(
+            np.random.default_rng([seed, job.id]).normal, mean, std)
 
 
 def slice_trace(trace: WorkloadTrace, start_index: int,

@@ -22,7 +22,8 @@ from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             apply_cost_adjustment, new_model, random_baseline,
                             select_action, train)
 from marsched.decision import Thresholds, decide, run_plan
-from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, priority_key
+from marsched.heuristics import (AGING_ENTRIES, HEURISTIC_KINDS, PolicyKind,
+                                 priority_key)
 from marsched.neural import (backward, forward, init_network, softmax)
 from marsched.simulator import Simulation, new_cluster, run_episode
 from marsched.workload import SyntheticConfig, generate_synthetic
@@ -108,9 +109,11 @@ def _select_oracle(queue, now, kind, free):
 def _select_shared(queue, now, kind, free):
     """Head of the run ordering the simulator and the heuristic trajectory
     selector share; None (pass) when it does not fit."""
-    state = new_cluster(1, queue)
-    state.clock = now
-    head = min(queue, key=priority_key(kind, state))
+    if kind in AGING_ENTRIES:
+        # the batch an aging cycle of the simulator orders by
+        head = min(AGING_ENTRIES[kind](queue, now))[3]
+    else:
+        head = min(queue, key=priority_key(kind, new_cluster(1, queue)))
     return head if head.requested_procs <= free else None
 
 

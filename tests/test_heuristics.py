@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import make_job, starts
 from marsched.errors import ContractError
-from marsched.heuristics import (HEURISTIC_KINDS, TIME_INVARIANT_KINDS,
-                                 PolicyKind, priority_key, score, sort_key)
+from marsched.heuristics import (AGING_ENTRIES, HEURISTIC_KINDS,
+                                 TIME_INVARIANT_KINDS, PolicyKind,
+                                 priority_key, score, sort_key)
 from marsched.simulator import new_cluster, run_episode
 
 # -- oracle: same math, written from the formulas, no shared helpers --------
@@ -52,9 +53,11 @@ def oracle_select(queue, now, kind, free):
 def shared_select(queue, now, kind, free):
     """First job of the run ordering at ``now``; None when it does not fit,
     which is how the heuristic selectors pass."""
-    state = new_cluster(1, queue)
-    state.clock = now
-    head = min(queue, key=priority_key(kind, state))
+    if kind in AGING_ENTRIES:
+        # the batch an aging cycle of the simulator orders by
+        head = min(AGING_ENTRIES[kind](queue, now))[3]
+    else:
+        head = min(queue, key=priority_key(kind, new_cluster(1, queue)))
     return head if head.requested_procs <= free else None
 
 

@@ -307,6 +307,35 @@ def test_assign_costs_equals_per_job_generators(seed, mean, std):
     assert [j.cost_rate for j in trace.jobs] == expected
 
 
+PINNED_IDS = [1, 2**32 - 1, 2**32, 2**40, 2**64 + 3]
+# rates recorded from the batched re-implementation of numpy's seeding that
+# this rule replaced; at seed 2**32 + 7, mean 0 resamples the draws of ids
+# 2**32 and 2**40, whose mean-1 rates lie below 1
+PINNED_RATES = {
+    (0, 1.0, 0.5): [1.0514838400071806, 1.2246909880156702,
+                    1.3596584881427283, 1.6802132405591306,
+                    1.2715668555055586],
+    (0, 0.0, 1.0): [0.10296768001436127, 0.4493819760313406,
+                    0.7193169762854567, 1.3604264811182611,
+                    0.5431337110111172],
+    (2**32 + 7, 1.0, 0.5): [1.6296629823230293, 1.1451925029297492,
+                            0.5723880748920604, 0.5399575308429646,
+                            1.4293573037549367],
+    (2**32 + 7, 0.0, 1.0): [1.2593259646460588, 0.2903850058594981,
+                            0.9292866230826125, 0.22792020316882064,
+                            0.8587146075098735],
+}
+
+
+@pytest.mark.parametrize("seed,mean,std", sorted(PINNED_RATES))
+def test_assign_costs_pinned_values(seed, mean, std):
+    # ids and seeds wider than one 32-bit word keep their bytes
+    trace = WorkloadTrace(jobs=[make_job(i) for i in PINNED_IDS],
+                          total_procs=1)
+    assign_costs(trace, mean, std, seed)
+    assert [j.cost_rate for j in trace.jobs] == PINNED_RATES[seed, mean, std]
+
+
 def test_assign_costs_empty_trace_and_negative_seed():
     empty = WorkloadTrace(jobs=[], total_procs=1)
     assign_costs(empty, 1.0, 0.5, seed=3)
