@@ -5,10 +5,15 @@ plus two cluster features. Actions: start the job in one visible slot, or
 pass. Rewards: 0 every step, minus the average bounded slowdown at
 episode end, so maximizing reward minimizes the headline metric.
 
+An episode records, at each decision point, the state, the validity mask,
+the action and the action costs. The update (``actor_critic_step``) rebuilds
+the policy and the critic's values from those records at the current
+parameters, so nothing else of the sampling is kept.
+
 Cost handling is two-sided: at evaluation time the post-softmax probabilities
 are multiplied by Gaussian-survival cost factors raised to the cost weight
 (cheap jobs get factors near 1); during training the same weight scales a
-penalty gradient on the expected normalized cost of the chosen action. Weight
+penalty gradient on the policy's expected normalized action cost. Weight
 0 disables both and recovers the plain actor-critic.
 """
 
@@ -158,27 +163,18 @@ def slot_cost_factors(queue: list[Job], slots: int) -> np.ndarray:
     return factors
 
 
-@dataclass
-class CostAdjustStats:
-    fallbacks: int = 0
-
-
 def apply_cost_adjustment(probs: np.ndarray, cost_factors: np.ndarray,
-                          weight: float,
-                          stats: CostAdjustStats | None = None) -> np.ndarray:
+                          weight: float) -> np.ndarray:
     """Multiply probabilities by cost factors ** weight and renormalize.
 
     Weight 0 returns the input untouched (exact identity). A degenerate
-    all-zero product falls back to the unadjusted distribution and bumps the
-    fallback counter.
+    all-zero product falls back to the unadjusted distribution.
     """
     if weight == 0:
         return probs
     adjusted = probs * np.power(cost_factors, weight)
     total = adjusted.sum()
     if total <= 0 or not np.isfinite(total):
-        if stats is not None:
-            stats.fallbacks += 1
         return probs.copy()
     return adjusted / total
 
@@ -202,26 +198,25 @@ def sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
 def select_action(net: Network, state: np.ndarray, valid_mask: np.ndarray,
                   rng: np.random.Generator, *, greedy: bool = False,
                   cost_factors: np.ndarray | None = None,
-                  cost_weight: float = 0.0,
-                  cost_stats: CostAdjustStats | None = None
-                  ) -> tuple[int, float, np.ndarray]:
+                  cost_weight: float = 0.0) -> tuple[int, np.ndarray]:
     """Sample (or argmax) an action from the masked softmax policy.
 
-    Invalid actions get -inf logits, hence probability exactly 0. Returns
-    (action index, log-probability under the sampled distribution, probs).
-    The logits are ``forward``'s for the one state, by ``neural.predict``:
-    nothing differentiates them, so no cache is built.
+    Invalid actions get -inf logits, hence probability exactly 0. With cost
+    factors and a positive weight, the distribution is cost-adjusted
+    (``apply_cost_adjustment``) before the choice. Returns the action index
+    and the distribution it was chosen from. The logits are ``forward``'s
+    for the one state, by ``neural.predict``: nothing differentiates them,
+    so no cache is built.
     """
     logits = neural.predict(net, state[None, :])[0]
     probs = softmax(np.where(valid_mask, logits, -np.inf))
     if cost_factors is not None and cost_weight > 0:
-        probs = apply_cost_adjustment(probs, cost_factors, cost_weight,
-                                      cost_stats)
+        probs = apply_cost_adjustment(probs, cost_factors, cost_weight)
     if greedy:
         action = int(probs.argmax())
     else:
         action = sample_index(probs / probs.sum(), rng)
-    return action, float(np.log(probs[action])), probs
+    return action, probs
 
 
 @dataclass
@@ -229,7 +224,6 @@ class EpisodeTrajectory:
     states: list[np.ndarray] = field(default_factory=list)
     actions: list[int] = field(default_factory=list)
     rewards: list[float] = field(default_factory=list)
-    log_probs: list[float] = field(default_factory=list)
     masks: list[np.ndarray] = field(default_factory=list)
     cost_norms: list[np.ndarray] = field(default_factory=list)
     terminal: bool = False
@@ -237,11 +231,10 @@ class EpisodeTrajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def add_step(self, state: np.ndarray, action: int, log_prob: float,
-                 mask: np.ndarray, cost_norm: np.ndarray) -> None:
+    def add_step(self, state: np.ndarray, action: int, mask: np.ndarray,
+                 cost_norm: np.ndarray) -> None:
         self.states.append(state)
         self.actions.append(action)
-        self.log_probs.append(log_prob)
         self.masks.append(mask)
         self.cost_norms.append(cost_norm)
 
@@ -509,7 +502,7 @@ def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
     under a fixed parameter snapshot. Returned gradients are
     minimization-signed for Adam.
     """
-    diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0, "reward": 0.0}
+    diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0}
     if len(traj) == 0:
         return _zero_grads(model.actor), _zero_grads(model.critic), diag
     states = np.stack(traj.states)
@@ -608,7 +601,6 @@ class MarsAgent:
             self.hyper = hyper if hyper is not None else Hyperparameters()
             self.hyper.validate()
             self.model = new_model(self.hyper)
-        self.cost_stats = CostAdjustStats()
 
     def make_selector(self, rng: np.random.Generator, *, greedy: bool = False,
                       traj: EpisodeTrajectory | None = None):
@@ -640,16 +632,15 @@ class MarsAgent:
             factors = None
             if greedy and hyper.cost_weight > 0:
                 factors = slot_cost_factors(window, slots)
-            action, log_prob, _ = select_action(
+            action, _ = select_action(
                 actor, vec, mask, rng, greedy=greedy,
-                cost_factors=factors, cost_weight=hyper.cost_weight,
-                cost_stats=self.cost_stats)
+                cost_factors=factors, cost_weight=hyper.cost_weight)
             if traj is not None:
                 cost_norm = zero_cost
                 if hyper.cost_weight > 0:
                     cost_norm = 1.0 - slot_cost_factors(window, slots)
                     cost_norm[-1] = 0.0
-                traj.add_step(vec, action, log_prob, mask, cost_norm)
+                traj.add_step(vec, action, mask, cost_norm)
             if action == slots:
                 return None
             return window[action].id
@@ -727,7 +718,8 @@ def train(env_factory, hyper: Hyperparameters,
     env_factory(worker, epoch) -> (jobs, total_procs) supplies each episode;
     validation_factory() -> (jobs, total_procs) supplies the held-out slice
     for the periodic greedy validation that drives version rotation and
-    rollback. Runs are bit-deterministic under a fixed seed.
+    rollback. An error from either factory propagates; nothing is retried.
+    Runs are bit-deterministic under a fixed seed.
     """
     hyper.validate()
     agent = agent if agent is not None else MarsAgent(hyper)
@@ -739,27 +731,15 @@ def train(env_factory, hyper: Hyperparameters,
 
     start_epoch = agent.model.epoch
     for epoch in range(start_epoch, start_epoch + hyper.epochs):
-        trajs, rewards = None, None
-        last_error = None
-        for attempt in range(2):
-            try:
-                trajs, rewards = [], []
-                for w in range(hyper.workers):
-                    jobs, procs = env_factory(w, epoch)
-                    rng = np.random.default_rng(
-                        [hyper.seed, epoch, w, attempt])
-                    _, traj, _, reward = agent.run_collect(
-                        jobs, procs, rng=rng, record=True)
-                    trajs.append(traj)
-                    rewards.append(reward)
-                break
-            # a failed rollout (I/O, a runtime error) is retried once; the
-            # package's own errors are deterministic, so they propagate
-            except (OSError, RuntimeError) as exc:
-                last_error = exc
-                trajs = None
-        if trajs is None:
-            raise last_error
+        trajs, rewards = [], []
+        for w in range(hyper.workers):
+            jobs, procs = env_factory(w, epoch)
+            # the trailing 0 keeps the seeding of every earlier curve
+            rng = np.random.default_rng([hyper.seed, epoch, w, 0])
+            _, traj, _, reward = agent.run_collect(jobs, procs, rng=rng,
+                                                   record=True)
+            trajs.append(traj)
+            rewards.append(reward)
 
         diag = actor_critic_step(agent.model, trajs, hyper)
         if diag["aborted"]:

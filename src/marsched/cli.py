@@ -133,8 +133,11 @@ def _seed(args, settings: Settings) -> int:
 
 
 def _tau(args, settings: Settings) -> float:
-    return settings.get("run", "tau", getattr(args, "tau", None),
-                        DEFAULT_TAU, as_float)
+    tau = settings.get("run", "tau", getattr(args, "tau", None),
+                       DEFAULT_TAU, as_float)
+    if tau <= 0:
+        raise ConfigError(f"tau must be > 0, got {tau}")
+    return tau
 
 
 def _out_dir(args, settings: Settings) -> str:

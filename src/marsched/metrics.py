@@ -85,9 +85,6 @@ class MetricsReport:
     total_procs: int | None
     job_count: int
     makespan: float
-    slowdowns: np.ndarray
-    bounded: np.ndarray
-    pp: np.ndarray
     mean_slowdown: float
     median_slowdown: float
     p95_slowdown: float
@@ -132,9 +129,6 @@ def aggregate(schedule: Schedule, tau: float = DEFAULT_TAU, policy: str = "",
         total_procs=total_procs,
         job_count=len(schedule),
         makespan=makespan,
-        slowdowns=sds,
-        bounded=bsds,
-        pp=ppsds,
         mean_slowdown=float(np.mean(sds)),
         median_slowdown=float(np.median(sds)),
         p95_slowdown=float(np.percentile(sds, 95.0)),

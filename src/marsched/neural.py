@@ -2,8 +2,8 @@
 Adam, and JSON serialization with exact binary arrays.
 
 Tensors are plain numpy float64 arrays. Batches are row-major: input of
-shape (batch, input_dim), single samples may be passed as 1-D and come back
-1-D. Format versioning happens at the model-file level, not per network.
+shape (batch, input_dim); a single sample is a batch of one. Format
+versioning happens at the model-file level, not per network.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ import numpy as np
 
 from .errors import ContractError, ModelFormatError, TrainingDiverged
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
     if name == "identity":
         return z
     raise ContractError(f"unknown activation {name!r}")
@@ -33,8 +31,6 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """d activation / d z, given pre-activation z and activation a."""
     if name == "tanh":
         return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
     if name == "identity":
         return np.ones_like(z)
     raise ContractError(f"unknown activation {name!r}")
@@ -80,10 +76,10 @@ class Network:
         return [p.copy() for p in self.parameters()]
 
 
-def init_network(dims: list[int], hidden_activation: str = "tanh",
-                 output_activation: str = "identity",
+def init_network(dims: list[int],
                  rng: np.random.Generator | None = None) -> Network:
-    """Glorot-uniform init: weights ~ U(+-sqrt(6/(fan_in+fan_out))), zero bias."""
+    """Glorot-uniform init: weights ~ U(+-sqrt(6/(fan_in+fan_out))), zero
+    bias; tanh hidden layers and an identity output layer."""
     if len(dims) < 2:
         raise ContractError("a network needs at least input and output dims")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -93,7 +89,7 @@ def init_network(dims: list[int], hidden_activation: str = "tanh",
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         b = np.zeros(fan_out)
-        act = output_activation if i == len(dims) - 2 else hidden_activation
+        act = "identity" if i == len(dims) - 2 else "tanh"
         layers.append(Layer(weights=w, bias=b, activation=act))
     return Network(layers=layers)
 
@@ -104,14 +100,10 @@ class ForwardCache:
     inputs: list[np.ndarray]       # input to each layer, 2-D
     pre_acts: list[np.ndarray]     # z per layer
     acts: list[np.ndarray]         # activation(z) per layer
-    squeezed: bool
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     x = np.asarray(x, dtype=float)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ContractError(
             f"input of shape {x.shape} does not match network input dim "
@@ -125,9 +117,8 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         pre_acts.append(z)
         acts.append(a)
         h = a
-    out = h[0] if squeezed else h
-    return out, ForwardCache(net=net, inputs=inputs, pre_acts=pre_acts,
-                             acts=acts, squeezed=squeezed)
+    return h, ForwardCache(net=net, inputs=inputs, pre_acts=pre_acts,
+                           acts=acts)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
@@ -145,8 +136,6 @@ def backward(net: Network, cache: ForwardCache,
     if cache.net is not net:
         raise ContractError("cache does not belong to this network")
     dout = np.asarray(dout, dtype=float)
-    if cache.squeezed and dout.ndim == 1:
-        dout = dout[None, :]
     if dout.shape != cache.acts[-1].shape:
         raise ContractError(
             f"output gradient shape {dout.shape} does not match forward "

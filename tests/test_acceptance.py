@@ -314,12 +314,11 @@ def test_c07_bandit_prefers_better_arm(capsys):
     rng = np.random.default_rng(11)
     for _ in range(500):
         traj = EpisodeTrajectory()
-        action, log_prob, _ = select_action(model.actor, state, mask, rng)
-        traj.add_step(state, action, log_prob, mask,
-                      np.zeros(hyper.action_dim))
+        action, _ = select_action(model.actor, state, mask, rng)
+        traj.add_step(state, action, mask, np.zeros(hyper.action_dim))
         traj.finalize(-1.0 if action == 0 else -10.0)
         actor_critic_step(model, [traj], hyper)
-    _, _, probs = select_action(model.actor, state, mask, rng, greedy=True)
+    _, probs = select_action(model.actor, state, mask, rng, greedy=True)
     p_better = float(probs[0])
     elapsed = time.monotonic() - t0
     ok = p_better > 0.9 and elapsed < 10.0

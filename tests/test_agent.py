@@ -13,8 +13,7 @@ import pytest
 
 from helpers import make_job
 from marsched import neural
-from marsched.agent import (CostAdjustStats, EpisodeTrajectory,
-                            Hyperparameters, MarsAgent, ModelVersions,
+from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent, ModelVersions,
                             actor_critic_step, apply_cost_adjustment,
                             compute_advantages,
                             encode_state, episode_gradients, episode_reward,
@@ -159,12 +158,10 @@ def test_apply_cost_adjustment_renormalizes():
 
 
 def test_apply_cost_adjustment_fallback():
-    stats = CostAdjustStats()
     probs = np.array([1.0, 0.0])
     factors = np.array([0.0, 1.0])        # zeroes out all probability mass
-    out = apply_cost_adjustment(probs, factors, 2.0, stats)
+    out = apply_cost_adjustment(probs, factors, 2.0)
     assert np.array_equal(out, probs)
-    assert stats.fallbacks == 1
 
 
 # -- action selection --------------------------------------------------------
@@ -176,11 +173,10 @@ def test_select_action_respects_mask():
     state = rng.normal(size=hyper.state_dim)
     mask = np.array([True, False, True, False, True])
     for _ in range(200):
-        action, log_prob, probs = select_action(net, state, mask, rng)
+        action, probs = select_action(net, state, mask, rng)
         assert mask[action]
         assert probs[~mask].sum() == 0.0
         assert abs(probs.sum() - 1.0) < 1e-9
-        assert log_prob == pytest.approx(float(np.log(probs[action])))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -225,7 +221,7 @@ def test_select_action_greedy_is_argmax():
     net = new_model(hyper).actor
     state = rng.normal(size=hyper.state_dim)
     mask = np.ones(hyper.action_dim, dtype=bool)
-    action, _, probs = select_action(net, state, mask, rng, greedy=True)
+    action, probs = select_action(net, state, mask, rng, greedy=True)
     assert action == int(np.argmax(probs))
 
 
@@ -245,8 +241,8 @@ def test_compute_advantages_hand_case():
     s = np.zeros(4)
     m = np.ones(3, dtype=bool)
     c = np.zeros(3)
-    traj.add_step(s, 0, -0.1, m, c)
-    traj.add_step(s, 1, -0.2, m, c)
+    traj.add_step(s, 0, m, c)
+    traj.add_step(s, 1, m, c)
     traj.finalize(-5.0)
     adv, targets = compute_advantages(traj, [-14.0, -10.0], gamma=1.0)
     # t=0: 0 + v(s1) - v(s0) = -10 + 14 = 4; t=1: -5 + 0 + 10 = 5
@@ -256,7 +252,7 @@ def test_compute_advantages_hand_case():
 
 def test_compute_advantages_requires_terminal():
     traj = EpisodeTrajectory()
-    traj.add_step(np.zeros(2), 0, 0.0, np.ones(2, dtype=bool), np.zeros(2))
+    traj.add_step(np.zeros(2), 0, np.ones(2, dtype=bool), np.zeros(2))
     with pytest.raises(ContractError):
         compute_advantages(traj, [0.0], 1.0)
 
@@ -266,7 +262,8 @@ def test_compute_advantages_requires_terminal():
 def frozen_values(model, traj):
     """Critic values at the current parameters, held fixed while the finite
     differences perturb them (the TD targets are not differentiated)."""
-    return [float(forward(model.critic, s)[0][0]) for s in traj.states]
+    return [float(forward(model.critic, s[None, :])[0][0, 0])
+            for s in traj.states]
 
 
 def surrogate_actor_loss(model, traj, hyper, values):
@@ -276,7 +273,7 @@ def surrogate_actor_loss(model, traj, hyper, values):
     weights = eye * advantages
     total = 0.0
     for t in range(len(traj)):
-        logits, _ = forward(model.actor, traj.states[t])
+        logits = forward(model.actor, traj.states[t][None, :])[0][0]
         p = softmax(np.where(traj.masks[t], logits, -np.inf))
         total += -weights[t] * float(np.log(p[traj.actions[t]]))
         if hyper.cost_weight > 0:
@@ -289,8 +286,8 @@ def surrogate_critic_loss(model, traj, hyper, values):
     eye = hyper.gamma ** np.arange(len(traj))
     total = 0.0
     for t in range(len(traj)):
-        v, _ = forward(model.critic, traj.states[t])
-        total += 0.5 * eye[t] * (float(v[0]) - targets[t]) ** 2
+        v = forward(model.critic, traj.states[t][None, :])[0][0, 0]
+        total += 0.5 * eye[t] * (float(v) - targets[t]) ** 2
     return total
 
 
@@ -361,8 +358,8 @@ def bandit_episode(model, hyper, state, rng):
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
     traj = EpisodeTrajectory()
-    action, log_prob, _ = select_action(model.actor, state, mask, rng)
-    traj.add_step(state, action, log_prob, mask, np.zeros(hyper.action_dim))
+    action, _ = select_action(model.actor, state, mask, rng)
+    traj.add_step(state, action, mask, np.zeros(hyper.action_dim))
     traj.finalize(-1.0 if action == 0 else -10.0)
     return traj
 
@@ -379,7 +376,7 @@ def test_bandit_prefers_better_arm_after_500_updates():
         assert not diag["aborted"]
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
-    _, _, probs = select_action(model.actor, state, mask, rng, greedy=True)
+    _, probs = select_action(model.actor, state, mask, rng, greedy=True)
     assert probs[0] > 0.9
 
 
@@ -393,7 +390,7 @@ def test_actor_critic_update_abort_restores_parameters():
     def episode(*states):
         traj = EpisodeTrajectory()
         for i, s in enumerate(states):
-            traj.add_step(s, i % 2, -0.5, mask, np.zeros(hyper.action_dim))
+            traj.add_step(s, i % 2, mask, np.zeros(hyper.action_dim))
         traj.finalize(-2.0)
         return traj
 
@@ -602,37 +599,17 @@ def test_train_resume_continues_epochs():
     assert [p.epoch for p in curve] == [4, 5, 6]
 
 
-def test_train_worker_failure_retried_once():
-    trace = small_trace(seed=16, jobs=10)
+@pytest.mark.parametrize("error", [RuntimeError, OSError, ContractError])
+def test_train_does_not_retry_contract_errors(error):
     hyper = Hyperparameters(slots=4, hidden=(8,), epochs=2, seed=0)
     calls = {"n": 0}
 
-    def flaky_env(w, e):
+    def failing_env(w, e):
         calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("transient worker failure")
-        return trace.jobs, trace.total_procs
+        raise error("environment failure")
 
-    agent, _, curve = train(flaky_env, hyper)
-    assert len(curve) == 2                  # the retry absorbed the failure
-
-    def broken_env(w, e):
-        raise RuntimeError("permanent failure")
-
-    with pytest.raises(RuntimeError):
-        train(broken_env, hyper)
-
-
-def test_train_does_not_retry_contract_errors():
-    hyper = Hyperparameters(slots=4, hidden=(8,), epochs=2, seed=0)
-    calls = {"n": 0}
-
-    def buggy_env(w, e):
-        calls["n"] += 1
-        raise ContractError("program bug")
-
-    with pytest.raises(ContractError):
-        train(buggy_env, hyper)
+    with pytest.raises(error):
+        train(failing_env, hyper)
     assert calls["n"] == 1                  # propagated on the first attempt
 
 

@@ -300,6 +300,23 @@ def test_negative_seed_exit_2(tmp_path, trace_file, argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["evaluate", "--model", "never-read.json"],
+    ["compare", "--policies", "fcfs,sjf"], ["train", "--epochs", "1"]])
+@pytest.mark.parametrize("tau", ["0", "-1"])
+def test_non_positive_tau_exit_2(tmp_path, trace_file, argv, tau, capsys):
+    argv = [*argv, "--trace", trace_file]
+    assert run_cli(*argv, f"--tau={tau}", "--out", str(tmp_path / "a")) == 2
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"[run]\ntau = {tau}\n")
+    assert run_cli(*argv, "--config", str(conf),
+                   "--out", str(tmp_path / "b")) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"tau must be > 0, got {float(tau)}") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "a" / "model.json").exists()
+
+
 # argv and the config key ("section key", or None) that carry BAD
 @pytest.mark.parametrize("argv, key", [
     (["simulate", "--synthetic", "20", "--tau=BAD"], None),

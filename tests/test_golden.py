@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from helpers import sha256
-from marsched import cli
+from marsched import cli, neural
 from marsched.agent import Hyperparameters, MarsAgent, random_baseline
 from marsched.heuristics import HEURISTIC_KINDS
+from marsched.neural import softmax
 from marsched.workload import (SyntheticConfig, WorkloadTrace,
                                generate_synthetic, write_swf)
 
@@ -311,18 +312,27 @@ GOLDEN_RL_TRAJECTORIES = (
     -131.93633747972217)
 
 
-def _trajectory_digest(traj) -> str:
+def _trajectory_digest(traj, actor) -> str:
+    """Digest of every recorded step, with each step's log-probability of
+    its action recomputed from the recorded state, mask and action under
+    ``actor``: the rollout samples without a cost adjustment, so this is
+    the log-probability the action was drawn with."""
+    log_probs = []
+    for state, mask, action in zip(traj.states, traj.masks, traj.actions):
+        logits = neural.predict(actor, state[None, :])[0]
+        probs = softmax(np.where(mask, logits, -np.inf))
+        log_probs.append(float(np.log(probs[action])))
     h = hashlib.sha256()
     for steps in (traj.states, traj.masks, traj.cost_norms):
         h.update(np.stack(steps).tobytes())
-    for values in (traj.actions, traj.log_probs, traj.rewards):
+    for values in (traj.actions, log_probs, traj.rewards):
         h.update(np.asarray(values).tobytes())
     return h.hexdigest()
 
 
 def test_golden_rl_trajectories():
     """Every recorded step of a sampled rollout with a cost weight (states,
-    masks, cost terms, actions and log-probabilities), and the random
+    masks, cost terms, actions and their log-probabilities), and the random
     baseline's reward, on the burst trace of ``RL_EVAL``."""
     trace = generate_synthetic(RL_EVAL)
     hyper = Hyperparameters(seed=7, cost_weight=0.1, time_norm=3600.0)
@@ -332,5 +342,5 @@ def test_golden_rl_trajectories():
                                       record=True)
     baseline = random_baseline(trace.jobs, trace.total_procs, hyper,
                                episodes=3, seed=7)
-    got = (_trajectory_digest(traj), len(traj), baseline)
+    got = (_trajectory_digest(traj, agent.model.actor), len(traj), baseline)
     assert got == GOLDEN_RL_TRAJECTORIES

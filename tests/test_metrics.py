@@ -109,9 +109,16 @@ def test_aggregate_known_values():
                               for i, w in enumerate([0, 10, 40, 90, 360])])
     rep = metrics.aggregate(schedule, tau=10.0, policy="x", total_procs=4)
     expect = np.array([1.0, 2.0, 5.0, 10.0, 37.0])
-    assert np.array_equal(rep.bounded, expect)
-    assert np.array_equal(rep.slowdowns, expect)
-    assert np.array_equal(rep.pp, np.maximum(expect / 2, 1.0))
+    waits = np.array([0.0, 10.0, 40.0, 90.0, 360.0])
+    slowdowns, bounded, pp = metrics.job_slowdowns(waits, np.full(5, 10.0),
+                                                   np.full(5, 2), tau=10.0)
+    assert np.array_equal(bounded, expect)
+    assert np.array_equal(slowdowns, expect)
+    assert np.array_equal(pp, np.maximum(expect / 2, 1.0))
+    assert np.array_equal(metrics.bounded_slowdowns(schedule, tau=10.0),
+                          expect)
+    assert rep.mean_slowdown == float(np.mean(expect))
+    assert rep.mean_pp == float(np.mean(np.maximum(expect / 2, 1.0)))
     assert rep.mean_bounded == float(np.mean(expect))
     assert rep.median_bounded == 5.0
     assert rep.p95_bounded == float(np.percentile(expect, 95.0))

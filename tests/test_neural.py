@@ -49,8 +49,8 @@ def test_gradient_check_20_networks():
         depth = int(rng.integers(1, 4))
         dims = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
         net = init_network(dims, rng=rng)
-        x = rng.normal(size=dims[0])
-        dout = rng.normal(size=dims[-1])
+        x = rng.normal(size=(1, dims[0]))
+        dout = rng.normal(size=(1, dims[-1]))
         out, cache = forward(net, x)
         analytic = backward(net, cache, dout)
         numeric = numeric_gradients(net, x, dout, h=1e-5)
@@ -72,12 +72,14 @@ def test_gradient_check_batched_input():
 
 def test_forward_shapes_and_validation():
     net = init_network([3, 5, 2], rng=np.random.default_rng(0))
-    out1, _ = forward(net, np.zeros(3))
-    assert out1.shape == (2,)
+    out1, _ = forward(net, np.zeros((1, 3)))
+    assert out1.shape == (1, 2)
     out2, _ = forward(net, np.zeros((4, 3)))
     assert out2.shape == (4, 2)
     with pytest.raises(ContractError):
-        forward(net, np.zeros(4))
+        forward(net, np.zeros((4, 4)))
+    with pytest.raises(ContractError):      # a sample is a batch of one
+        forward(net, np.zeros(3))
     with pytest.raises(ContractError):
         init_network([3])
 
@@ -86,9 +88,9 @@ def test_backward_rejects_foreign_cache():
     rng = np.random.default_rng(0)
     a = init_network([2, 2], rng=rng)
     b = init_network([2, 2], rng=rng)
-    _, cache = forward(a, np.zeros(2))
+    _, cache = forward(a, np.zeros((1, 2)))
     with pytest.raises(ContractError):
-        backward(b, cache, np.zeros(2))
+        backward(b, cache, np.zeros((1, 2)))
 
 
 def test_glorot_bounds_and_zero_bias():
@@ -182,8 +184,8 @@ def test_serialization_round_trip_bit_exact():
         assert np.array_equal(a, b)
     for a, b in zip(state.v, adam2.v):
         assert np.array_equal(a, b)
-    out1, _ = forward(net, np.ones(5))
-    out2, _ = forward(net2, np.ones(5))
+    out1, _ = forward(net, np.ones((1, 5)))
+    out2, _ = forward(net2, np.ones((1, 5)))
     assert np.array_equal(out1, out2)
 
 
