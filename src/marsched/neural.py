@@ -27,12 +27,12 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     raise ContractError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d z, given pre-activation z and activation a."""
+def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """d activation / d z, given the activation a = activation(z)."""
     if name == "tanh":
         return 1.0 - a * a
     if name == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     raise ContractError(f"unknown activation {name!r}")
 
 
@@ -98,7 +98,6 @@ def init_network(dims: list[int],
 class ForwardCache:
     net: Network
     inputs: list[np.ndarray]       # input to each layer, 2-D
-    pre_acts: list[np.ndarray]     # z per layer
     acts: list[np.ndarray]         # activation(z) per layer
 
 
@@ -108,17 +107,13 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         raise ContractError(
             f"input of shape {x.shape} does not match network input dim "
             f"{net.input_dim}")
-    inputs, pre_acts, acts = [], [], []
+    inputs, acts = [], []
     h = x
     for layer in net.layers:
         inputs.append(h)
-        z = h @ layer.weights + layer.bias
-        a = _act(layer.activation, z)
-        pre_acts.append(z)
-        acts.append(a)
-        h = a
-    return h, ForwardCache(net=net, inputs=inputs, pre_acts=pre_acts,
-                           acts=acts)
+        h = _act(layer.activation, h @ layer.weights + layer.bias)
+        acts.append(h)
+    return h, ForwardCache(net=net, inputs=inputs, acts=acts)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
@@ -144,8 +139,7 @@ def backward(net: Network, cache: ForwardCache,
     delta = dout
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        delta = delta * _act_grad(layer.activation, cache.pre_acts[i],
-                                  cache.acts[i])
+        delta = delta * _act_grad(layer.activation, cache.acts[i])
         grads[2 * i] = cache.inputs[i].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:

@@ -13,7 +13,8 @@ import pytest
 
 from helpers import make_job
 from marsched import neural
-from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent, ModelVersions,
+from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
+                            ModelVersions,
                             actor_critic_step, apply_cost_adjustment,
                             compute_advantages,
                             encode_state, episode_gradients, episode_reward,
