@@ -10,8 +10,12 @@ the action and the action costs. The update (``actor_critic_step``) rebuilds
 the policy and the critic's values from those records at the current
 parameters, so nothing else of the sampling is kept.
 
-Cost handling is two-sided: at evaluation time the post-softmax probabilities
-are multiplied by Gaussian-survival cost factors raised to the cost weight
+A decision uses numpy only for the actor's layers on one state row; the
+policy step after the logits (``select_action``) runs on Python floats, so
+it agrees with ``neural.softmax``, which the update uses, up to rounding.
+
+Cost handling is two-sided: a greedy step weighs each valid action's
+probability by its Gaussian-survival cost factor raised to the cost weight
 (cheap jobs get factors near 1); during training the same weight scales a
 penalty gradient on the policy's expected normalized action cost. Weight
 0 disables both and recovers the plain actor-critic.
@@ -21,8 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -100,10 +105,11 @@ def visible_window(state: ClusterState, slots: int
 
 def encode_state(window: list[Job], queued: int, free_procs: int,
                  total_procs: int, now: float, hyper: Hyperparameters,
-                 static: dict[int, tuple[float, float, float]]
-                 ) -> np.ndarray:
-    """Fixed-length state vector of a window of at most ``slots`` jobs;
-    slots beyond the window stay zero.
+                 static: dict[int, tuple[float, float, float]],
+                 out: np.ndarray) -> None:
+    """Write the fixed-length state of a window of at most ``slots`` jobs
+    into ``out``, a row of ``state_dim`` floats (or a batch of one such
+    row); slots beyond the window are zero.
 
     Job features are clipped to [0, 1]: waiting and requested time by
     time_norm, processors by the machine size, cost rate by cost_norm. The
@@ -134,13 +140,13 @@ def encode_state(window: list[Job], queued: int, free_procs: int,
     row.append(free_procs / total_procs)
     pressure = queued / slots
     row.append(1.0 if 1.0 < pressure else pressure)
-    return np.array(row)
+    out[...] = row
 
 
-def fit_mask(fits: list[bool], slots: int) -> np.ndarray:
+def fit_mask(fits: list[bool], slots: int) -> list[bool]:
     """Validity mask over slot actions plus the always-valid pass action;
     ``fits`` says which visible jobs fit, as ``visible_window`` gives it."""
-    return np.array(fits + [False] * (slots - len(fits)) + [True])
+    return fits + [False] * (slots - len(fits)) + [True]
 
 
 def slot_cost_factors(queue: list[Job], slots: int) -> np.ndarray:
@@ -163,84 +169,89 @@ def slot_cost_factors(queue: list[Job], slots: int) -> np.ndarray:
     return factors
 
 
-def apply_cost_adjustment(probs: np.ndarray, cost_factors: np.ndarray,
-                          weight: float) -> np.ndarray:
-    """Multiply probabilities by cost factors ** weight and renormalize.
-
-    Weight 0 returns the input untouched (exact identity). A degenerate
-    all-zero product falls back to the unadjusted distribution.
-    """
-    if weight == 0:
-        return probs
-    adjusted = probs * np.power(cost_factors, weight)
-    total = adjusted.sum()
-    if total <= 0 or not np.isfinite(total):
-        return probs.copy()
-    return adjusted / total
-
-
-def sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with probabilities ``p`` by inverse CDF.
-
-    The same arithmetic and the same one draw from ``rng`` as
-    ``rng.choice(len(p), p=p)``, so it returns the same index and leaves the
-    generator in the same state, without ``choice``'s argument checks. A
-    distribution that is not finite raises ValueError, as ``choice`` does.
-    """
-    cdf = p.cumsum()
-    total = cdf[-1]
-    if not math.isfinite(total):
-        raise ValueError("probabilities are not finite")
-    cdf /= total
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-def select_action(net: Network, state: np.ndarray, valid_mask: np.ndarray,
+def select_action(net: Network, state: np.ndarray, mask: list[bool],
                   rng: np.random.Generator, *, greedy: bool = False,
                   cost_factors: np.ndarray | None = None,
-                  cost_weight: float = 0.0) -> tuple[int, np.ndarray]:
-    """Sample (or argmax) an action from the masked softmax policy.
+                  cost_weight: float = 0.0) -> int:
+    """One policy step: the action sampled from the masked softmax policy
+    at ``state`` (a batch of one row), or with ``greedy`` its most probable
+    action.
 
-    Invalid actions get -inf logits, hence probability exactly 0. With cost
-    factors and a positive weight, the distribution is cost-adjusted
-    (``apply_cost_adjustment``) before the choice. Returns the action index
-    and the distribution it was chosen from. The logits are ``forward``'s
-    for the one state, by ``neural.predict``: nothing differentiates them,
-    so no cache is built.
+    The logits are ``forward``'s, by ``neural.predict``; the rest runs on
+    Python floats over the valid actions only. A sample exponentiates the
+    max-shifted logits and draws by inverse CDF on their running sums with
+    the one ``rng.random()`` that ``Generator.choice`` makes; weights that
+    are not finite raise ValueError, as ``choice`` does. A greedy choice
+    with cost factors and a positive weight takes the largest weight times
+    factor ** weight, or the largest logit when every such product is 0;
+    sampling ignores the factors.
+
+    This is ``choice`` (or ``argmax``) on ``neural.softmax``'s probabilities
+    save for rounding: ``math.exp`` and ``np.exp`` differ in the last bit on
+    some doubles, and the sums run in another order. A sampled action can
+    differ only when the draw lands within a few ulps of a cumulative
+    boundary, a greedy one only when two valid logits (or cost-adjusted
+    weights) tie to within an ulp.
     """
-    logits = neural.predict(net, state[None, :])[0]
-    probs = softmax(np.where(valid_mask, logits, -np.inf))
-    if cost_factors is not None and cost_weight > 0:
-        probs = apply_cost_adjustment(probs, cost_factors, cost_weight)
+    logits = list(compress(neural.predict(net, state)[0].tolist(), mask))
+    actions = list(compress(range(len(mask)), mask))
+    top = max(logits)
+    exp = math.exp
     if greedy:
-        action = int(probs.argmax())
-    else:
-        action = sample_index(probs / probs.sum(), rng)
-    return action, probs
+        best = logits.index(top)
+        if cost_factors is not None and cost_weight > 0:
+            adjusted = [exp(x - top) * f ** cost_weight for x, f
+                        in zip(logits, compress(cost_factors.tolist(), mask))]
+            peak = max(adjusted)
+            if peak > 0.0:
+                best = adjusted.index(peak)
+        return actions[best]
+    # the largest logit weighs exactly 1, so a finite total is at least 1
+    # and the scaled draw stays below it
+    cdf = list(accumulate([exp(x - top) for x in logits]))
+    total = cdf[-1]
+    if not total < math.inf:          # also true for NaN
+        raise ValueError("probabilities are not finite")
+    return actions[bisect_right(cdf, rng.random() * total)]
 
 
 @dataclass
 class EpisodeTrajectory:
-    states: list[np.ndarray] = field(default_factory=list)
+    """One episode's decision points. The state rows go into one matrix
+    that doubles when it is full, so a step allocates no array of its own
+    and the update reads ``states`` without stacking them."""
     actions: list[int] = field(default_factory=list)
     rewards: list[float] = field(default_factory=list)
-    masks: list[np.ndarray] = field(default_factory=list)
+    masks: list[list[bool]] = field(default_factory=list)
     cost_norms: list[np.ndarray] = field(default_factory=list)
     terminal: bool = False
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.actions)
 
-    def add_step(self, state: np.ndarray, action: int, mask: np.ndarray,
+    @property
+    def states(self) -> np.ndarray:
+        """The steps' states, one row each."""
+        return self.rows[:len(self.actions)]
+
+    def add_step(self, state: np.ndarray, action: int, mask: list[bool],
                  cost_norm: np.ndarray) -> None:
-        self.states.append(state)
+        """Record a step; ``state`` is a row, or a batch of one row."""
+        n = len(self.actions)
+        if n == len(self.rows):
+            grown = np.empty((max(2 * n, 256), np.shape(state)[-1]))
+            if n:
+                grown[:n] = self.rows
+            self.rows = grown
+        self.rows[n] = state
         self.actions.append(action)
         self.masks.append(mask)
         self.cost_norms.append(cost_norm)
 
     def finalize(self, terminal_reward: float) -> None:
         """Intra-episode rewards are 0; the last step carries the -ABS reward."""
-        n = len(self.states)
+        n = len(self.actions)
         self.rewards = [0.0] * n
         if n:
             self.rewards[-1] = terminal_reward
@@ -505,13 +516,13 @@ def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
     diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0}
     if len(traj) == 0:
         return _zero_grads(model.actor), _zero_grads(model.critic), diag
-    states = np.stack(traj.states)
+    states = traj.states
     values, cache_c = forward(model.critic, states)
     advantages, targets = compute_advantages(traj, values[:, 0], hyper.gamma)
     eye = hyper.gamma ** np.arange(len(traj))
     weights = eye * advantages
 
-    masks = np.stack(traj.masks)
+    masks = np.array(traj.masks, dtype=bool)
     actions = np.asarray(traj.actions)
 
     probs, cache_a = _masked_probs(model.actor, states, masks)
@@ -613,34 +624,39 @@ class MarsAgent:
         hyper = self.hyper
         slots = hyper.slots
         actor = self.model.actor
+        cost_weight = hyper.cost_weight
         static: dict[int, tuple[float, float, float]] = {}
+        # every decision's state is written to this one row; a recorded
+        # step copies it into the trajectory
+        row = np.empty((1, hyper.state_dim))
         # without a cost term every step's cost row is zero: one shared,
         # read-only row instead of an allocation per step
         zero_cost = np.zeros(hyper.action_dim)
         zero_cost.flags.writeable = False
 
         def selector(state: ClusterState) -> int | None:
-            if state.free_procs == 0 or not state.ready:
+            free = state.free_procs
+            if not free or not state.ready:
                 return None
             seen = visible_window(state, slots)
             if seen is None:
                 return None
             window, fits = seen
             mask = fit_mask(fits, slots)
-            vec = encode_state(window, len(state.ready), state.free_procs,
-                               state.total_procs, state.clock, hyper, static)
+            encode_state(window, len(state.ready), free, state.total_procs,
+                         state.clock, hyper, static, row)
             factors = None
-            if greedy and hyper.cost_weight > 0:
+            if cost_weight > 0:
                 factors = slot_cost_factors(window, slots)
-            action, _ = select_action(
-                actor, vec, mask, rng, greedy=greedy,
-                cost_factors=factors, cost_weight=hyper.cost_weight)
+            action = select_action(actor, row, mask, rng, greedy=greedy,
+                                   cost_factors=factors,
+                                   cost_weight=cost_weight)
             if traj is not None:
                 cost_norm = zero_cost
-                if hyper.cost_weight > 0:
-                    cost_norm = 1.0 - slot_cost_factors(window, slots)
+                if factors is not None:
+                    cost_norm = 1.0 - factors
                     cost_norm[-1] = 0.0
-                traj.add_step(vec, action, mask, cost_norm)
+                traj.add_step(row, action, mask, cost_norm)
             if action == slots:
                 return None
             return window[action].id

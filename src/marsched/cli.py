@@ -320,7 +320,7 @@ def cmd_evaluate(args, settings: Settings) -> int:
                                       seed=seed, agent=agent)
     _write_run_outputs(out, results, reports)
     _print_report(reports[0])
-    reward = episode_reward(results[0].schedule, agent.hyper.tau)
+    reward = episode_reward(results[0].schedule, tau)
     print(f"episode_reward={reward:.4f}")
     return EXIT_OK
 

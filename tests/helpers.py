@@ -1,10 +1,15 @@
-"""Shared factories and file digests for the test suite."""
+"""Shared factories, file digests and policy-step oracles for the test
+suite."""
 
 import hashlib
 
 import numpy as np
 
+from marsched import neural
+from marsched.agent import (encode_state, fit_mask, slot_cost_factors,
+                            visible_window)
 from marsched.metrics import Schedule
+from marsched.neural import Layer, Network, softmax
 from marsched.workload import Job, WorkloadTrace
 
 
@@ -46,3 +51,58 @@ def make_trace(jobs, total_procs, name="test"):
     trace = WorkloadTrace(jobs=list(jobs), total_procs=total_procs, name=name)
     trace.validate()
     return trace
+
+
+def oracle_action(logits, mask, rng, *, greedy=False, cost_factors=None,
+                  cost_weight=0.0) -> int:
+    """One policy step by whole-array arithmetic: ``neural.softmax`` over
+    the masked logits, then ``Generator.choice`` on the renormalized
+    probabilities, or ``argmax`` when greedy. A greedy choice with cost
+    factors and a positive weight first multiplies the probabilities by
+    factor ** weight and renormalizes, keeping them unadjusted when that
+    zeroes every one."""
+    probs = softmax(np.where(mask, logits, -np.inf))
+    if not greedy:
+        return int(rng.choice(len(probs), p=probs / probs.sum()))
+    if cost_factors is not None and cost_weight > 0:
+        adjusted = probs * np.power(cost_factors, cost_weight)
+        total = adjusted.sum()
+        if total > 0 and np.isfinite(total):
+            probs = adjusted / total
+    return int(probs.argmax())
+
+
+def logit_network(logits) -> Network:
+    """A one-layer network whose output, for any input of width 1, is
+    exactly ``logits``: zero weights and the logits as bias."""
+    logits = np.asarray(logits, dtype=float)
+    return Network([Layer(np.zeros((1, len(logits))), logits, "identity")])
+
+
+def oracle_selector(agent, rng, steps, *, greedy=False):
+    """A selector that decides as ``agent``'s would, with each step's
+    action from ``oracle_action`` on the logits of a freshly encoded state
+    row. Appends each step's (state, mask, action) to ``steps``."""
+    hyper = agent.hyper
+    slots = hyper.slots
+    static = {}
+
+    def selector(state):
+        seen = visible_window(state, slots)
+        if seen is None:
+            return None
+        window, fits = seen
+        mask = np.array(fit_mask(fits, slots))
+        vec = np.empty(hyper.state_dim)
+        encode_state(window, len(state.ready), state.free_procs,
+                     state.total_procs, state.clock, hyper, static, vec)
+        logits = neural.predict(agent.model.actor, vec[None, :])[0]
+        factors = (slot_cost_factors(window, slots)
+                   if hyper.cost_weight > 0 else None)
+        action = oracle_action(logits, mask, rng, greedy=greedy,
+                               cost_factors=factors,
+                               cost_weight=hyper.cost_weight)
+        steps.append((vec, mask, action))
+        return None if action == slots else window[action].id
+
+    return selector

@@ -15,12 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import make_job, starts
-from marsched import cli, metrics
+from helpers import logit_network, make_job, oracle_action, starts
+from marsched import cli, metrics, neural
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
-                            ModelVersions, actor_critic_step,
-                            apply_cost_adjustment, new_model, random_baseline,
-                            select_action, train)
+                            ModelVersions, actor_critic_step, new_model,
+                            random_baseline, select_action, train)
 from marsched.decision import Thresholds, decide, run_plan
 from marsched.heuristics import (AGING_ENTRIES, HEURISTIC_KINDS, PolicyKind,
                                  priority_key)
@@ -277,7 +276,7 @@ def test_c06_softmax_and_cost_adjustment_validity(capsys):
     t0 = time.monotonic()
     rng = np.random.default_rng(1006)
     worst = 0.0
-    identity_ok = True
+    identity_ok = argmax_ok = True
     for _ in range(300):
         n = int(rng.integers(2, 40))
         logits = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=n)
@@ -287,17 +286,28 @@ def test_c06_softmax_and_cost_adjustment_validity(capsys):
         probs = softmax(logits)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
 
+        # the greedy step's cost adjustment picks the argmax of the
+        # renormalized adjusted distribution, and weight 0 changes nothing
         factors = rng.uniform(1e-4, 1.0, size=n)
-        adjusted = apply_cost_adjustment(probs, factors,
-                                         float(rng.uniform(0.1, 3.0)))
-        worst = max(worst, abs(float(adjusted.sum()) - 1.0))
-        if apply_cost_adjustment(probs, factors, 0.0) is not probs:
+        weight = float(rng.uniform(0.1, 3.0))
+        mask = np.isfinite(logits)
+        net = logit_network(np.where(mask, logits, 0.0))
+        step = lambda **kw: select_action(net, np.ones((1, 1)), mask, rng,
+                                          greedy=True, **kw)
+        adjusted = probs * factors ** weight
+        worst = max(worst, abs(float((adjusted / adjusted.sum()).sum()) - 1.0))
+        if step(cost_factors=factors, cost_weight=weight) != oracle_action(
+                logits, mask, rng, greedy=True, cost_factors=factors,
+                cost_weight=weight):
+            argmax_ok = False
+        if step(cost_factors=factors, cost_weight=0.0) != step():
             identity_ok = False
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-9 and identity_ok
+    ok = worst <= 1e-9 and identity_ok and argmax_ok
     _verdict(capsys, f"6 distribution sums within 1e-9 (worst {worst:.1e}), "
-                     "weight-0 identity", ok, elapsed)
+                     "cost-adjusted argmax, weight-0 identity", ok, elapsed)
     assert worst <= 1e-9
+    assert argmax_ok
     assert identity_ok
 
 
@@ -308,18 +318,18 @@ def test_c07_bandit_prefers_better_arm(capsys):
     hyper = Hyperparameters(slots=2, hidden=(8,), actor_lr=0.05,
                             critic_lr=0.1, seed=0)
     model = new_model(hyper)
-    state = np.zeros(hyper.state_dim)
+    state = np.zeros((1, hyper.state_dim))
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
     rng = np.random.default_rng(11)
     for _ in range(500):
         traj = EpisodeTrajectory()
-        action, _ = select_action(model.actor, state, mask, rng)
+        action = select_action(model.actor, state, mask, rng)
         traj.add_step(state, action, mask, np.zeros(hyper.action_dim))
         traj.finalize(-1.0 if action == 0 else -10.0)
         actor_critic_step(model, [traj], hyper)
-    _, probs = select_action(model.actor, state, mask, rng, greedy=True)
-    p_better = float(probs[0])
+    logits = neural.predict(model.actor, state)[0]
+    p_better = float(softmax(np.where(mask, logits, -np.inf))[0])
     elapsed = time.monotonic() - t0
     ok = p_better > 0.9 and elapsed < 10.0
     _verdict(capsys, f"7 bandit P(better arm) = {p_better:.3f} after 500 "

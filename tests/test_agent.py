@@ -11,21 +11,22 @@ import re
 import numpy as np
 import pytest
 
-from helpers import make_job
+from helpers import (logit_network, make_job, oracle_action,
+                     oracle_selector)
 from marsched import neural
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             ModelVersions,
-                            actor_critic_step, apply_cost_adjustment,
-                            compute_advantages,
+                            actor_critic_step, compute_advantages,
                             encode_state, episode_gradients, episode_reward,
                             fit_mask, load_model, new_model,
-                            random_baseline, sample_index, save_model,
+                            random_baseline, save_model,
                             select_action, slot_cost_factors, train,
                             visible_window)
 from marsched.errors import (ConfigError, ContractError, ModelFormatError)
 from marsched.neural import forward, softmax
 from marsched.simulator import Simulation
 from marsched.workload import SyntheticConfig, generate_synthetic
+from test_golden import RL_EVAL, RL_MIX
 
 SMALL = Hyperparameters(slots=4, hidden=(8,), epochs=5, seed=1)
 
@@ -43,9 +44,9 @@ def test_encode_state_layout():
     assert hyper.state_dim == 18           # 4 slots x 4 features + 2
     assert hyper.action_dim == 5
     queue = [make_job(1, submit=10, run=50, procs=8, req_time=50, cost=2.0)]
-    vec = encode_state(queue, queued=1, free_procs=16, total_procs=32,
-                       now=35, hyper=hyper, static={})
-    assert vec.shape == (18,)
+    vec = np.full(hyper.state_dim, np.nan)
+    encode_state(queue, queued=1, free_procs=16, total_procs=32,
+                 now=35, hyper=hyper, static={}, out=vec)
     assert vec[0] == 0.25                  # wait 25 / time_norm 100
     assert vec[1] == 0.5                   # requested time 50 / 100
     assert vec[2] == 0.25                  # 8 procs / 32
@@ -59,8 +60,10 @@ def test_encode_state_clips_to_unit_interval():
     hyper = Hyperparameters(slots=2, time_norm=10.0, cost_norm=1.0)
     queue = [make_job(i + 1, submit=0, run=10**6, procs=64, req_time=10**6,
                       cost=50.0) for i in range(10)]
-    vec = encode_state(queue[:2], queued=len(queue), free_procs=64,
-                       total_procs=64, now=10**9, hyper=hyper, static={})
+    vec = np.empty((1, hyper.state_dim))      # a batch of one row
+    encode_state(queue[:2], queued=len(queue), free_procs=64,
+                 total_procs=64, now=10**9, hyper=hyper, static={}, out=vec)
+    vec = vec[0]
     assert np.all(vec <= 1.0) and np.all(vec >= 0.0)
     assert vec[-1] == 1.0                  # queue pressure saturates
 
@@ -70,9 +73,10 @@ def test_encode_state_static_cache_changes_nothing():
     queue = [make_job(i + 1, submit=3 * i, run=7 + i, procs=i + 1,
                       cost=0.3 * i) for i in range(4)]
     static = {}
+    fresh, cached = np.empty(hyper.state_dim), np.empty(hyper.state_dim)
     for now in (12.5, 40.0, 1e6):
-        fresh = encode_state(queue[:3], 4, 5, 16, now, hyper, {})
-        cached = encode_state(queue[:3], 4, 5, 16, now, hyper, static)
+        encode_state(queue[:3], 4, 5, 16, now, hyper, {}, fresh)
+        encode_state(queue[:3], 4, 5, 16, now, hyper, static, cached)
         assert fresh.tobytes() == cached.tobytes()
     assert sorted(static) == [1, 2, 3]
     assert static[2] == (0.08, 2 / 16, 0.03)
@@ -80,8 +84,7 @@ def test_encode_state_static_cache_changes_nothing():
 
 def test_fit_mask():
     mask = fit_mask([True, False], slots=3)
-    assert mask.tolist() == [True, False, False, True]   # pass always valid
-    assert mask.dtype == bool
+    assert mask == [True, False, False, True]   # pass always valid
 
 
 def test_visible_window_is_the_first_slots_ready_jobs():
@@ -142,51 +145,27 @@ def test_slot_cost_factors_degenerate():
     assert np.allclose(factors[:3], 0.5)   # all z = 0
 
 
-def test_apply_cost_adjustment_weight_zero_is_identity():
-    probs = np.array([0.2, 0.3, 0.5])
-    factors = np.array([0.01, 0.99, 0.5])
-    out = apply_cost_adjustment(probs, factors, 0.0)
-    assert out is probs                    # untouched, not merely close
-
-
-def test_apply_cost_adjustment_renormalizes():
-    probs = np.array([0.5, 0.5])
-    factors = np.array([1.0, 0.25])
-    out = apply_cost_adjustment(probs, factors, 1.0)
-    assert abs(out.sum() - 1.0) < 1e-9
-    assert out[0] == pytest.approx(0.8)
-    assert out[1] == pytest.approx(0.2)
-
-
-def test_apply_cost_adjustment_fallback():
-    probs = np.array([1.0, 0.0])
-    factors = np.array([0.0, 1.0])        # zeroes out all probability mass
-    out = apply_cost_adjustment(probs, factors, 2.0)
-    assert np.array_equal(out, probs)
-
-
-# -- action selection --------------------------------------------------------
+# -- the policy step -----------------------------------------------------------
 
 def test_select_action_respects_mask():
     rng = np.random.default_rng(0)
     hyper = SMALL
     net = new_model(hyper).actor
-    state = rng.normal(size=hyper.state_dim)
-    mask = np.array([True, False, True, False, True])
+    state = rng.normal(size=(1, hyper.state_dim))
+    mask = [True, False, True, False, True]
+    seen = set()
     for _ in range(200):
-        action, probs = select_action(net, state, mask, rng)
+        action = select_action(net, state, mask, rng)
         assert mask[action]
-        assert probs[~mask].sum() == 0.0
-        assert abs(probs.sum() - 1.0) < 1e-9
+        seen.add(action)
+    assert seen == {0, 2, 4}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_sample_index_matches_generator_choice(seed):
-    # 300 masked distributions per seed: mild, sharp and extreme logits
-    # (at scale 700 every entry but the largest underflows to 0), ties,
-    # and every seventh with a single valid action
+def masked_distributions(seed):
+    """300 masked logit vectors per seed: mild, sharp and extreme logits
+    (at scale 700 every entry but the largest underflows to 0), ties, and
+    every seventh with a single valid action."""
     source = np.random.default_rng(1000 + seed)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for trial in range(300):
         n = int(source.integers(1, 34))
         logits = source.normal(size=n) * (1.0, 30.0, 700.0)[trial % 3]
@@ -196,34 +175,109 @@ def test_sample_index_matches_generator_choice(seed):
         if trial % 7 == 0:
             mask[:] = False
         mask[source.integers(n)] = True
-        probs = softmax(np.where(mask, logits, -np.inf))
-        p = probs / probs.sum()
-        assert sample_index(p, ours) == theirs.choice(n, p=p)
+        yield logits, mask
+
+
+@pytest.mark.parametrize("mode", ["sampled", "greedy", "greedy-cost"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_select_action_matches_oracle(seed, mode):
+    # the step against softmax + Generator.choice (or argmax), sharing the
+    # seed, so that every draw and the generator state after it must agree
+    greedy = mode != "sampled"
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    costs = np.random.default_rng(2000 + seed)
+    for trial, (logits, mask) in enumerate(masked_distributions(seed)):
+        factors, weight = None, 0.0
+        if mode == "greedy-cost":
+            factors = costs.uniform(1e-4, 1.0, size=len(logits))
+            weight = float(costs.uniform(0.1, 3.0))
+            if trial % 11 == 0:
+                factors[mask] = 0.0        # zeroes every valid action
+        action = select_action(logit_network(logits), np.ones((1, 1)),
+                               mask.tolist(), ours, greedy=greedy,
+                               cost_factors=factors, cost_weight=weight)
+        assert action == oracle_action(logits, mask, theirs, greedy=greedy,
+                                       cost_factors=factors,
+                                       cost_weight=weight)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def test_sample_index_rejects_nan_distribution():
+def test_select_action_cost_weight_zero_ignores_factors():
+    rng = np.random.default_rng(4)
+    for logits, mask in masked_distributions(0):
+        factors = rng.uniform(1e-4, 1.0, size=len(logits))
+        net = logit_network(logits)
+        plain = select_action(net, np.ones((1, 1)), mask.tolist(), rng,
+                              greedy=True)
+        assert select_action(net, np.ones((1, 1)), mask.tolist(), rng,
+                             greedy=True, cost_factors=factors,
+                             cost_weight=0.0) == plain
+
+
+def test_select_action_rejects_nan_distribution():
     p = np.array([0.5, np.nan, 0.5])
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(3, p=p)
-    with pytest.raises(ValueError):
-        sample_index(p, np.random.default_rng(0))
     net = new_model(SMALL).actor
     net.layers[0].weights[:] = np.nan
     with pytest.raises(ValueError):
-        select_action(net, np.ones(SMALL.state_dim),
-                      np.ones(SMALL.action_dim, dtype=bool),
-                      np.random.default_rng(0))
+        select_action(net, np.ones((1, SMALL.state_dim)),
+                      [True] * SMALL.action_dim, np.random.default_rng(0))
 
 
 def test_select_action_greedy_is_argmax():
     rng = np.random.default_rng(1)
     hyper = SMALL
     net = new_model(hyper).actor
-    state = rng.normal(size=hyper.state_dim)
-    mask = np.ones(hyper.action_dim, dtype=bool)
-    action, probs = select_action(net, state, mask, rng, greedy=True)
-    assert action == int(np.argmax(probs))
+    state = rng.normal(size=(1, hyper.state_dim))
+    mask = [True] * hyper.action_dim
+    action = select_action(net, state, mask, rng, greedy=True)
+    assert action == int(np.argmax(neural.predict(net, state)[0]))
+
+
+def c08_trace(seed):
+    return generate_synthetic(SyntheticConfig(
+        job_count=512, arrival_rate=0.014, seed=seed, **RL_MIX))
+
+
+@pytest.mark.parametrize("cost_weight", [0.0, 0.1])
+@pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+@pytest.mark.parametrize("config", [RL_EVAL, 101, 102, 103],
+                         ids=["rl-eval", "c08-101", "c08-102", "c08-103"])
+def test_run_collect_matches_oracle_selector(config, greedy, cost_weight):
+    # a whole episode of the agent's selector against one that decides by
+    # whole-array arithmetic: the same states, masks, actions and schedule
+    trace = (c08_trace(config) if isinstance(config, int)
+             else generate_synthetic(config))
+    agent = MarsAgent(Hyperparameters(seed=7, cost_weight=cost_weight,
+                                      time_norm=3600.0))
+    schedule, traj, _, _ = agent.run_collect(
+        trace.jobs, trace.total_procs, rng=np.random.default_rng(9),
+        greedy=greedy, record=True)
+    steps = []
+    want = Simulation(trace.jobs, trace.total_procs).run(
+        oracle_selector(agent, np.random.default_rng(9), steps,
+                        greedy=greedy))
+    assert len(traj) == len(steps) > 0
+    assert np.array_equal(traj.states, np.stack([s for s, _, _ in steps]))
+    assert np.array_equal(np.array(traj.masks),
+                          np.stack([m for _, m, _ in steps]))
+    assert traj.actions == [a for _, _, a in steps]
+    for column in ("id", "submit", "start", "run", "procs"):
+        assert np.array_equal(getattr(schedule, column),
+                              getattr(want, column))
+
+
+def test_trajectory_rows_grow_and_keep_every_state():
+    traj = EpisodeTrajectory()
+    rows = np.arange(600 * 3, dtype=float).reshape(600, 3)
+    for i, row in enumerate(rows):
+        # the selector passes a batch of one row, the tests a row
+        traj.add_step(row[None, :] if i % 2 else row, i % 3,
+                      [True] * 3, np.zeros(3))
+    assert len(traj) == 600
+    assert traj.states.shape == (600, 3)
+    assert np.array_equal(traj.states, rows)
 
 
 # -- rewards and advantages --------------------------------------------------
@@ -359,7 +413,7 @@ def bandit_episode(model, hyper, state, rng):
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
     traj = EpisodeTrajectory()
-    action, _ = select_action(model.actor, state, mask, rng)
+    action = select_action(model.actor, state, mask, rng)
     traj.add_step(state, action, mask, np.zeros(hyper.action_dim))
     traj.finalize(-1.0 if action == 0 else -10.0)
     return traj
@@ -369,7 +423,7 @@ def test_bandit_prefers_better_arm_after_500_updates():
     hyper = Hyperparameters(slots=2, hidden=(8,), actor_lr=0.05,
                             critic_lr=0.1, seed=0)
     model = new_model(hyper)
-    state = np.zeros(hyper.state_dim)
+    state = np.zeros((1, hyper.state_dim))
     rng = np.random.default_rng(11)
     for _ in range(500):
         traj = bandit_episode(model, hyper, state, rng)
@@ -377,8 +431,9 @@ def test_bandit_prefers_better_arm_after_500_updates():
         assert not diag["aborted"]
     mask = np.zeros(hyper.action_dim, dtype=bool)
     mask[:2] = True
-    _, probs = select_action(model.actor, state, mask, rng, greedy=True)
-    assert probs[0] > 0.9
+    assert select_action(model.actor, state, mask, rng, greedy=True) == 0
+    logits = neural.predict(model.actor, state)[0]
+    assert softmax(np.where(mask, logits, -np.inf))[0] > 0.9
 
 
 def test_actor_critic_update_abort_restores_parameters():

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -156,6 +157,28 @@ def test_train_evaluate_cycle(tmp_path, cfg_file, capsys):
                    "--seed", "4") == 0
     assert "episode_reward=" in capsys.readouterr().out
     assert (ev / "report.csv").exists()
+
+
+def test_evaluate_reward_uses_the_run_tau(tmp_path, cfg_file, capsys):
+    """The printed reward is minus report.csv's mean bounded slowdown at
+    the run's --tau, also where that is not the tau of the model (10)."""
+    out = tmp_path / "tr"
+    assert run_cli("train", "--config", cfg_file, "--out", str(out),
+                   "--seed", "4") == 0
+    printed = []
+    for tau in ("10", "300"):
+        capsys.readouterr()
+        ev = tmp_path / f"ev{tau}"
+        assert run_cli("evaluate", "--config", cfg_file, "--model",
+                       str(out / "model.json"), "--out", str(ev),
+                       "--seed", "4", "--tau", tau) == 0
+        reward = re.search(r"episode_reward=(\S+)",
+                           capsys.readouterr().out).group(1)
+        lines = (ev / "report.csv").read_text().splitlines()
+        report = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert reward == f"{-float(report['mean_bounded_slowdown']):.4f}"
+        printed.append(reward)
+    assert printed[0] != printed[1]
 
 
 def test_train_byte_identical_reruns(tmp_path, cfg_file):
