@@ -376,9 +376,11 @@ def hyper_from_dict(d: dict) -> Hyperparameters:
     return Hyperparameters(**d)
 
 
-def _check_shapes(model: AgentModel) -> None:
+def _check_arrays(model: AgentModel) -> None:
     """Every layer's weights and bias, and the Adam moments beside them,
-    have the shapes that the hyperparameters give each network."""
+    have the shapes that the hyperparameters give each network and hold
+    finite numbers only: the policy step's greedy choice cannot see a NaN
+    logit, so a NaN weight would pick actions silently."""
     for name, net, adam, dims in zip(
             ("actor", "critic"), (model.actor, model.critic),
             (model.actor_adam, model.critic_adam), _network_dims(model.hyper)):
@@ -390,6 +392,9 @@ def _check_shapes(model: AgentModel) -> None:
                 raise ModelFormatError(
                     f"{name} {part} shapes {got} do not match the "
                     f"hyperparameters, which give {want}")
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ModelFormatError(f"{name} {part} holds a value that "
+                                       "is not finite")
 
 
 def save_model(path, model: AgentModel) -> None:
@@ -433,7 +438,7 @@ def load_model(path) -> AgentModel:
             format_version=version,
         )
         hyper.validate()
-        _check_shapes(model)
+        _check_arrays(model)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -574,9 +574,15 @@ def test_load_model_rejects_unknown_version(tmp_path):
     ("bad network payload: unknown activation 'sigmoid'",
      lambda p: p["actor"]["layers"][0].update(activation="sigmoid")),
     ("expected an encoded array (shape and data), got list",
-     lambda p: p["critic_adam"]["v"].__setitem__(0, [[0.0]]))],
+     lambda p: p["critic_adam"]["v"].__setitem__(0, [[0.0]])),
+    ("actor parameter holds a value that is not finite",
+     lambda p: p["actor"]["layers"][0].update(
+         bias=neural.encode_array(np.full(8, np.nan)))),
+    ("critic Adam m holds a value that is not finite",
+     lambda p: p["critic_adam"]["m"].__setitem__(
+         0, neural.encode_array(np.full((SMALL.state_dim, 8), np.inf))))],
     ids=["unknown-key", "missing-key", "not-a-mapping", "malformed",
-         "activation", "list-in-format-2"])
+         "activation", "list-in-format-2", "nan-bias", "inf-adam"])
 def test_load_model_rejects_bad_payload(tmp_path, problem, edit):
     import json
     path = tmp_path / "m.json"
