@@ -133,7 +133,6 @@ class SwfField(enum.IntEnum):
     REQUESTED_MEMORY = 9
     STATUS = 10
 
-SWF_FIELD_COUNT = 18
 # the six fields parse_swf reads, in the order it unpacks them
 _SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
              SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
@@ -299,25 +298,22 @@ def format_column(values: np.ndarray) -> list[str]:
 
 
 def write_swf(path, trace: WorkloadTrace) -> None:
-    """Serialize a trace to SWF; parse_swf(write_swf(t)) is field-equal to t."""
+    """Serialize a trace to SWF; parse_swf(write_swf(t)) equals t in every
+    field but ``cost_rate``, which SWF has no column for and reads back as
+    0.0."""
     jobs = trace.jobs
+    ids = [j.id for j in jobs]
+    procs = [j.requested_procs for j in jobs]
     submit, run, requested = (
         format_column(np.array([getattr(j, name) for j in jobs], dtype=float))
         for name in ("submit_time", "run_time", "requested_time"))
-    lines = [f"; MaxProcs: {trace.total_procs}"]
-    for j, submit_text, run_text, requested_text in zip(jobs, submit, run,
-                                                          requested):
-        fields = ["-1"] * SWF_FIELD_COUNT
-        fields[SwfField.JOB_ID] = str(j.id)
-        fields[SwfField.SUBMIT_TIME] = submit_text
-        fields[SwfField.RUN_TIME] = run_text
-        fields[SwfField.ALLOCATED_PROCS] = str(j.requested_procs)
-        fields[SwfField.REQUESTED_PROCS] = str(j.requested_procs)
-        fields[SwfField.REQUESTED_TIME] = requested_text
-        fields[SwfField.STATUS] = "1"
-        lines.append(" ".join(fields))
+    # fields 0-17: id, submit, wait, run, allocated and average CPU, memory,
+    # requested procs, time and memory, status 1, and seven unused fields
+    lines = [f"{i} {s} -1 {r} {p} -1 -1 {p} {q} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+             for i, s, r, p, q in zip(ids, submit, run, procs, requested)]
     with open(path, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.write(f"; MaxProcs: {trace.total_procs}\n")
+        fp.write("".join(lines))
 
 
 def _truncated_gauss(normal, mean: float, std: float) -> float:
@@ -331,6 +327,22 @@ def _truncated_gauss(normal, mean: float, std: float) -> float:
     return 0.0
 
 
+def _truncated_gauss_block(rng, mean: float, std: float, count: int,
+                           size: int) -> list[float]:
+    """``count`` successive ``_truncated_gauss(rng.normal, mean, std)``
+    draws from one block of ``size`` normal draws, which holds the values
+    of as many scalar calls; the generator may end past the draws used.
+    When the block holds too few non-negative draws, or 100 negatives in a
+    row, the scalar rule runs from the restored generator."""
+    state = rng.bit_generator.state
+    draws = rng.normal(mean, std, size=size)
+    kept = np.flatnonzero(draws >= 0)[:count]
+    if len(kept) == count and (np.diff(kept, prepend=-1) <= 100).all():
+        return draws[kept].tolist()
+    rng.bit_generator.state = state
+    return [_truncated_gauss(rng.normal, mean, std) for _ in range(count)]
+
+
 def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
     """Seeded synthetic trace; identical config gives an identical trace."""
     cfg.validate()
@@ -340,7 +352,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
         return WorkloadTrace(jobs=[], total_procs=cfg.total_procs, name=cfg.name)
 
     gaps = rng.exponential(1.0 / cfg.arrival_rate, size=n)
-    submits = np.floor(np.cumsum(gaps) - gaps[0]).astype(int)
+    # through int64: a submit time past 2**63 wraps and fails validation
+    submits = np.floor(np.cumsum(gaps) - gaps[0]).astype(int).astype(float)
 
     log_lo, log_hi = math.log(cfg.runtime_min), math.log(cfg.runtime_max)
     runtimes = np.exp(rng.uniform(log_lo, log_hi, size=n))
@@ -357,18 +370,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
     factors = rng.uniform(cfg.overestimate_min, cfg.overestimate_max, size=n)
     req_times = np.ceil(runtimes * factors)
 
-    jobs = []
-    for i in range(n):
-        jobs.append(Job(
-            id=i + 1,
-            submit_time=float(submits[i]),
-            run_time=float(runtimes[i]),
-            requested_procs=int(cores[i]),
-            requested_time=float(req_times[i]),
-            cost_rate=_truncated_gauss(rng.normal, cfg.cost_mean,
-                                       cfg.cost_std),
-        ))
-    jobs.sort(key=lambda j: (j.submit_time, j.id))
+    # the last draws, so overdrawing moves nothing; cost_mean >= 0, so a
+    # draw is kept with probability at least 1/2 and the block runs out
+    # with negligible chance. Submit times rise, so the jobs come sorted.
+    costs = _truncated_gauss_block(rng, cfg.cost_mean, cfg.cost_std, n,
+                                   2 * n + 16 * math.isqrt(n) + 64)
+    jobs = list(map(Job, range(1, n + 1), submits.tolist(),
+                    runtimes.tolist(), cores.tolist(), req_times.tolist(),
+                    costs))
     trace = WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs, name=cfg.name)
     trace.validate()
     return trace

@@ -1,7 +1,8 @@
-"""Shared factories, file digests and policy-step oracles for the test
-suite."""
+"""Shared factories, file digests, and oracles for the policy step and for
+synthetic traces and their SWF text."""
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from marsched.agent import (encode_state, fit_mask, slot_cost_factors,
                             visible_window)
 from marsched.metrics import Schedule
 from marsched.neural import Layer, Network, softmax
-from marsched.workload import Job, WorkloadTrace
+from marsched.workload import Job, WorkloadTrace, _truncated_gauss
 
 
 def sha256(path) -> str:
@@ -106,3 +107,66 @@ def oracle_selector(agent, rng, steps, *, greedy=False):
         return None if action == slots else window[action].id
 
     return selector
+
+
+def oracle_synthetic(cfg):
+    """``generate_synthetic`` job by job: the same column draws, then one
+    ``_truncated_gauss`` call per job for its cost rate, and a sort."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.job_count
+    if n == 0:
+        return WorkloadTrace(jobs=[], total_procs=cfg.total_procs,
+                             name=cfg.name)
+    gaps = rng.exponential(1.0 / cfg.arrival_rate, size=n)
+    submits = np.floor(np.cumsum(gaps) - gaps[0]).astype(int)
+    log_lo, log_hi = math.log(cfg.runtime_min), math.log(cfg.runtime_max)
+    runtimes = np.exp(rng.uniform(log_lo, log_hi, size=n))
+    runtimes = np.maximum(np.round(runtimes), 1.0)
+    max_exp = cfg.max_cores_exp
+    if max_exp is None:
+        max_exp = int(math.log2(cfg.total_procs))
+    weights = np.array([2.0 ** -k for k in range(max_exp + 1)])
+    weights /= weights.sum()
+    exps = rng.choice(max_exp + 1, size=n, p=weights)
+    cores = (2 ** exps).astype(int)
+    factors = rng.uniform(cfg.overestimate_min, cfg.overestimate_max, size=n)
+    req_times = np.ceil(runtimes * factors)
+    jobs = []
+    for i in range(n):
+        jobs.append(Job(
+            id=i + 1,
+            submit_time=float(submits[i]),
+            run_time=float(runtimes[i]),
+            requested_procs=int(cores[i]),
+            requested_time=float(req_times[i]),
+            cost_rate=_truncated_gauss(rng.normal, cfg.cost_mean,
+                                       cfg.cost_std),
+        ))
+    jobs.sort(key=lambda j: (j.submit_time, j.id))
+    return WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs,
+                         name=cfg.name)
+
+
+def per_value_text(x: float) -> str:
+    """The SWF and jobs.csv text of one number, value by value."""
+    xi = int(x)
+    return str(xi) if x == xi else repr(float(x))
+
+
+def oracle_swf_text(trace) -> str:
+    """The SWF text of a trace, one 18-field list per job: -1 in every
+    field the trace has no value for, and each number's text by the rule
+    of ``format_column``, value by value (``per_value_text``)."""
+    lines = [f"; MaxProcs: {trace.total_procs}"]
+    for j in trace.jobs:
+        fields = ["-1"] * 18
+        fields[0] = str(j.id)
+        fields[1] = per_value_text(j.submit_time)
+        fields[3] = per_value_text(j.run_time)
+        fields[4] = str(j.requested_procs)
+        fields[7] = str(j.requested_procs)
+        fields[8] = per_value_text(j.requested_time)
+        fields[10] = "1"
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"

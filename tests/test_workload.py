@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import pathlib
+import types
 import warnings
 from unittest import mock
 
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_job, make_trace
+from helpers import (make_job, make_trace, oracle_swf_text, oracle_synthetic,
+                     per_value_text)
 from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
 from marsched.workload import (Job, SyntheticConfig,
-                               WorkloadTrace, _truncated_gauss, assign_costs,
+                               WorkloadTrace, _truncated_gauss,
+                               _truncated_gauss_block, assign_costs,
                                format_column, generate_synthetic, parse_swf,
                                slice_trace, write_swf)
 
@@ -238,8 +241,8 @@ def test_total_procs_without_header():
 
 
 def test_write_read_round_trip(tmp_path):
-    jobs = [make_job(1, 0, 100, 4, req_time=150),
-            make_job(2, 33, 7.5, 16, req_time=9.25)]
+    jobs = [make_job(1, 0, 100, 4, req_time=150, cost=0.75),
+            make_job(2, 33, 7.5, 16, req_time=9.25, cost=1.5)]
     trace = make_trace(jobs, 64)
     path = tmp_path / "t.swf"
     write_swf(path, trace)
@@ -250,6 +253,8 @@ def test_write_read_round_trip(tmp_path):
                 a.requested_time) == \
                (b.id, b.submit_time, b.run_time, b.requested_procs,
                 b.requested_time)
+    # SWF has no cost column
+    assert [b.cost_rate for b in back.jobs] == [0.0, 0.0]
 
 
 def test_synthetic_deterministic_and_bounded():
@@ -279,6 +284,109 @@ def test_synthetic_seed_changes_trace():
     a = generate_synthetic(SyntheticConfig(job_count=50, seed=1))
     b = generate_synthetic(SyntheticConfig(job_count=50, seed=2))
     assert [j.run_time for j in a.jobs] != [j.run_time for j in b.jobs]
+
+
+# -- synthetic traces by columns, against the per-job rules they replaced -----
+
+DISTRIBUTIONS = [(1.0, 0.5), (0.0, 1.0), (0.0, 0.0), (2.0, 0.0), (0.1, 3.0),
+                 (5.0, 1.0)]
+
+
+def scalar_draws(seed, mean, std, count):
+    """``count`` scalar ``_truncated_gauss`` draws and the generator left
+    after them."""
+    rng = np.random.default_rng(seed)
+    return [_truncated_gauss(rng.normal, mean, std)
+            for _ in range(count)], rng
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mean,std", DISTRIBUTIONS)
+def test_truncated_gauss_block_equals_scalar_draws(seed, mean, std):
+    want, scalar_rng = scalar_draws(seed, mean, std, 3000)
+    rng = np.random.default_rng(seed)
+    assert _truncated_gauss_block(rng, mean, std, 3000, 7000) == want
+    # served by the block, whose end lies past the draws used
+    assert rng.bit_generator.state != scalar_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mean,std", [(0.0, 1.0), (math.nan, 1.0)])
+def test_truncated_gauss_block_falls_back_exactly(mean, std):
+    # a 700-draw block holds about 350 non-negative draws at mean 0, and
+    # none at all at mean nan, where every job takes 100 draws and gets 0.0;
+    # either way the scalar rule runs from the restored generator
+    want, scalar_rng = scalar_draws(4, mean, std, 500)
+    rng = np.random.default_rng(4)
+    assert _truncated_gauss_block(rng, mean, std, 500, 700) == want
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+class ScriptedGenerator:
+    """A generator whose normal draws are a fixed list; its state is the
+    position in that list."""
+
+    def __init__(self, values):
+        self.values = values
+        self.bit_generator = types.SimpleNamespace(state=0)
+
+    def normal(self, mean, std, size=None):
+        start = self.bit_generator.state
+        if size is None:
+            self.bit_generator.state += 1
+            return self.values[start]
+        self.bit_generator.state += size
+        return np.array(self.values[start:start + size])
+
+
+@pytest.mark.parametrize("negatives", [98, 99, 100, 101, 150])
+def test_truncated_gauss_block_runs_of_negatives(negatives):
+    # a job takes its first non-negative draw among 100, or 0.0; the block
+    # serves the runs it can, and the scalar rule the others
+    values = [-1.0] * negatives + [2.0, -1.0, 3.0, 4.0]
+    scalar = ScriptedGenerator(values)
+    want = [_truncated_gauss(scalar.normal, 0.0, 1.0) for _ in range(2)]
+    assert want == ([2.0, 3.0] if negatives < 100 else [0.0, 2.0])
+    block = ScriptedGenerator(values)
+    assert _truncated_gauss_block(block, 0.0, 1.0, 2, len(values)) == want
+    assert block.bit_generator.state == \
+        (len(values) if negatives < 100 else scalar.bit_generator.state)
+
+
+SYNTHETIC_CONFIGS = [
+    dict(job_count=1),
+    dict(job_count=2000, seed=3),
+    dict(job_count=500, seed=4, max_cores_exp=0),
+    dict(job_count=500, seed=5, total_procs=8, max_cores_exp=3),
+    dict(job_count=500, seed=6, overestimate_min=1.0, overestimate_max=1.0),
+    dict(job_count=500, seed=7, runtime_min=1.0, runtime_max=1e6,
+         overestimate_min=2.5, overestimate_max=9.0),
+    dict(job_count=800, seed=8, cost_mean=0.0, cost_std=1.0),
+    dict(job_count=800, seed=9, cost_mean=0.1, cost_std=3.0),
+    dict(job_count=300, seed=10, cost_mean=2.0, cost_std=0.0),
+    dict(job_count=300, seed=11, cost_mean=0.0, cost_std=0.0),
+    dict(job_count=300, seed=12, arrival_rate=5.0, cost_mean=5.0),
+    dict(job_count=0, seed=13, name="empty"),
+]
+
+
+@pytest.mark.parametrize("config", SYNTHETIC_CONFIGS)
+def test_generate_synthetic_equals_per_job_oracle(config):
+    cfg = SyntheticConfig(**config)
+    got, want = generate_synthetic(cfg), oracle_synthetic(cfg)
+    assert (got.total_procs, got.name) == (want.total_procs, want.name)
+    rows = [dataclasses.astuple(j) for j in got.jobs]
+    assert rows == [dataclasses.astuple(j) for j in want.jobs]
+    # the same Python types too, as the SWF and CSV text depends on them
+    assert [tuple(map(type, row)) for row in rows] == \
+        [(int, float, float, int, float, float)] * len(rows)
+
+
+@pytest.mark.parametrize("config", SYNTHETIC_CONFIGS)
+def test_write_swf_equals_oracle_on_generated_traces(tmp_path, config):
+    trace = generate_synthetic(SyntheticConfig(**config))
+    write_swf(tmp_path / "t.swf", trace)
+    assert (tmp_path / "t.swf").read_bytes() == \
+        oracle_swf_text(trace).encode()
 
 
 def test_assign_costs_keyed_by_job_id():
@@ -413,12 +521,6 @@ def test_scaling_parse_digest_reads_every_job_field(monkeypatch):
 
 # -- SWF and jobs.csv number text, against the per-value rule it replaced ------
 
-def per_value_text(x: float) -> str:
-    """The oracle: the SWF and jobs.csv text of one number, value by value."""
-    xi = int(x)
-    return str(xi) if x == xi else repr(float(x))
-
-
 EDGES = [-0.0, 0.0, 5e-324, -5e-324, 0.1, 2.5, float(2 ** 53 - 1),
          float(2 ** 53), float(2 ** 53 + 1), float(2 ** 53 + 2),
          math.nextafter(2.0 ** 63, 0), 2.0 ** 63, -2.0 ** 63,
@@ -470,3 +572,17 @@ def test_write_swf_numbers_round_trip(tmp_path, value):
     back = parse_swf(path.read_text(), "t").jobs[0]
     assert (back.submit_time, back.run_time, back.requested_time) == \
         (value, times, times)
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3], [2 ** 63 - 1, 2 ** 63, 2 ** 64 + 3],
+                                 [10 ** 30, 7, 1]])
+def test_write_swf_equals_oracle_on_edge_values(tmp_path, ids):
+    # the writer does not validate, so any float takes every number field;
+    # ids and processor counts of 2**63 and above never pass through int64
+    jobs = [Job(ids[k % len(ids)] + k // len(ids) * 3, value,
+                EDGES[k - 1], ids[(k + 1) % len(ids)], EDGES[k - 2])
+            for k, value in enumerate(EDGES)]
+    trace = WorkloadTrace(jobs=jobs, total_procs=ids[0])
+    write_swf(tmp_path / "t.swf", trace)
+    assert (tmp_path / "t.swf").read_bytes() == \
+        oracle_swf_text(trace).encode()

@@ -3,7 +3,10 @@
     python3 tools/scaling.py --checkout parent=../marsched-parent \
         --checkout change=. --out BENCH_16.json
 
-A ``parse`` row writes the synthetic trace below to an SWF file (untimed)
+A ``gen`` row times ``workload.generate_synthetic`` of the synthetic trace
+below plus ``workload.write_swf`` of it; its output is the sha256 of the
+SWF file.
+A ``parse`` row writes that trace to an SWF file (untimed)
 and times ``workload.load_swf`` of it. A ``costs`` row loads that file
 (untimed), then times ``workload.assign_costs`` with the synthetic cost
 defaults and the trace's seed, as the CLI draws them for a command that runs
@@ -22,7 +25,8 @@ seconds per epoch; the ``evaluate`` row trains a model for two epochs
 (untimed), then times one greedy episode over a burst (2 jobs/s) and reports
 decisions per second; the ``model io`` row trains a model as a ``train``
 row does (untimed), then times ``agent.save_model`` followed by
-``agent.load_model`` of it. Generating the traces is never timed. Every run is a
+``agent.load_model`` of it. Outside the ``gen`` rows, generating the traces
+is never timed. Every run is a
 fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
 on one thread, and the checkouts take turns run by run, so a slow stretch of
 a shared machine hits them alike. A row reports each checkout's runs,
@@ -31,7 +35,8 @@ every checkout gave the same output: the schedule (sha256 of the job ids
 and start times, read from the finished jobs or from the run's columns,
 whichever layout the checkout returns), the output files, the parsed
 trace (every job's input fields, the dropped jobs and the line errors),
-the drawn cost rates (of the sorted job ids and cost rates), the training
+the drawn cost rates (of the sorted job ids and cost rates), the SWF
+text, the training
 curve's rewards or the bytes of every array of the model read back. A row is ``"resolved": false`` when
 the checkouts' medians differ by less than the first checkout's spread:
 the run-to-run noise is then as large as the difference, which says
@@ -59,7 +64,8 @@ import tempfile
 import time
 
 # (row, job counts); a simulate row names its policy and backfill setting
-ROWS = (("parse", (1000, 4000, 16000)),
+ROWS = (("gen", (1000, 4000, 16000)),
+        ("parse", (1000, 4000, 16000)),
         ("costs", (1000, 4000, 16000)),
         ("simulate fcfs off", (1000, 4000, 16000)),
         ("cli simulate fcfs off", (1000, 4000, 16000)),
@@ -111,6 +117,16 @@ def worker(row: str, jobs: int) -> dict:
     import numpy
     from marsched import agent, simulator, workload
     kind, *setting = row.split()
+    if kind == "gen":
+        cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.swf")
+            t0 = time.perf_counter()
+            workload.write_swf(path, workload.generate_synthetic(cfg))
+            seconds = time.perf_counter() - t0
+            with open(path, "rb") as fp:
+                return {"seconds": seconds,
+                        "output": hashlib.sha256(fp.read()).hexdigest()}
     if kind in ("parse", "costs"):
         cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
@@ -278,7 +294,9 @@ def main(argv=None) -> int:
               "c08_mix": C08_MIX, "train_rate": TRAIN_RATE,
               "burst_rate": BURST_RATE, "train_epochs": TRAIN_EPOCHS,
               "repeats": REPEATS,
-              "timed": {"parse": "workload.load_swf",
+              "timed": {"gen": "workload.generate_synthetic + "
+                               "workload.write_swf",
+                        "parse": "workload.load_swf",
                         "costs": "workload.assign_costs",
                         "simulate": "simulator.run_episode",
                         "cli simulate": "cli.main simulate: parse, run, "
