@@ -5,9 +5,8 @@
 
 A ``gen`` row times ``workload.generate_synthetic`` of the synthetic trace
 below plus ``workload.write_swf`` of it; its output is the sha256 of the
-SWF file.
-A ``parse`` row writes that trace to an SWF file (untimed)
-and times ``workload.load_swf`` of it. A ``costs`` row loads that file
+SWF file. A ``parse`` row writes that trace to an SWF file (untimed) and
+times ``workload.load_swf`` of it. A ``costs`` row loads that file
 (untimed), then times ``workload.assign_costs`` with the synthetic cost
 defaults and the trace's seed, as the CLI draws them for a command that runs
 the agent.
@@ -25,20 +24,20 @@ seconds per epoch; the ``evaluate`` row trains a model for two epochs
 (untimed), then times one greedy episode over a burst (2 jobs/s) and reports
 decisions per second; the ``model io`` row trains a model as a ``train``
 row does (untimed), then times ``agent.save_model`` followed by
-``agent.load_model`` of it. Outside the ``gen`` rows, generating the traces
-is never timed. Every run is a
-fresh process with the checkout's ``src/`` first on ``PYTHONPATH`` and BLAS
-on one thread, and the checkouts take turns run by run, so a slow stretch of
-a shared machine hits them alike. A row reports each checkout's runs,
+``agent.load_model`` of it. Outside the ``gen`` rows, generating the
+traces is never timed. Every run is a fresh process with the checkout's
+``src/`` first on ``PYTHONPATH`` and BLAS on one thread, and the checkouts
+take turns run by run, so a slow stretch of a shared machine hits them
+alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
 and start times, read from the finished jobs or from the run's columns,
 whichever layout the checkout returns), the output files, the parsed
 trace (every job's input fields, the dropped jobs and the line errors),
 the drawn cost rates (of the sorted job ids and cost rates), the SWF
-text, the training
-curve's rewards or the bytes of every array of the model read back. A row is ``"resolved": false`` when
-the checkouts' medians differ by less than the first checkout's spread:
+text, the training curve's rewards or the bytes of every array of the
+model read back. A row is ``"resolved": false`` when the checkouts'
+medians differ by less than the first checkout's spread:
 the run-to-run noise is then as large as the difference, which says
 nothing about which checkout is faster. With one checkout no row is
 resolved.
