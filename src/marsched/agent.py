@@ -517,28 +517,32 @@ def episode_gradients(model: AgentModel, traj: EpisodeTrajectory,
     applying one optimizer update is equivalent to Algorithm-1 step order
     under a fixed parameter snapshot. Returned gradients are
     minimization-signed for Adam.
+
+    The critic runs first, forward, advantages and backward, and its
+    cache is consumed before the actor's forward, so only one network's
+    activations are alive at a time.
     """
     diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0}
     if len(traj) == 0:
         return _zero_grads(model.actor), _zero_grads(model.critic), diag
     states = traj.states
-    values, cache_c = forward(model.critic, states)
-    advantages, targets = compute_advantages(traj, values[:, 0], hyper.gamma)
+    values, cache = forward(model.critic, states)
+    values = values[:, 0]
+    advantages, targets = compute_advantages(traj, values, hyper.gamma)
     eye = hyper.gamma ** np.arange(len(traj))
-    weights = eye * advantages
+    critic_grads = backward(model.critic, cache,
+                            (eye * (values - targets))[:, None])
 
+    weights = eye * advantages
     masks = np.array(traj.masks, dtype=bool)
     actions = np.asarray(traj.actions)
-
-    probs, cache_a = _masked_probs(model.actor, states, masks)
+    probs, cache = _masked_probs(model.actor, states, masks)
     dlogits = -weights[:, None] * (_one_hot(actions, hyper.action_dim) - probs)
     if hyper.cost_weight > 0:
         c = np.stack(traj.cost_norms)
         expected = (probs * c).sum(axis=-1, keepdims=True)
         dlogits = dlogits + hyper.cost_weight * probs * (c - expected)
-    actor_grads = backward(model.actor, cache_a, dlogits)
-    critic_grads = backward(model.critic, cache_c,
-                            (eye * (values[:, 0] - targets))[:, None])
+    actor_grads = backward(model.actor, cache, dlogits)
 
     diag["delta_mean"] = float(np.mean(advantages))
     diag["entropy"] = _mean_entropy(probs)

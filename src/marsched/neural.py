@@ -4,6 +4,16 @@ Adam, and JSON serialization with exact binary arrays.
 Tensors are plain numpy float64 arrays. Batches are row-major: input of
 shape (batch, input_dim); a single sample is a batch of one. Format
 versioning happens at the model-file level, not per network.
+
+A layer's forward step (``_layer``) allocates one array, the activation,
+and works in it in place; ``forward`` and ``predict`` both run it. The
+``ForwardCache`` holds only the input and those activations, and
+``backward`` consumes it: it computes each hidden tanh derivative in the
+cached activation's own buffer, skips the multiply for identity layers
+and drops every cached array once it has been read, so the gradient pass
+adds about one activation-sized array to what the cache already holds.
+An actor-critic update over n steps of hidden width h then peaks at about
+four n x h arrays.
 """
 
 from __future__ import annotations
@@ -17,23 +27,6 @@ import numpy as np
 from .errors import ContractError, ModelFormatError, TrainingDiverged
 
 ACTIVATIONS = ("tanh", "identity")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ContractError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
-    """d activation / d z, given the activation a = activation(z)."""
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(a)
-    raise ContractError(f"unknown activation {name!r}")
 
 
 @dataclass
@@ -94,11 +87,21 @@ def init_network(dims: list[int],
     return Network(layers=layers)
 
 
+def _layer(layer: Layer, h: np.ndarray) -> np.ndarray:
+    """The layer's activation of the 2-D batch ``h``, in one new array:
+    ``h @ W``, then ``+ b`` and the activation in place."""
+    z = h @ layer.weights
+    z += layer.bias
+    if layer.activation == "tanh":
+        np.tanh(z, out=z)
+    return z
+
+
 @dataclass
 class ForwardCache:
     net: Network
-    inputs: list[np.ndarray]       # input to each layer, 2-D
-    acts: list[np.ndarray]         # activation(z) per layer
+    # the input, then each layer's activation; ``backward`` empties it
+    arrays: list[np.ndarray]
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -107,43 +110,57 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         raise ContractError(
             f"input of shape {x.shape} does not match network input dim "
             f"{net.input_dim}")
-    inputs, acts = [], []
-    h = x
+    arrays = [x]
     for layer in net.layers:
-        inputs.append(h)
-        h = _act(layer.activation, h @ layer.weights + layer.bias)
-        acts.append(h)
-    return h, ForwardCache(net=net, inputs=inputs, acts=acts)
+        arrays.append(_layer(layer, arrays[-1]))
+    return arrays[-1], ForwardCache(net=net, arrays=arrays)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """``forward``'s output for a 2-D batch of the network's input width,
-    by the same operations in the same order, without the checks and
-    without the cache that only ``backward`` reads."""
+    by the same layer steps, without the checks and without the cache that
+    only ``backward`` reads."""
     for layer in net.layers:
-        x = _act(layer.activation, x @ layer.weights + layer.bias)
+        x = _layer(layer, x)
     return x
 
 
 def backward(net: Network, cache: ForwardCache,
              dout: np.ndarray) -> list[np.ndarray]:
-    """Gradients in net.parameters() order for upstream gradient dout."""
+    """Gradients in net.parameters() order for upstream gradient dout.
+
+    Consumes ``cache``: a hidden layer's tanh derivative (1 - a*a) is
+    computed in its cached activation's buffer, every cached array is
+    dropped once read, and a second call with the same cache raises
+    ContractError. ``forward``'s output, which the caller holds, is read
+    and never written. The arithmetic is the out-of-place
+    ``delta * (1 - a*a)``'s, so the gradients are the same bits."""
     if cache.net is not net:
         raise ContractError("cache does not belong to this network")
+    arrays = cache.arrays
+    if not arrays:
+        raise ContractError("forward cache already consumed by backward")
     dout = np.asarray(dout, dtype=float)
-    if dout.shape != cache.acts[-1].shape:
+    if dout.shape != arrays[-1].shape:
         raise ContractError(
             f"output gradient shape {dout.shape} does not match forward "
-            f"output {cache.acts[-1].shape}")
+            f"output {arrays[-1].shape}")
+    last = len(net.layers) - 1
     grads: list[np.ndarray] = [None] * (2 * len(net.layers))
     delta = dout
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         layer = net.layers[i]
-        delta = delta * _act_grad(layer.activation, cache.acts[i])
-        grads[2 * i] = cache.inputs[i].T @ delta
+        a = arrays.pop()
+        if layer.activation == "tanh":
+            a = np.multiply(a, a, out=None if i == last else a)
+            np.subtract(1.0, a, out=a)
+            delta = np.multiply(delta, a, out=a)
+        del a       # only delta may keep this buffer
+        grads[2 * i] = arrays[-1].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ layer.weights.T
+    arrays.clear()
     return grads
 
 

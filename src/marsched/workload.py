@@ -352,8 +352,15 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
         return WorkloadTrace(jobs=[], total_procs=cfg.total_procs, name=cfg.name)
 
     gaps = rng.exponential(1.0 / cfg.arrival_rate, size=n)
-    # through int64: a submit time past 2**63 wraps and fails validation
-    submits = np.floor(np.cumsum(gaps) - gaps[0]).astype(int).astype(float)
+    with np.errstate(over="ignore"):
+        arrivals = np.cumsum(gaps)
+    # submit times rise, so the last is the largest; a Python float
+    # subtraction is the array's, without its warning for inf - inf
+    if not float(arrivals[-1]) - float(gaps[0]) < 2.0 ** 63:
+        raise ConfigError(
+            f"arrival_rate {cfg.arrival_rate!r} is too small for "
+            f"{n} jobs: the last submit time would reach 2**63 s")
+    submits = np.floor(arrivals - gaps[0]).astype(int).astype(float)
 
     log_lo, log_hi = math.log(cfg.runtime_min), math.log(cfg.runtime_max)
     runtimes = np.exp(rng.uniform(log_lo, log_hi, size=n))
@@ -384,9 +391,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
 
 
 def check_cost_distribution(mean: float, std: float) -> None:
-    """Reject a negative mean or standard deviation of the cost rates."""
-    if mean < 0 or std < 0:
-        raise ConfigError("cost distribution parameters must be >= 0")
+    """Reject a mean or standard deviation of the cost rates that is
+    negative or not finite."""
+    if not (0 <= mean < math.inf and 0 <= std < math.inf):
+        raise ConfigError("cost distribution parameters must be >= 0 and "
+                          f"finite, got mean {mean!r} and std {std!r}")
 
 
 def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> None:

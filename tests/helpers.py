@@ -1,5 +1,5 @@
-"""Shared factories, file digests, and oracles for the policy step and for
-synthetic traces and their SWF text."""
+"""Shared factories, file digests, and oracles for the policy step, the
+actor-critic update, and synthetic traces and their SWF text."""
 
 import hashlib
 import math
@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from marsched import neural
-from marsched.agent import (encode_state, fit_mask, slot_cost_factors,
+from marsched.agent import (EpisodeTrajectory, compute_advantages,
+                            encode_state, fit_mask, slot_cost_factors,
                             visible_window)
 from marsched.metrics import Schedule
 from marsched.neural import Layer, Network, softmax
@@ -107,6 +108,90 @@ def oracle_selector(agent, rng, steps, *, greedy=False):
         return None if action == slots else window[action].id
 
     return selector
+
+
+# -- the out-of-place update that the in-place one must equal bit for bit ---
+
+def oracle_forward(net, x):
+    """The network's output and a cache of every layer's input and
+    activation, each layer by ``h @ W + b`` and then its activation, all
+    out of place."""
+    inputs, acts = [], []
+    h = np.asarray(x, dtype=float)
+    for layer in net.layers:
+        inputs.append(h)
+        z = h @ layer.weights + layer.bias
+        h = np.tanh(z) if layer.activation == "tanh" else z
+        acts.append(h)
+    return h, (inputs, acts)
+
+
+def oracle_backward(net, cache, dout):
+    """Gradients in ``net.parameters()`` order from an ``oracle_forward``
+    cache, which is left as it was: ``delta * (1 - a*a)`` for tanh and
+    ``delta * 1`` for identity, in new arrays."""
+    inputs, acts = cache
+    grads = [None] * (2 * len(net.layers))
+    delta = np.asarray(dout, dtype=float)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer, a = net.layers[i], acts[i]
+        delta = delta * (1.0 - a * a if layer.activation == "tanh"
+                         else np.ones_like(a))
+        grads[2 * i] = inputs[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ layer.weights.T
+    return grads
+
+
+def oracle_episode_gradients(model, traj, hyper):
+    """``agent.episode_gradients`` with both forwards first and the actor's
+    backward before the critic's, all out of place."""
+    diag = {"steps": len(traj), "delta_mean": 0.0, "entropy": 0.0}
+    if len(traj) == 0:
+        return ([np.zeros_like(p) for p in model.actor.parameters()],
+                [np.zeros_like(p) for p in model.critic.parameters()], diag)
+    states = traj.states
+    values, cache_c = oracle_forward(model.critic, states)
+    advantages, targets = compute_advantages(traj, values[:, 0], hyper.gamma)
+    eye = hyper.gamma ** np.arange(len(traj))
+    weights = eye * advantages
+    masks = np.array(traj.masks, dtype=bool)
+    logits, cache_a = oracle_forward(model.actor, states)
+    probs = softmax(np.where(masks, logits, -np.inf))
+    one_hot = np.zeros((len(traj), hyper.action_dim))
+    one_hot[np.arange(len(traj)), traj.actions] = 1.0
+    dlogits = -weights[:, None] * (one_hot - probs)
+    if hyper.cost_weight > 0:
+        c = np.stack(traj.cost_norms)
+        expected = (probs * c).sum(axis=-1, keepdims=True)
+        dlogits = dlogits + hyper.cost_weight * probs * (c - expected)
+    actor_grads = oracle_backward(model.actor, cache_a, dlogits)
+    critic_grads = oracle_backward(model.critic, cache_c,
+                                   (eye * (values[:, 0] - targets))[:, None])
+    safe = np.where(probs > 0, probs, 1.0)
+    diag["delta_mean"] = float(np.mean(advantages))
+    diag["entropy"] = float(np.mean(-(probs * np.log(safe)).sum(axis=-1)))
+    return actor_grads, critic_grads, diag
+
+
+def random_trajectory(hyper, steps, rng):
+    """A finished episode of ``steps`` random decisions in ``hyper``'s
+    shapes: states in [0, 1), masks that keep the last action valid, an
+    action among each step's valid ones, cost norms in [0, 1) and a
+    negative terminal reward."""
+    width = hyper.action_dim
+    masks = rng.random((steps, width)) < 0.5
+    masks[:, -1] = True
+    actions = (rng.random((steps, width)) * masks).argmax(axis=1)
+    states = rng.random((steps, hyper.state_dim))
+    costs = rng.random((steps, width))
+    traj = EpisodeTrajectory()
+    for state, action, mask, cost in zip(states, actions.tolist(),
+                                         masks.tolist(), costs):
+        traj.add_step(state, action, mask, cost)
+    traj.finalize(-100.0 * float(rng.random()))
+    return traj
 
 
 def oracle_synthetic(cfg):

@@ -7,12 +7,15 @@ sign or masking mistake in either path cannot cancel out.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (logit_network, make_job, oracle_action,
-                     oracle_selector)
+                     oracle_episode_gradients, oracle_selector,
+                     random_trajectory)
+from marsched import agent as agent_module
 from marsched import neural
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             ModelVersions,
@@ -404,6 +407,79 @@ def test_episode_gradients_empty_trajectory():
     assert all(np.all(g == 0) for g in a)
     assert all(np.all(g == 0) for g in c)
     assert diag["steps"] == 0
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (hidden, gamma) of the update cases
+UPDATE_SHAPES = [((8,), 1.0), ((64, 64), 1.0), ((16, 32, 8), 0.95)]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 37, 700])
+@pytest.mark.parametrize("hidden,gamma", UPDATE_SHAPES)
+@pytest.mark.parametrize("cost_weight", [0.0, 0.5])
+def test_episode_gradients_equal_out_of_place_oracle(steps, hidden, gamma,
+                                                     cost_weight):
+    hyper = Hyperparameters(slots=6, hidden=hidden, gamma=gamma,
+                            cost_weight=cost_weight, seed=steps)
+    model = new_model(hyper)
+    traj = random_trajectory(hyper, steps, np.random.default_rng(steps))
+    actor, critic, diag = episode_gradients(model, traj, hyper)
+    want_actor, want_critic, want_diag = oracle_episode_gradients(
+        model, traj, hyper)
+    assert_same_bits(actor, want_actor)
+    assert_same_bits(critic, want_critic)
+    assert diag == want_diag
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cost_weight", [0.0, 0.5])
+@pytest.mark.parametrize("steps,hidden", [(50, (8,)), (700, (64, 64)),
+                                          (4000, (64, 64))])
+def test_actor_critic_step_equals_out_of_place_oracle(monkeypatch, workers,
+                                                      cost_weight, steps,
+                                                      hidden):
+    # two steps, so the second reads the Adam moments of the first; the
+    # episodes of one batch differ in length
+    hyper = Hyperparameters(hidden=hidden, cost_weight=cost_weight, seed=4,
+                            workers=workers)
+    rng = np.random.default_rng(steps)
+    batches = [[random_trajectory(hyper, steps - 7 * w, rng)
+                for w in range(workers)] for _ in range(2)]
+    mine, oracle = new_model(hyper), new_model(hyper)
+    for trajs in batches:
+        assert not actor_critic_step(mine, trajs, hyper)["aborted"]
+    monkeypatch.setattr(agent_module, "episode_gradients",
+                        oracle_episode_gradients)
+    for trajs in batches:
+        assert not actor_critic_step(oracle, trajs, hyper)["aborted"]
+    for net in ("actor", "critic"):
+        assert_same_bits(getattr(mine, net).parameters(),
+                         getattr(oracle, net).parameters())
+        adam, want = getattr(mine, f"{net}_adam"), getattr(oracle, f"{net}_adam")
+        assert adam.t == want.t == 2
+        assert_same_bits(adam.m + adam.v, want.m + want.v)
+
+
+def test_episode_gradients_peak_memory():
+    # the critic's activations are consumed before the actor's forward, and
+    # backward works in the cached buffers: the out-of-place update peaked
+    # at about 8 arrays of steps x hidden floats, this one at about 4
+    steps, width = 4000, 64
+    hyper = Hyperparameters(hidden=(width, width))
+    model = new_model(hyper)
+    traj = random_trajectory(hyper, steps, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        episode_gradients(model, traj, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * steps * width * 8
 
 
 # -- the actor-critic step: bandit learning and abort ------------------------

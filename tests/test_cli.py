@@ -253,6 +253,18 @@ def test_unbounded_requested_time_exit_2(tmp_path, argv, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_tiny_arrival_rate_exit_2(tmp_path, capsys):
+    conf = tmp_path / "conf.ini"
+    conf.write_text("[synthetic]\narrival_rate = 1e-300\n")
+    out = tmp_path / "o"
+    assert run_cli("gen", "--count", "3", "--config", str(conf),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "arrival_rate 1e-300 is too small for 3 jobs" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
     # compare takes its policies only from --policies
     conf = tmp_path / "conf.ini"

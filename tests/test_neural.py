@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import oracle_backward, oracle_forward
 from marsched.errors import ContractError, ModelFormatError, TrainingDiverged
-from marsched.neural import (AdamState, Network, adam_from_dict, adam_step,
-                             adam_to_dict, apply_adam, backward,
+from marsched.neural import (AdamState, Layer, Network, adam_from_dict,
+                             adam_step, adam_to_dict, apply_adam, backward,
                              decode_array, encode_array, forward,
                              init_network, net_from_dict, net_to_dict,
-                             softmax)
+                             predict, softmax)
 
 
 def numeric_gradients(net, x, dout, h=1e-5):
@@ -91,6 +92,51 @@ def test_backward_rejects_foreign_cache():
     _, cache = forward(a, np.zeros((1, 2)))
     with pytest.raises(ContractError):
         backward(b, cache, np.zeros((1, 2)))
+
+
+def random_network(rng, dims):
+    """A network of random weights and biases in which every layer, the
+    last one too, is tanh or identity at random."""
+    return Network([Layer(rng.normal(size=(i, o)), rng.normal(size=o),
+                          str(rng.choice(["tanh", "identity"])))
+                    for i, o in zip(dims, dims[1:])])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_forward_and_backward_equal_out_of_place_oracle(seed):
+    # the in-place layer step and the consuming backward give the same bits
+    # as h @ W + b, activation, delta * (1 - a*a), each in a new array;
+    # the caller's input, output and upstream gradient are left untouched
+    rng = np.random.default_rng(seed)
+    for rows in (1, 2, 17, 300):
+        dims = [int(d) for d in rng.integers(1, 70, size=rng.integers(2, 6))]
+        net = random_network(rng, dims)
+        x = rng.random((rows, dims[0]))
+        dout = rng.normal(size=(rows, dims[-1]))
+        kept = x.copy(), dout.copy()
+        want, cache = oracle_forward(net, x)
+        out, mine = forward(net, x)
+        assert out.tobytes() == want.tobytes()
+        assert predict(net, x).tobytes() == want.tobytes()
+        grads = backward(net, mine, dout)
+        for got, exp in zip(grads, oracle_backward(net, cache, dout),
+                            strict=True):
+            assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == kept[0].tobytes()
+        assert dout.tobytes() == kept[1].tobytes()
+
+
+def test_backward_consumes_its_cache():
+    net = init_network([3, 5, 4, 2], rng=np.random.default_rng(0))
+    out, cache = forward(net, np.ones((4, 3)))
+    # a rejected upstream gradient leaves the cache whole
+    with pytest.raises(ContractError):
+        backward(net, cache, np.zeros((4, 3)))
+    backward(net, cache, np.ones_like(out))
+    assert cache.arrays == []
+    with pytest.raises(ContractError, match="consumed"):
+        backward(net, cache, np.ones_like(out))
 
 
 def test_glorot_bounds_and_zero_bias():

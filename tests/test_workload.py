@@ -452,6 +452,44 @@ def test_assign_costs_empty_trace_and_negative_seed():
         assign_costs(make_trace([make_job(1)], 1), 1.0, 0.5, seed=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["mean", "std"])
+def test_non_finite_cost_distribution_rejected(key, bad):
+    # unchecked, a nan mean gives every job a rate of 0.0, an infinite one inf
+    with pytest.raises(ConfigError, match="cost distribution parameters"):
+        generate_synthetic(SyntheticConfig(job_count=50,
+                                           **{f"cost_{key}": bad}))
+    trace = make_trace([make_job(1), make_job(2)], 1)
+    with pytest.raises(ConfigError, match="cost distribution parameters"):
+        assign_costs(trace, **{"mean": 1.0, "std": 0.5} | {key: bad}, seed=0)
+    assert [j.cost_rate for j in trace.jobs] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("count,rate", [(3, 1e-300), (2, 1e-300),
+                                        (1, 5e-324), (50, 1e-18),
+                                        (50, 1e-307)])
+def test_tiny_arrival_rate_names_itself(count, rate):
+    # the last submit time would reach 2**63 s, where int64 wraps; the
+    # error comes before the cast, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="arrival_rate"):
+            generate_synthetic(SyntheticConfig(job_count=count,
+                                               arrival_rate=rate))
+
+
+def test_arrival_rate_just_large_enough_keeps_its_trace():
+    # a last submit time between 2**62 and 2**63 s is valid and goes
+    # through int64 exactly, as before
+    trace = generate_synthetic(SyntheticConfig(job_count=2,
+                                               arrival_rate=2.0 ** -62))
+    last = trace.jobs[-1].submit_time
+    assert 2.0 ** 62 <= last < 2.0 ** 63 and last == math.floor(last)
+    assert [j.submit_time for j in trace.jobs] == \
+        [j.submit_time for j in oracle_synthetic(
+            SyntheticConfig(job_count=2, arrival_rate=2.0 ** -62)).jobs]
+
+
 def test_synthetic_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         generate_synthetic(SyntheticConfig(job_count=5, seed=-1))

@@ -24,7 +24,12 @@ seconds per epoch; the ``evaluate`` row trains a model for two epochs
 (untimed), then times one greedy episode over a burst (2 jobs/s) and reports
 decisions per second; the ``model io`` row trains a model as a ``train``
 row does (untimed), then times ``agent.save_model`` followed by
-``agent.load_model`` of it. Outside the ``gen`` rows, generating the
+``agent.load_model`` of it. An ``update`` row times one
+``agent.actor_critic_step`` of a fresh model (default hyperparameters,
+hidden 64, 64) on one episode of that many random steps, built untimed;
+its output is the sha256 of the parameters after the step, and it also
+reports tracemalloc's peak bytes over a second, traced run of the same step
+from the same parameters. Outside the ``gen`` rows, generating the
 traces is never timed. Every run is a fresh process with the checkout's
 ``src/`` first on ``PYTHONPATH`` and BLAS on one thread, and the checkouts
 take turns run by run, so a slow stretch of a shared machine hits them
@@ -75,7 +80,8 @@ ROWS = (("gen", (1000, 4000, 16000)),
         ("simulate unicef on", (1000, 4000)),
         ("train", (512, 2048)),
         ("evaluate", (500,)),
-        ("model io", (512,)))
+        ("model io", (512,)),
+        ("update", (1000, 4000, 16000)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
 # acceptance check c08's job mix; tools/learning.py builds c08's trace from it
 C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
@@ -109,6 +115,27 @@ def _run_schedule(result) -> str:
     """``_schedule`` of a ``RunResult`` in either layout."""
     return _schedule(result.schedule if hasattr(result, "schedule")
                      else result.jobs)
+
+
+def _random_episode(hyper, steps: int):
+    """A finished episode of ``steps`` random decisions in ``hyper``'s
+    shapes, seeded by its length: states in [0, 1), masks that keep the
+    pass action valid, an action among each step's valid ones and a
+    negative terminal reward."""
+    import numpy
+    from marsched import agent
+    rng = numpy.random.default_rng(steps)
+    width = hyper.action_dim
+    masks = rng.random((steps, width)) < 0.5
+    masks[:, -1] = True
+    actions = (rng.random((steps, width)) * masks).argmax(axis=1)
+    traj = agent.EpisodeTrajectory()
+    for state, action, mask, cost in zip(
+            rng.random((steps, hyper.state_dim)), actions.tolist(),
+            masks.tolist(), rng.random((steps, width))):
+        traj.add_step(state, action, mask, cost)
+    traj.finalize(-100.0 * float(rng.random()))
+    return traj
 
 
 def worker(row: str, jobs: int) -> dict:
@@ -190,6 +217,26 @@ def worker(row: str, jobs: int) -> dict:
         _, _, curve = trained(trace, TRAIN_EPOCHS)
         return {"seconds": (time.perf_counter() - t0) / TRAIN_EPOCHS,
                 "output": _digest([p.reward for p in curve])}
+    if kind == "update":
+        import tracemalloc
+        hyper = agent.Hyperparameters(seed=1)
+        model = agent.new_model(hyper)
+        agent.actor_critic_step(agent.new_model(hyper),
+                                [_random_episode(hyper, 16)], hyper)
+        traj = _random_episode(hyper, jobs)
+        before = model.snapshot()
+        t0 = time.perf_counter()
+        agent.actor_critic_step(model, [traj], hyper)
+        seconds = time.perf_counter() - t0
+        output = hashlib.sha256(b"".join(
+            p.tobytes() for p in model.actor.parameters()
+            + model.critic.parameters())).hexdigest()
+        model.restore(before)
+        tracemalloc.start()
+        agent.actor_critic_step(model, [traj], hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"seconds": seconds, "output": output, "peak_bytes": peak}
     if kind == "model":
         model = trained(c08(jobs, TRAIN_RATE), TRAIN_EPOCHS)[0].model
         with tempfile.TemporaryDirectory() as tmp:
@@ -282,6 +329,8 @@ def main(argv=None) -> int:
                                        for r in rs}) == 1}
             if name == "evaluate":
                 row["median_decisions_per_s"] = median("decisions_per_s")
+            if name == "update":
+                row["median_peak_bytes"] = median("peak_bytes")
             rows.append(row)
             print(f"{name:17} {jobs:6} "
                   + " ".join(f"{label}={s:.3f}s"
@@ -302,7 +351,9 @@ def main(argv=None) -> int:
                                         "metrics, jobs.csv and report.csv",
                         "train": "agent.train, per epoch",
                         "evaluate": "MarsAgent.run_collect, greedy",
-                        "model io": "agent.save_model + agent.load_model"},
+                        "model io": "agent.save_model + agent.load_model",
+                        "update": "agent.actor_critic_step, one episode "
+                                  "of that many steps"},
               "machine": machine_facts(),
               "checkouts": {label: checkout_facts(root)
                             for label, root in checkouts.items()},
