@@ -26,8 +26,8 @@ decisions per second; the ``model io`` row trains a model as a ``train``
 row does (untimed), then times ``agent.save_model`` followed by
 ``agent.load_model`` of it. An ``update`` row times one
 ``agent.actor_critic_step`` of a fresh model (default hyperparameters,
-hidden 64, 64) on one episode of that many random steps, built untimed;
-its output is the sha256 of the parameters after the step, and it also
+hidden 64, 64) on one episode of that many random steps, built untimed,
+after an untimed warm-up step of another model on 16 steps; its output is the sha256 of the parameters after the step, and it also
 reports tracemalloc's peak bytes over a second, traced run of the same step
 from the same parameters. Outside the ``gen`` rows, generating the
 traces is never timed. Every run is a fresh process with the checkout's
