@@ -413,10 +413,10 @@ def save_model(path, model: AgentModel) -> None:
 
 
 def load_model(path) -> AgentModel:
-    with open(path) as fp:
+    with open(path, encoding="utf-8") as fp:
         try:
             payload = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
     version = (payload.get("format_version") if isinstance(payload, dict)
                else None)
@@ -680,10 +680,12 @@ class MarsAgent:
         sim = Simulation(jobs, total_procs)
         traj = EpisodeTrajectory() if record else None
         schedule = sim.run(self.make_selector(rng, greedy=greedy, traj=traj))
+        stats = sim.stats
+        del sim     # the run's state goes before the metrics' arrays come
         reward = episode_reward(schedule, self.hyper.tau)
         if traj is not None:
             traj.finalize(reward)
-        return schedule, traj, sim.stats, reward
+        return schedule, traj, stats, reward
 
     def evaluate(self, jobs: list[Job], total_procs: int,
                  seed: int = 0) -> tuple[Schedule, float]:

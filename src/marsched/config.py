@@ -45,8 +45,8 @@ def load_config(path: str | None = None) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():

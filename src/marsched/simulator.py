@@ -93,8 +93,9 @@ import bisect
 import enum
 import heapq
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -104,7 +105,7 @@ from . import heuristics, metrics
 from .errors import ConfigError, ContractError, SchedulingError
 from .heuristics import PolicyKind
 from .metrics import DEFAULT_TAU, MetricsReport, Schedule
-from .workload import Job, WorkloadTrace, format_column
+from .workload import BLOCK_JOBS, Job, WorkloadTrace, format_column
 
 
 class EventKind(enum.IntEnum):
@@ -529,24 +530,26 @@ class Simulation:
         return _finished_schedule(state)
 
 
-def _int_column(values: list[int]) -> np.ndarray:
-    """int64, or Python ints (object) when a value does not fit int64."""
+def _int_column(jobs: list[Job], name: str) -> np.ndarray:
+    """The jobs' int field ``name``: int64, or Python ints (object) when a
+    value does not fit int64."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.fromiter(map(attrgetter(name), jobs), np.int64, len(jobs))
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.fromiter(map(attrgetter(name), jobs), object, len(jobs))
 
 
 def _finished_schedule(state: ClusterState) -> Schedule:
-    """The finished jobs' columns, in end order."""
-    finished = state.finished
-    ids = [j.id for j in finished]
+    """The finished jobs' columns, in end order, each filled straight from
+    the jobs."""
+    finished, start = state.finished, state.start
+    n = len(finished)
     return Schedule(
-        _int_column(ids),
-        np.array([j.submit_time for j in finished], dtype=float),
-        np.array(list(map(state.start.__getitem__, ids)), dtype=float),
-        np.array([j.run_time for j in finished], dtype=float),
-        _int_column([j.requested_procs for j in finished]))
+        _int_column(finished, "id"),
+        np.fromiter(map(attrgetter("submit_time"), finished), float, n),
+        np.fromiter((start[j.id] for j in finished), float, n),
+        np.fromiter(map(attrgetter("run_time"), finished), float, n),
+        _int_column(finished, "requested_procs"))
 
 
 def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
@@ -570,9 +573,11 @@ def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,
     label = policy.value if isinstance(policy, PolicyKind) else (
         policy if isinstance(policy, str) else "selector")
     schedule = sim.run(policy)
+    stats = sim.stats
+    del sim     # the run's state goes before the metrics' arrays come
     report = metrics.aggregate(schedule, tau=tau, policy=str(label),
                                total_procs=procs)
-    return RunResult(schedule=schedule, report=report, stats=sim.stats,
+    return RunResult(schedule=schedule, report=report, stats=stats,
                      policy=str(label))
 
 
@@ -580,21 +585,29 @@ JOBS_CSV_COLUMNS = ["id", "submit_time", "start_time", "end_time",
                     "wait_time", "procs", "policy"]
 
 
-def job_csv_rows(results: list[RunResult]) -> list[str]:
+def job_csv_rows(results: list[RunResult]) -> Iterator[str]:
     """One jobs.csv line per finished job of the runs, ordered by id; a
-    run's jobs carry its policy."""
+    run's jobs carry its policy. The ids are sorted once; the lines are
+    formatted a block at a time, as they are consumed."""
     schedule = Schedule.concat([r.schedule for r in results])
     order = np.argsort(schedule.id, kind="stable")
-    submit, start = schedule.submit[order], schedule.start[order]
     policy = np.repeat([r.policy for r in results],
-                       [len(r.schedule) for r in results])[order]
-    return list(map(",".join, zip(
-        map(str, schedule.id[order].tolist()), format_column(submit),
-        format_column(start), format_column(start + schedule.run[order]),
-        format_column(start - submit),
-        map(str, schedule.procs[order].tolist()), policy.tolist())))
+                       [len(r.schedule) for r in results])
+    for lo in range(0, len(order), BLOCK_JOBS):
+        block = order[lo:lo + BLOCK_JOBS]
+        submit, start = schedule.submit[block], schedule.start[block]
+        yield from map(",".join, zip(
+            map(str, schedule.id[block].tolist()), format_column(submit),
+            format_column(start), format_column(start + schedule.run[block]),
+            format_column(start - submit),
+            map(str, schedule.procs[block].tolist()), policy[block].tolist()))
 
 
-def write_jobs_csv(path, rows: list[str]) -> None:
+def write_jobs_csv(path, rows) -> None:
+    """Write the header and the rows (any iterable of lines), one string
+    per block of rows."""
+    rows = iter(rows)
     with open(path, "w") as fp:
-        fp.write("\n".join([",".join(JOBS_CSV_COLUMNS), *rows]) + "\n")
+        fp.write(",".join(JOBS_CSV_COLUMNS) + "\n")
+        while block := list(islice(rows, BLOCK_JOBS)):
+            fp.write("\n".join(block) + "\n")

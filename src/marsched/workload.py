@@ -140,6 +140,10 @@ _SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
 _read_swf_fields = itemgetter(*_SWF_READ)
 # a truncated id or processor count below this converts to int64 exactly
 _INT64_LIMIT = 2.0 ** 63
+# jobs, SWF lines and jobs.csv rows are built this many at a time, so that
+# the Python objects a column or a text layer needs in passing are bounded
+# by the block, not by the trace
+BLOCK_JOBS = 1024
 
 
 def _max_procs_header(line: str) -> int | None:
@@ -152,7 +156,8 @@ def _max_procs_header(line: str) -> int | None:
 
 
 def _parse_swf_lines(lines: list[str]):
-    """Parse line by line; (jobs, dropped, line errors, MaxProcs header)."""
+    """Parse line by line; (jobs sorted by (submit time, id), dropped, line
+    errors, MaxProcs header)."""
     jobs: list[Job] = []
     dropped = 0
     line_errors: list[tuple[int, str]] = []
@@ -203,13 +208,25 @@ def _parse_swf_lines(lines: list[str]):
             line_errors.append((lineno, f"job {job_id}: field out of range"))
             continue
         jobs.append(Job(job_id, submit, run, procs, req_time))
+    jobs.sort(key=lambda j: (j.submit_time, j.id))
     return jobs, dropped, line_errors, max_procs_header
 
 
+def _jobs_from_columns(*columns: np.ndarray) -> list[Job]:
+    """Jobs from numpy columns of ``Job``'s fields in order, built a block
+    at a time: only one block of each column is ever Python numbers that no
+    job holds yet."""
+    jobs: list[Job] = []
+    for lo in range(0, len(columns[0]), BLOCK_JOBS):
+        jobs += map(Job, *(c[lo:lo + BLOCK_JOBS].tolist() for c in columns))
+    return jobs
+
+
 def _parse_swf_block(lines: list[str]):
-    """Parse a regular body with one ``np.loadtxt`` call; the result of
-    ``_parse_swf_lines``, or None when a line would be a line error or numpy
-    cannot read the body exactly.
+    """Parse a regular body with one ``np.loadtxt`` call; (the columns of
+    ``_jobs_from_columns``, dropped, MaxProcs header), which describe the
+    jobs of ``_parse_swf_lines`` in its order, or None when a line would be
+    a line error or numpy cannot read the body exactly.
 
     Regular means every data line has the same number of fields, at least
     9, and every field is a number numpy reads. numpy converts a field with
@@ -232,12 +249,12 @@ def _parse_swf_block(lines: list[str]):
             if header is not None:
                 max_procs_header = header
     try:
-        block = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+        columns = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if block.shape[1] < SwfField.REQUESTED_TIME + 1:
+    if columns.shape[1] < SwfField.REQUESTED_TIME + 1:
         return None
-    columns = block[:, _SWF_READ]
+    columns = columns[:, _SWF_READ]     # a copy: the whole block goes here
     if not np.isfinite(columns).all():
         return None
     job_id, submit, run, alloc, req_procs, req_time = columns.T
@@ -251,10 +268,11 @@ def _parse_swf_block(lines: list[str]):
     if (job_id < 1).any() or (submit < 0).any() or (req_time <= 0).any() \
             or (job_id >= _INT64_LIMIT).any() or (procs >= _INT64_LIMIT).any():
         return None
-    jobs = list(map(Job, job_id.astype(np.int64).tolist(), submit.tolist(),
-                    run.tolist(), procs.astype(np.int64).tolist(),
-                    req_time.tolist()))
-    return jobs, len(kept) - len(jobs), [], max_procs_header
+    # a stable sort by submit time, then id: the line loop's order
+    order = np.lexsort((job_id, submit))
+    columns = (job_id.astype(np.int64)[order], submit[order], run[order],
+               procs.astype(np.int64)[order], req_time[order])
+    return columns, len(kept) - len(order), max_procs_header
 
 
 def parse_swf(text: str, name: str = "") -> WorkloadTrace:
@@ -267,13 +285,24 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     in any of those fields, are recorded with their line number and skipped;
     a trace with zero valid jobs is a hard error. A regular body is read in
     one numpy pass; any other text goes line by line, with the same result.
+
+    The text, its lines and numpy's block are dropped before a regular
+    body's jobs are built, and the columns before the jobs are checked; the
+    text goes only when the caller passed its last reference, as
+    ``load_swf`` does.
     """
     lines = text.splitlines()
-    parsed = _parse_swf_block(lines) or _parse_swf_lines(lines)
-    jobs, dropped, line_errors, max_procs_header = parsed
+    del text
+    parsed = _parse_swf_block(lines)
+    if parsed is None:
+        jobs, dropped, line_errors, max_procs_header = _parse_swf_lines(lines)
+    else:
+        del lines
+        columns, dropped, max_procs_header = parsed
+        jobs, line_errors = _jobs_from_columns(*columns), []
+        del parsed, columns
     if not jobs:
         raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
-    jobs.sort(key=lambda j: (j.submit_time, j.id))
     total = max_procs_header if max_procs_header else max(j.requested_procs for j in jobs)
     trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
                           dropped_jobs=dropped, line_errors=line_errors)
@@ -281,10 +310,19 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     return trace
 
 
+def _read_utf8(path) -> str:
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return fp.read()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_swf(path, name: str | None = None) -> WorkloadTrace:
-    with open(path) as fp:
-        text = fp.read()
-    return parse_swf(text, name=name if name is not None else str(path))
+    # the text is passed, never named here, so parse_swf holds its last
+    # reference and frees it once the text is split into lines
+    return parse_swf(_read_utf8(path),
+                     name=name if name is not None else str(path))
 
 
 def format_column(values: np.ndarray) -> list[str]:
@@ -300,20 +338,22 @@ def format_column(values: np.ndarray) -> list[str]:
 def write_swf(path, trace: WorkloadTrace) -> None:
     """Serialize a trace to SWF; parse_swf(write_swf(t)) equals t in every
     field but ``cost_rate``, which SWF has no column for and reads back as
-    0.0."""
-    jobs = trace.jobs
-    ids = [j.id for j in jobs]
-    procs = [j.requested_procs for j in jobs]
-    submit, run, requested = (
-        format_column(np.array([getattr(j, name) for j in jobs], dtype=float))
-        for name in ("submit_time", "run_time", "requested_time"))
-    # fields 0-17: id, submit, wait, run, allocated and average CPU, memory,
-    # requested procs, time and memory, status 1, and seven unused fields
-    lines = [f"{i} {s} -1 {r} {p} -1 -1 {p} {q} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
-             for i, s, r, p, q in zip(ids, submit, run, procs, requested)]
+    0.0. The lines are formatted and written a block of jobs at a time."""
     with open(path, "w") as fp:
         fp.write(f"; MaxProcs: {trace.total_procs}\n")
-        fp.write("".join(lines))
+        for lo in range(0, len(trace.jobs), BLOCK_JOBS):
+            jobs = trace.jobs[lo:lo + BLOCK_JOBS]
+            submit, run, requested = (
+                format_column(np.array([getattr(j, name) for j in jobs],
+                                       dtype=float))
+                for name in ("submit_time", "run_time", "requested_time"))
+            # fields 0-17: id, submit, wait, run, allocated and average CPU,
+            # memory, requested procs, time and memory, status 1, and seven
+            # unused fields
+            fp.write("".join(
+                f"{j.id} {s} -1 {r} {j.requested_procs} -1 -1 "
+                f"{j.requested_procs} {q} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+                for j, s, r, q in zip(jobs, submit, run, requested)))
 
 
 def _truncated_gauss(normal, mean: float, std: float) -> float:
@@ -380,11 +420,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
     # the last draws, so overdrawing moves nothing; cost_mean >= 0, so a
     # draw is kept with probability at least 1/2 and the block runs out
     # with negligible chance. Submit times rise, so the jobs come sorted.
-    costs = _truncated_gauss_block(rng, cfg.cost_mean, cfg.cost_std, n,
-                                   2 * n + 16 * math.isqrt(n) + 64)
-    jobs = list(map(Job, range(1, n + 1), submits.tolist(),
-                    runtimes.tolist(), cores.tolist(), req_times.tolist(),
-                    costs))
+    costs = np.array(_truncated_gauss_block(
+        rng, cfg.cost_mean, cfg.cost_std, n, 2 * n + 16 * math.isqrt(n) + 64))
+    jobs = _jobs_from_columns(np.arange(1, n + 1), submits, runtimes, cores,
+                              req_times, costs)
     trace = WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs, name=cfg.name)
     trace.validate()
     return trace

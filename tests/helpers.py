@@ -1,18 +1,21 @@
 """Shared factories, file digests, and oracles for the policy step, the
-actor-critic update, and synthetic traces and their SWF text."""
+actor-critic update, synthetic traces, and the SWF and jobs.csv text."""
 
 import hashlib
 import math
 
 import numpy as np
 
-from marsched import neural
+from marsched import neural, workload
 from marsched.agent import (EpisodeTrajectory, compute_advantages,
                             encode_state, fit_mask, slot_cost_factors,
                             visible_window)
 from marsched.metrics import Schedule
+from marsched.errors import TraceFormatError
 from marsched.neural import Layer, Network, softmax
-from marsched.workload import Job, WorkloadTrace, _truncated_gauss
+from marsched.simulator import JOBS_CSV_COLUMNS
+from marsched.workload import (Job, SwfField, WorkloadTrace, _truncated_gauss,
+                               format_column)
 
 
 def sha256(path) -> str:
@@ -255,3 +258,128 @@ def oracle_swf_text(trace) -> str:
         fields[10] = "1"
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
+
+
+B = workload.BLOCK_JOBS
+# job counts on and around the block boundaries of the text layers
+BLOCK_COUNTS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+
+
+def boundary_jobs(n, kind):
+    """n jobs in submit order whose ids fall as submit times rise, so the
+    id order reverses the file order. ``kind`` "fraction" gives the later
+    half non-integral times (the ``repr`` path of ``format_column``);
+    "huge" gives every other job an id of 2**63 or more (object columns)
+    that a float holds exactly, as an SWF id is read through one."""
+    jobs = []
+    for k in range(n):
+        submit, run = float(k // 3), float(10 + k % 7)
+        if kind == "fraction" and k >= n // 2:
+            submit, run = submit + 0.25, run / 3
+        job_id = 2 ** 63 + 2048 * k if kind == "huge" and k % 2 else n - k
+        jobs.append(make_job(job_id, submit, run, procs=1 + k % 4,
+                             req_time=2 * run))
+    return jobs
+
+
+# -- the whole-trace text layers that the block-wise ones must equal byte for
+# byte: every column formatted, every line held and one string written ------
+
+def oracle_job_csv_rows(results) -> list[str]:
+    """The jobs.csv lines of the runs, ordered by id, from whole columns."""
+    schedule = Schedule.concat([r.schedule for r in results])
+    order = np.argsort(schedule.id, kind="stable")
+    submit, start = schedule.submit[order], schedule.start[order]
+    policy = np.repeat([r.policy for r in results],
+                       [len(r.schedule) for r in results])[order]
+    return list(map(",".join, zip(
+        map(str, schedule.id[order].tolist()), format_column(submit),
+        format_column(start), format_column(start + schedule.run[order]),
+        format_column(start - submit),
+        map(str, schedule.procs[order].tolist()), policy.tolist())))
+
+
+def oracle_write_jobs_csv(path, rows) -> None:
+    with open(path, "w") as fp:
+        fp.write("\n".join([",".join(JOBS_CSV_COLUMNS), *rows]) + "\n")
+
+
+def oracle_write_swf(path, trace) -> None:
+    """The SWF file of a trace, from whole columns in one string."""
+    jobs = trace.jobs
+    ids = [j.id for j in jobs]
+    procs = [j.requested_procs for j in jobs]
+    submit, run, requested = (
+        format_column(np.array([getattr(j, name) for j in jobs], dtype=float))
+        for name in ("submit_time", "run_time", "requested_time"))
+    lines = [f"{i} {s} -1 {r} {p} -1 -1 {p} {q} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+             for i, s, r, p, q in zip(ids, submit, run, procs, requested)]
+    with open(path, "w") as fp:
+        fp.write(f"; MaxProcs: {trace.total_procs}\n")
+        fp.write("".join(lines))
+
+
+_SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
+             SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
+             SwfField.REQUESTED_TIME)
+
+
+def _oracle_parse_swf_block(lines):
+    """The one-pass parse of a regular body: (jobs in file order, dropped,
+    [], MaxProcs header), or None."""
+    stripped = list(map(str.strip, lines))
+    data = [line for line in stripped if line and line[0] != ";"]
+    if not data:
+        return None
+    max_procs_header = None
+    for line in stripped:
+        if line[:1] == ";":
+            try:
+                header = workload._max_procs_header(line)
+            except (ValueError, OverflowError):
+                return None
+            if header is not None:
+                max_procs_header = header
+    try:
+        block = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[1] < SwfField.REQUESTED_TIME + 1:
+        return None
+    columns = block[:, _SWF_READ]
+    if not np.isfinite(columns).all():
+        return None
+    job_id, submit, run, alloc, req_procs, req_time = columns.T
+    procs = np.trunc(alloc)
+    procs = np.where(procs == -1, np.trunc(req_procs), procs)
+    req_time = np.where(req_time == -1, run, req_time)
+    kept = (run > 0) & (procs > 0)
+    job_id, submit, run, procs, req_time = (
+        np.trunc(job_id[kept]), submit[kept], run[kept], procs[kept],
+        req_time[kept])
+    if (job_id < 1).any() or (submit < 0).any() or (req_time <= 0).any() \
+            or (job_id >= 2.0 ** 63).any() or (procs >= 2.0 ** 63).any():
+        return None
+    jobs = list(map(Job, job_id.astype(np.int64).tolist(), submit.tolist(),
+                    run.tolist(), procs.astype(np.int64).tolist(),
+                    req_time.tolist()))
+    return jobs, len(kept) - len(jobs), [], max_procs_header
+
+
+def oracle_parse_swf(text, name=""):
+    """``parse_swf`` with the text, its lines and the whole block held to
+    the end, the jobs built from whole columns and then sorted; the line
+    loop is ``workload._parse_swf_lines``."""
+    lines = text.splitlines()
+    parsed = _oracle_parse_swf_block(lines) \
+        or workload._parse_swf_lines(lines)
+    jobs, dropped, line_errors, max_procs_header = parsed
+    if not jobs:
+        raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
+    jobs.sort(key=lambda j: (j.submit_time, j.id))
+    total = max_procs_header if max_procs_header \
+        else max(j.requested_procs for j in jobs)
+    trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
+                          dropped_jobs=dropped, line_errors=line_errors)
+    trace.validate()
+    return trace

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,30 @@ def test_malformed_trace_exit_2(tmp_path):
     assert run_cli("simulate", "--trace", str(bad)) == 2
 
 
+@pytest.mark.parametrize("argv, spoiled", [
+    (["simulate", "--trace", "{trace}"], "trace"),
+    (["inspect", "--trace", "{trace}"], "trace"),
+    (["inspect", "--model", "{model}"], "model"),
+    (["evaluate", "--trace", "{trace}", "--model", "{model}"], "model"),
+    (["simulate", "--config", "{config}", "--trace", "{trace}"], "config"),
+])
+def test_undecodable_input_exit_2(tmp_path, trace_file, argv, spoiled,
+                                  capsys):
+    # a byte that is not UTF-8 at the end of an otherwise good file
+    files = {"trace": trace_file, "model": str(tmp_path / "model.json"),
+             "config": str(tmp_path / "run.ini")}
+    agent.save_model(files["model"], agent.new_model(
+        agent.Hyperparameters(slots=4, hidden=(8,))))
+    pathlib.Path(files["config"]).write_text("[run]\nseed = 1\n")
+    with open(files[spoiled], "ab") as fp:
+        fp.write(b"\xff")
+    assert run_cli(*[arg.format(**files) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[spoiled]}: ")
+    assert "can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", [0, 1, 3, 4, 7, 8])
 def test_non_finite_trace_field_exit_2(tmp_path, field, bad):
@@ -128,6 +153,29 @@ def test_non_finite_trace_field_exit_2(tmp_path, field, bad):
     path.write_text(" ".join(fields) + "\n")
     assert run_cli("simulate", "--trace", str(path),
                    "--out", str(tmp_path / "o")) == 2
+
+
+def test_simulate_peak_memory_per_job(tmp_path):
+    # the trace's text, lines and numpy block go before its jobs are built,
+    # jobs.csv is formatted a block at a time, and the simulation goes
+    # before the metrics: about 420 bytes per job at the peak, of which
+    # the jobs themselves hold about 230; whole layers peaked at about 830
+    n = 20000
+    swf = tmp_path / "t.swf"
+    workload.write_swf(swf, workload.generate_synthetic(
+        workload.SyntheticConfig(job_count=n, arrival_rate=0.005,
+                                 total_procs=128, seed=2)))
+    argv = ["simulate", "--trace", str(swf), "--policy", "fcfs",
+            "--backfill", "off", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0      # one-time set-up outside the trace
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 550 * n
 
 
 def test_procs_override_validation(tmp_path, trace_file):

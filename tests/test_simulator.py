@@ -10,16 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ends, make_job, make_trace, starts
+from helpers import (B, BLOCK_COUNTS, boundary_jobs, ends, make_job,
+                     make_schedule, make_trace, oracle_job_csv_rows,
+                     oracle_write_jobs_csv, starts)
 from marsched import heuristics, simulator
-from marsched.agent import make_random_selector
+from marsched.agent import Hyperparameters, MarsAgent, make_random_selector
+from marsched.decision import Thresholds, decide, run_plan
 from marsched.errors import ConfigError, ContractError, SchedulingError
 from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
-from marsched.simulator import (EventKind, Simulation, backfill_easy,
-                                compute_reservation, job_csv_rows,
-                                new_cluster, next_event_time, ready_jobs,
-                                run_episode, schedule_cycle, start_job,
-                                write_jobs_csv)
+from marsched.simulator import (EventKind, RunResult, RunStats, Simulation,
+                                backfill_easy, compute_reservation,
+                                job_csv_rows, new_cluster, next_event_time,
+                                ready_jobs, run_episode, schedule_cycle,
+                                start_job, write_jobs_csv)
 from marsched.workload import SyntheticConfig, generate_synthetic
 
 
@@ -613,7 +616,7 @@ def test_deterministic_reruns():
 
 def test_jobs_csv_output(tmp_path):
     res = run_episode(contended_jobs(), "fcfs", total_procs=4)
-    rows = job_csv_rows([res])
+    rows = list(job_csv_rows([res]))
     assert [r.split(",")[0] for r in rows] == ["1", "2", "3"]   # sorted by id
     path = tmp_path / "jobs.csv"
     write_jobs_csv(path, rows)
@@ -634,3 +637,46 @@ def test_jobs_csv_ids_beyond_int64():
         ["3", str(big), str(2 ** 100)]
     assert starts(res.schedule) == {big: 0.0, 3: 1.0, 2 ** 100: 6.0}
 
+
+
+# -- jobs.csv a block at a time, against the whole-column writer ------------
+
+def csv_bytes(tmp_path, results):
+    """The jobs.csv bytes of the runs, block-wise and by the oracle."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_jobs_csv(got, job_csv_rows(results))
+    oracle_write_jobs_csv(want, oracle_job_csv_rows(results))
+    return got.read_bytes(), want.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["integral", "fraction", "huge"])
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_jobs_csv_equals_oracle_at_block_boundaries(tmp_path, n, kind):
+    if n:
+        results = [run_episode(boundary_jobs(n, kind), "fcfs",
+                               backfill=False, total_procs=4)]
+    else:
+        results = [RunResult(make_schedule([]), None, RunStats(), "fcfs")]
+    got, want = csv_bytes(tmp_path, results)
+    assert got == want
+    assert len(got.splitlines()) == n + 1
+
+
+def test_jobs_csv_equals_oracle_on_a_multi_chunk_mars_plan(tmp_path):
+    # even ids fall across four learned-policy chunks of about 3/4 of a
+    # block each, and an SJF run's odd ids fall between them, so the id
+    # order takes every block's rows from several runs and both policies
+    n = 3 * B + 7
+    jobs = [make_job(2 * (n - k), submit=k // 2, run=5 + k % 11,
+                     procs=1 + k % 3) for k in range(n)]
+    plan = decide(jobs, None, Thresholds(2, 3, B))
+    assert len(plan.chunks) == 4
+    agent = MarsAgent(Hyperparameters(slots=4, hidden=(8,), seed=1))
+    results = run_plan(plan, total_procs=4, agent=agent)
+    results.append(run_episode(
+        [make_job(2 * k + 1, submit=k, run=3, procs=2) for k in range(B)],
+        "sjf", total_procs=4))
+    got, want = csv_bytes(tmp_path, results)
+    assert got == want
+    policies = [row.rsplit(b",", 1)[1] for row in got.splitlines()[1:]]
+    assert policies[:4] == [b"sjf", b"rl", b"sjf", b"rl"]

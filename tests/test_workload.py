@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (make_job, make_trace, oracle_swf_text, oracle_synthetic,
-                     per_value_text)
+from helpers import (BLOCK_COUNTS, B, boundary_jobs, make_job, make_trace,
+                     oracle_parse_swf, oracle_swf_text, oracle_synthetic,
+                     oracle_write_swf, per_value_text)
 from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
 from marsched.workload import (Job, SyntheticConfig,
@@ -123,11 +124,11 @@ def test_any_text_parses_or_raises_trace_format_error(text):
         assert all(np.isfinite([j.submit_time, j.run_time, j.requested_time]))
 
 
-def parse_outcome(text):
-    """Everything parse_swf returns, as text that tells 0.0 from -0.0 and
+def parse_outcome(text, parse=parse_swf):
+    """Everything ``parse`` returns, as text that tells 0.0 from -0.0 and
     an int from a float; or the TraceFormatError's message."""
     try:
-        trace = parse_swf(text, "d")
+        trace = parse(text, "d")
     except TraceFormatError as exc:
         return f"error: {exc}"
     return repr(([repr(j) for j in trace.jobs], trace.dropped_jobs,
@@ -214,7 +215,9 @@ def test_one_pass_parser_reads_only_regular_text(text, one_pass):
     block = workload._parse_swf_block(text.splitlines())
     assert (block is not None) == one_pass
     if one_pass:
-        assert block == workload._parse_swf_lines(text.splitlines())
+        columns, dropped, header = block
+        assert (workload._jobs_from_columns(*columns), dropped, [], header) \
+            == workload._parse_swf_lines(text.splitlines())
     assert parse_outcome(text) == line_loop_outcome(text)
     assert not parse_outcome(text).startswith("error")
 
@@ -624,3 +627,54 @@ def test_write_swf_equals_oracle_on_edge_values(tmp_path, ids):
     write_swf(tmp_path / "t.swf", trace)
     assert (tmp_path / "t.swf").read_bytes() == \
         oracle_swf_text(trace).encode()
+
+
+# -- SWF text a block at a time, against the whole-trace writer and parser ---
+
+@pytest.mark.parametrize("kind", ["integral", "fraction", "huge"])
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_write_swf_equals_oracle_at_block_boundaries(tmp_path, n, kind):
+    trace = WorkloadTrace(jobs=boundary_jobs(n, kind), total_procs=4)
+    write_swf(tmp_path / "got.swf", trace)
+    oracle_write_swf(tmp_path / "want.swf", trace)
+    got = (tmp_path / "got.swf").read_bytes()
+    assert got == (tmp_path / "want.swf").read_bytes()
+    assert len(got.splitlines()) == n + 1
+
+
+def shuffled_swf(n, kind, seed=0):
+    """The SWF text of ``boundary_jobs`` with its lines shuffled, so that
+    the parser's sort by (submit time, id) breaks many ties."""
+    jobs = boundary_jobs(n, kind)
+    np.random.default_rng(seed).shuffle(jobs)
+    return oracle_swf_text(WorkloadTrace(jobs=jobs, total_procs=4))
+
+
+@pytest.mark.parametrize("kind", ["integral", "fraction", "huge"])
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+def test_parse_swf_equals_oracle_at_block_boundaries(n, kind):
+    # ids of 2**63 and more take the line loop, the others one numpy pass
+    text = shuffled_swf(n, kind)
+    assert (workload._parse_swf_block(text.splitlines()) is None) == \
+        (kind == "huge" and n > 1 or n == 0)
+    got = parse_outcome(text)
+    assert got == parse_outcome(text, oracle_parse_swf)
+    assert got.startswith("error") == (n == 0)
+
+
+@pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
+def test_parse_swf_equals_oracle_on_irregular_text(n):
+    # a short line, a non-numeric field, a dropped job and a bad header
+    # past the first block send the whole text through the line loop
+    lines = shuffled_swf(n, "fraction").splitlines()
+    lines[B] = "1 2 3"
+    lines[B - 1] = lines[B - 1].replace(" -1 1 ", " x 1 ", 1)
+    lines.insert(2, swf_line(n + 5, 3, 0, 4))
+    lines.insert(B + 3, "; MaxProcs: many")
+    text = "\n".join(lines)
+    assert workload._parse_swf_block(text.splitlines()) is None
+    got = parse_outcome(text)
+    assert got == parse_outcome(text, oracle_parse_swf)
+    trace = parse_swf(text, "d")
+    assert (len(trace.jobs), trace.dropped_jobs, len(trace.line_errors)) == \
+        (n - 2, 1, 3)

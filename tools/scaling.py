@@ -17,6 +17,10 @@ A ``cli simulate`` row writes that trace to an SWF file (untimed) and times
 the whole ``cli.main simulate`` of it in-process (parse, run, metrics and
 the jobs.csv and report.csv writes); its output is the sha256 of the two
 files.
+A ``peak`` row is the ``gen`` or ``cli simulate`` row it names, and also
+reports the process's peak resident set (``ru_maxrss``) after the work and
+before it, when only the imports have run. For ``peak cli simulate`` a
+child process writes the SWF file, so the peak is the command's alone.
 The agent's rows use c08's job mix (32 processors, runtimes 5-10000 s, exact
 estimates) and the benchmark's training settings: a ``train`` row times
 ``agent.train`` for a few epochs on a trace at 0.005 jobs/s and reports
@@ -81,7 +85,9 @@ ROWS = (("gen", (1000, 4000, 16000)),
         ("train", (512, 2048)),
         ("evaluate", (500,)),
         ("model io", (512,)),
-        ("update", (1000, 4000, 16000)))
+        ("update", (1000, 4000, 16000)),
+        ("peak gen", (16000, 100000)),
+        ("peak cli simulate fcfs off", (16000, 100000)))
 TRACE = dict(total_procs=128, arrival_rate=0.05, seed=1)
 # acceptance check c08's job mix; tools/learning.py builds c08's trace from it
 C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
@@ -138,17 +144,32 @@ def _random_episode(hyper, steps: int):
     return traj
 
 
+def write_trace(path: str, jobs: int) -> None:
+    """Write the synthetic trace of ``jobs`` jobs to an SWF file."""
+    from marsched import workload
+    workload.write_swf(path, workload.generate_synthetic(
+        workload.SyntheticConfig(job_count=jobs, **TRACE)))
+
+
+def _max_rss_mb() -> float:
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def worker(row: str, jobs: int) -> dict:
     """One timed run in this process; the program comes from sys.path."""
     import numpy
     from marsched import agent, simulator, workload
     kind, *setting = row.split()
+    if kind == "peak":
+        start_rss = _max_rss_mb()
+        result = worker(" ".join(setting), jobs)
+        return dict(result, start_rss_mb=start_rss, peak_rss_mb=_max_rss_mb())
     if kind == "gen":
-        cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.swf")
             t0 = time.perf_counter()
-            workload.write_swf(path, workload.generate_synthetic(cfg))
+            write_trace(path, jobs)
             seconds = time.perf_counter() - t0
             with open(path, "rb") as fp:
                 return {"seconds": seconds,
@@ -157,7 +178,7 @@ def worker(row: str, jobs: int) -> dict:
         cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.swf")
-            workload.write_swf(path, workload.generate_synthetic(cfg))
+            write_trace(path, jobs)
             t0 = time.perf_counter()
             trace = workload.load_swf(path, name="trace")
             seconds = time.perf_counter() - t0
@@ -183,10 +204,12 @@ def worker(row: str, jobs: int) -> dict:
     if kind == "cli":
         from marsched import cli
         command, policy, backfill = setting
-        cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.swf")
-            workload.write_swf(path, workload.generate_synthetic(cfg))
+            # a child writes the trace, so that this process's peak
+            # resident set is the command's
+            subprocess.run([sys.executable, os.path.abspath(__file__),
+                            "--write-trace", path, str(jobs)], check=True)
             argv = [command, "--trace", path, "--policy", policy,
                     "--backfill", backfill, "--out", tmp]
             with contextlib.redirect_stdout(io.StringIO()):
@@ -299,7 +322,12 @@ def main(argv=None) -> int:
                    help="a checkout to time, repeatable (default change=.)")
     p.add_argument("--out", help="write the JSON here as well as stdout")
     p.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
+    p.add_argument("--write-trace", nargs=2, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    if args.write_trace:
+        path, jobs = args.write_trace
+        write_trace(path, int(jobs))
+        return 0
     if args.worker:
         row, jobs = args.worker
         print(json.dumps(worker(row, int(jobs))))
@@ -331,10 +359,15 @@ def main(argv=None) -> int:
                 row["median_decisions_per_s"] = median("decisions_per_s")
             if name == "update":
                 row["median_peak_bytes"] = median("peak_bytes")
+            if name.startswith("peak"):
+                row["median_start_rss_mb"] = median("start_rss_mb")
+                row["median_peak_rss_mb"] = median("peak_rss_mb")
             rows.append(row)
             print(f"{name:17} {jobs:6} "
                   + " ".join(f"{label}={s:.3f}s"
                              for label, s in row["median_s"].items())
+                  + "".join(f" {label}={mb:.1f}MB" for label, mb
+                            in row.get("median_peak_rss_mb", {}).items())
                   + ("" if row["resolved"] else "  unresolved")
                   + ("" if row["same_output"] else "  OUTPUTS DIFFER"),
                   file=sys.stderr)
@@ -353,7 +386,9 @@ def main(argv=None) -> int:
                         "evaluate": "MarsAgent.run_collect, greedy",
                         "model io": "agent.save_model + agent.load_model",
                         "update": "agent.actor_critic_step, one episode "
-                                  "of that many steps"},
+                                  "of that many steps",
+                        "peak": "the row it names; also ru_maxrss before "
+                                "and after"},
               "machine": machine_facts(),
               "checkouts": {label: checkout_facts(root)
                             for label, root in checkouts.items()},
