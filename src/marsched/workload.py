@@ -311,6 +311,7 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
 
 
 def _read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise TraceFormatError."""
     with open(path, encoding="utf-8") as fp:
         try:
             return fp.read()

@@ -13,14 +13,14 @@ the agent.
 A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
 jobs/s, seed 1, so the ready queue grows with the job count) under one
 policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
-A ``cli simulate`` row writes that trace to an SWF file (untimed) and times
-the whole ``cli.main simulate`` of it in-process (parse, run, metrics and
-the jobs.csv and report.csv writes); its output is the sha256 of the two
-files.
+A ``cli simulate`` row has a child process write that trace to an SWF file
+(untimed) and times the whole ``cli.main simulate`` of it in-process
+(parse, run, metrics and the jobs.csv and report.csv writes); its output is
+the sha256 of the two files.
 A ``peak`` row is the ``gen`` or ``cli simulate`` row it names, and also
 reports the process's peak resident set (``ru_maxrss``) after the work and
-before it, when only the imports have run. For ``peak cli simulate`` a
-child process writes the SWF file, so the peak is the command's alone.
+before it, when only the imports have run; as the child writes a ``cli
+simulate`` row's SWF file, that peak is the command's alone.
 The agent's rows use c08's job mix (32 processors, runtimes 5-10000 s, exact
 estimates) and the benchmark's training settings: a ``train`` row times
 ``agent.train`` for a few epochs on a trace at 0.005 jobs/s and reports
