@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import __version__, decision, metrics
-from .agent import (Hyperparameters, MarsAgent, ModelVersions,
-                    episode_reward, load_model, new_model, save_model, train)
+from .agent import (Hyperparameters, MarsAgent, ModelVersions, load_model,
+                    new_model, save_model, train)
 from .config import (ENV_CONFIG, Settings, as_bool, as_float, as_int,
                      load_config)
 from .errors import (ConfigError, ContractError, ModelFormatError,
@@ -320,8 +320,8 @@ def cmd_evaluate(args, settings: Settings) -> int:
                                       seed=seed, agent=agent)
     _write_run_outputs(out, results, reports)
     _print_report(reports[0])
-    reward = episode_reward(results[0].schedule, tau)
-    print(f"episode_reward={reward:.4f}")
+    # episode_reward(schedule, tau), from the report's own mean
+    print(f"episode_reward={-reports[0].mean_bounded:.4f}")
     return EXIT_OK
 
 

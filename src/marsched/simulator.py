@@ -50,10 +50,12 @@ finds a processor free.) A cycle with an empty ready set returns at once
 too.
 
 EASY reads a processor index, then sorts. Within one pass the shadow time
-stays where it is (the pass checks that it never rises), and ``free_procs``
-and the head's spare processors ``extra`` only fall: a backfilled job either
-ends by the shadow, which leaves the processors free at the shadow as they
-were, or fits the spare processors, and then takes its processors from both.
+stays where it is, so the pass computes the reservation once, and
+``free_procs`` and the head's spare processors ``extra`` only fall: a
+backfilled job either ends by the shadow, which leaves the processors free
+at the shadow as they were, or fits the spare processors, and then takes its
+processors from both. With fewer processors free before the shadow, the head
+cannot fit earlier either.
 A candidate that fails ``procs <= free`` or ``clock + requested_time <=
 shadow or procs <= extra`` at the start of the pass therefore fails at every
 later point of it, and once no processor is free every candidate fails.
@@ -329,8 +331,8 @@ def backfill_easy(state: ClusterState, head: Job,
     with the job as its last field, as an aging cycle's heap does, and is
     filtered and sorted without keying a job again; otherwise the candidates
     come from the processor index of a time-invariant run, in rank order
-    (module docstring). The head's reservation is recomputed after every
-    backfill and may only move earlier.
+    (module docstring). The reservation is computed once per pass; a
+    backfill that runs past the shadow takes its processors from ``extra``.
     """
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
@@ -375,12 +377,8 @@ def backfill_easy(state: ClusterState, head: Job,
         started.append(cand.id)
         if stats is not None:
             stats.backfilled += 1
-        new_shadow, extra = compute_reservation(state, head)
-        if new_shadow > shadow:
-            raise AssertionError(
-                f"backfill of job {cand.id} delayed the head reservation "
-                f"({shadow} -> {new_shadow})")
-        shadow = new_shadow
+        if clock + cand.requested_time > shadow:
+            extra -= cand.requested_procs
         if not state.free_procs:
             break
     return started

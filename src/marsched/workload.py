@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -138,8 +139,6 @@ _SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
              SwfField.ALLOCATED_PROCS, SwfField.REQUESTED_PROCS,
              SwfField.REQUESTED_TIME)
 _read_swf_fields = itemgetter(*_SWF_READ)
-# a truncated id or processor count below this converts to int64 exactly
-_INT64_LIMIT = 2.0 ** 63
 # jobs, SWF lines and jobs.csv rows are built this many at a time, so that
 # the Python objects a column or a text layer needs in passing are bounded
 # by the block, not by the trace
@@ -155,28 +154,32 @@ def _max_procs_header(line: str) -> int | None:
     return int(float(header.split(":", 1)[1].strip()))
 
 
-def _parse_swf_lines(lines: list[str]):
-    """Parse line by line; (jobs sorted by (submit time, id), dropped, line
-    errors, MaxProcs header)."""
-    jobs: list[Job] = []
-    dropped = 0
-    line_errors: list[tuple[int, str]] = []
-    max_procs_header: int | None = None
-    isfinite = math.isfinite
+def _scan_swf_lines(lines: list[str]):
+    """One scan of the lines; (data lines, their line numbers, the last
+    MaxProcs header or 0, line errors of unreadable headers). The line
+    numbers are machine ints, not a Python int object per line."""
+    data, linenos, line_errors, max_procs = [], array("q"), [], 0
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if line[:1] != ";":
+            if line:
+                data.append(line)
+                linenos.append(lineno)
+            continue
+        try:
+            header = _max_procs_header(line)
+        except (ValueError, OverflowError):
+            line_errors.append((lineno, "unreadable MaxProcs header"))
+        else:
+            max_procs = max_procs if header is None else header
+    return data, np.frombuffer(linenos, dtype=np.int64), max_procs, line_errors
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(";"):
-            try:
-                header = _max_procs_header(line)
-            except (ValueError, OverflowError):
-                line_errors.append((lineno, "unreadable MaxProcs header"))
-                continue
-            if header is not None:
-                max_procs_header = header
-            continue
+
+def _read_swf_lines(data: list[str], linenos: np.ndarray,
+                    line_errors: list[tuple[int, str]]):
+    """``_read_swf_body`` line by line, for any body: a line with fewer
+    than 9 fields, or a non-numeric one, becomes a line error."""
+    rows, read = [], []
+    for lineno, line in zip(linenos.tolist(), data):
         tokens = line.split()
         if len(tokens) < SwfField.REQUESTED_TIME + 1:
             line_errors.append((lineno, f"expected >= 9 fields, got {len(tokens)}"))
@@ -185,31 +188,67 @@ def _parse_swf_lines(lines: list[str]):
             values = list(map(float, tokens))
         except ValueError:
             line_errors.append((lineno, "non-numeric field"))
-            continue
-        job_id, submit, run, alloc, req_procs, req_time = \
-            _read_swf_fields(values)
-        if not (isfinite(job_id) and isfinite(submit) and isfinite(run)
-                and isfinite(alloc) and isfinite(req_procs)
-                and isfinite(req_time)):
-            line_errors.append((lineno, "non-finite field"))
-            continue
+        else:
+            rows.append(_read_swf_fields(values))
+            read.append(lineno)
+    return (np.array(rows, dtype=np.float64).reshape(-1, len(_SWF_READ)),
+            np.array(read, dtype=np.int64))
 
-        job_id = int(job_id)
-        procs = int(alloc)
-        if procs == -1:
-            procs = int(req_procs)
-        if req_time == -1:
-            req_time = run
 
-        if run <= 0 or procs <= 0:
-            dropped += 1
-            continue
-        if job_id < 1 or submit < 0 or req_time <= 0:
-            line_errors.append((lineno, f"job {job_id}: field out of range"))
-            continue
-        jobs.append(Job(job_id, submit, run, procs, req_time))
-    jobs.sort(key=lambda j: (j.submit_time, j.id))
-    return jobs, dropped, line_errors, max_procs_header
+def _read_swf_body(data: list[str], linenos: np.ndarray,
+                   line_errors: list[tuple[int, str]]):
+    """The six read fields of the data lines as an (n, 6) float block, and
+    each row's line number. A rectangular body of at least 9 numeric fields
+    a line is read by one ``np.loadtxt`` call, any other one by
+    ``_read_swf_lines``. numpy converts a field with
+    ``PyOS_string_to_double``, as ``float()`` does, so the values are equal;
+    the tokens ``float()`` alone accepts (``1_000``, non-ASCII digits) make
+    numpy raise."""
+    if data:
+        try:
+            block = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            block = None
+        if block is not None and block.shape[1] > SwfField.REQUESTED_TIME:
+            return block[:, _SWF_READ], linenos   # a copy: the block goes here
+    return _read_swf_lines(data, linenos, line_errors)
+
+
+def _int_column(values: np.ndarray) -> np.ndarray:
+    """Integral floats as int64, or as Python ints when one is >= 2**63."""
+    if (values < 2.0 ** 63).all():
+        return values.astype(np.int64)
+    return np.array([int(x) for x in values.tolist()], dtype=object)
+
+
+def _swf_columns(fields: np.ndarray, linenos: np.ndarray,
+                 line_errors: list[tuple[int, str]]):
+    """SWF's field rules over whole columns of either reader's block; (the
+    columns of ``_jobs_from_columns`` sorted by (submit time, id), dropped).
+    Adds the line errors of the rows it rejects, then sorts them all by line
+    number."""
+    finite = np.isfinite(fields).all(axis=1)
+    if not finite.all():     # a copy of the block only when a row goes
+        line_errors += [(n, "non-finite field")
+                        for n in linenos[~finite].tolist()]
+        fields, linenos = fields[finite], linenos[finite]
+    job_id, submit, run, alloc, req_procs, req_time = fields.T
+    job_id, procs = np.trunc(job_id), np.trunc(alloc)
+    procs = np.where(procs == -1, np.trunc(req_procs), procs)
+    req_time = np.where(req_time == -1, run, req_time)
+    kept = (run > 0) & (procs > 0)
+    dropped = len(kept) - int(np.count_nonzero(kept))
+    bad = kept & ((job_id < 1) | (submit < 0) | (req_time <= 0))
+    line_errors += [(n, f"job {int(i)}: field out of range") for n, i
+                    in zip(linenos[bad].tolist(), job_id[bad].tolist())]
+    line_errors.sort()
+    kept &= ~bad
+    job_id, submit, run, procs, req_time = (
+        job_id[kept], submit[kept], run[kept], procs[kept], req_time[kept])
+    # stable, and a truncated float id orders as the int it converts to
+    order = np.lexsort((job_id, submit))
+    return (_int_column(job_id[order]), submit[order], run[order],
+            _int_column(procs[order]), req_time[order]), dropped
 
 
 def _jobs_from_columns(*columns: np.ndarray) -> list[Job]:
@@ -222,59 +261,6 @@ def _jobs_from_columns(*columns: np.ndarray) -> list[Job]:
     return jobs
 
 
-def _parse_swf_block(lines: list[str]):
-    """Parse a regular body with one ``np.loadtxt`` call; (the columns of
-    ``_jobs_from_columns``, dropped, MaxProcs header), which describe the
-    jobs of ``_parse_swf_lines`` in its order, or None when a line would be
-    a line error or numpy cannot read the body exactly.
-
-    Regular means every data line has the same number of fields, at least
-    9, and every field is a number numpy reads. numpy converts a field with
-    ``PyOS_string_to_double``, as ``float()`` does, so the values are equal;
-    the tokens ``float()`` alone accepts (``1_000``, non-ASCII digits) make
-    numpy raise. The column rules below are the loop's, applied to whole
-    columns.
-    """
-    stripped = list(map(str.strip, lines))
-    data = [line for line in stripped if line and line[0] != ";"]
-    if not data:
-        return None
-    max_procs_header = None
-    for line in stripped:
-        if line[:1] == ";":
-            try:
-                header = _max_procs_header(line)
-            except (ValueError, OverflowError):
-                return None
-            if header is not None:
-                max_procs_header = header
-    try:
-        columns = np.loadtxt(data, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if columns.shape[1] < SwfField.REQUESTED_TIME + 1:
-        return None
-    columns = columns[:, _SWF_READ]     # a copy: the whole block goes here
-    if not np.isfinite(columns).all():
-        return None
-    job_id, submit, run, alloc, req_procs, req_time = columns.T
-    procs = np.trunc(alloc)
-    procs = np.where(procs == -1, np.trunc(req_procs), procs)
-    req_time = np.where(req_time == -1, run, req_time)
-    kept = (run > 0) & (procs > 0)
-    job_id, submit, run, procs, req_time = (
-        np.trunc(job_id[kept]), submit[kept], run[kept], procs[kept],
-        req_time[kept])
-    if (job_id < 1).any() or (submit < 0).any() or (req_time <= 0).any() \
-            or (job_id >= _INT64_LIMIT).any() or (procs >= _INT64_LIMIT).any():
-        return None
-    # a stable sort by submit time, then id: the line loop's order
-    order = np.lexsort((job_id, submit))
-    columns = (job_id.astype(np.int64)[order], submit[order], run[order],
-               procs.astype(np.int64)[order], req_time[order])
-    return columns, len(kept) - len(order), max_procs_header
-
-
 def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     """Parse SWF text into a trace.
 
@@ -283,27 +269,28 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     run_time when -1). Jobs with nonpositive run_time or proc count are
     dropped and counted. Malformed lines, including a nan or infinite value
     in any of those fields, are recorded with their line number and skipped;
-    a trace with zero valid jobs is a hard error. A regular body is read in
-    one numpy pass; any other text goes line by line, with the same result.
+    a trace with zero valid jobs is a hard error. The last ``; MaxProcs:``
+    header gives the processor count, or the widest job when there is none
+    or it is below 1. A reader turns the body into a block of the read
+    fields, and one pass of column rules turns that block into jobs.
 
-    The text, its lines and numpy's block are dropped before a regular
-    body's jobs are built, and the columns before the jobs are checked; the
-    text goes only when the caller passed its last reference, as
-    ``load_swf`` does.
+    The text, its lines and numpy's block are dropped before the jobs are
+    built, and the columns before the jobs are checked; the text goes only
+    when the caller passed its last reference, as ``load_swf`` does.
     """
     lines = text.splitlines()
     del text
-    parsed = _parse_swf_block(lines)
-    if parsed is None:
-        jobs, dropped, line_errors, max_procs_header = _parse_swf_lines(lines)
-    else:
-        del lines
-        columns, dropped, max_procs_header = parsed
-        jobs, line_errors = _jobs_from_columns(*columns), []
-        del parsed, columns
+    data, linenos, max_procs, line_errors = _scan_swf_lines(lines)
+    del lines
+    fields, linenos = _read_swf_body(data, linenos, line_errors)
+    del data
+    columns, dropped = _swf_columns(fields, linenos, line_errors)
+    del fields, linenos
+    jobs = _jobs_from_columns(*columns)
+    del columns
     if not jobs:
         raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
-    total = max_procs_header if max_procs_header else max(j.requested_procs for j in jobs)
+    total = max_procs if max_procs >= 1 else max(j.requested_procs for j in jobs)
     trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
                           dropped_jobs=dropped, line_errors=line_errors)
     trace.validate()

@@ -1,17 +1,21 @@
 """Shared factories, file digests, and oracles for the policy step, the
-actor-critic update, synthetic traces, and the SWF and jobs.csv text."""
+actor-critic update, synthetic traces, the SWF and jobs.csv text, and the
+EASY pass."""
 
+import bisect
 import hashlib
+import heapq
 import math
+from operator import itemgetter
 
 import numpy as np
 
-from marsched import neural, workload
+from marsched import neural, simulator, workload
 from marsched.agent import (EpisodeTrajectory, compute_advantages,
                             encode_state, fit_mask, slot_cost_factors,
                             visible_window)
 from marsched.metrics import Schedule
-from marsched.errors import TraceFormatError
+from marsched.errors import ContractError, TraceFormatError
 from marsched.neural import Layer, Network, softmax
 from marsched.simulator import JOBS_CSV_COLUMNS
 from marsched.workload import (Job, SwfField, WorkloadTrace, _truncated_gauss,
@@ -324,9 +328,67 @@ _SWF_READ = (SwfField.JOB_ID, SwfField.SUBMIT_TIME, SwfField.RUN_TIME,
              SwfField.REQUESTED_TIME)
 
 
+def oracle_parse_swf_lines(lines):
+    """Parse line by line, each SWF rule stated per line; (jobs sorted by
+    (submit time, id), dropped, line errors, MaxProcs header)."""
+    jobs = []
+    dropped = 0
+    line_errors = []
+    max_procs_header = None
+    isfinite = math.isfinite
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(";"):
+            try:
+                header = workload._max_procs_header(line)
+            except (ValueError, OverflowError):
+                line_errors.append((lineno, "unreadable MaxProcs header"))
+                continue
+            if header is not None:
+                max_procs_header = header
+            continue
+        tokens = line.split()
+        if len(tokens) < SwfField.REQUESTED_TIME + 1:
+            line_errors.append((lineno, f"expected >= 9 fields, got {len(tokens)}"))
+            continue
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            line_errors.append((lineno, "non-numeric field"))
+            continue
+        job_id, submit, run, alloc, req_procs, req_time = \
+            (values[k] for k in _SWF_READ)
+        if not (isfinite(job_id) and isfinite(submit) and isfinite(run)
+                and isfinite(alloc) and isfinite(req_procs)
+                and isfinite(req_time)):
+            line_errors.append((lineno, "non-finite field"))
+            continue
+
+        job_id = int(job_id)
+        procs = int(alloc)
+        if procs == -1:
+            procs = int(req_procs)
+        if req_time == -1:
+            req_time = run
+
+        if run <= 0 or procs <= 0:
+            dropped += 1
+            continue
+        if job_id < 1 or submit < 0 or req_time <= 0:
+            line_errors.append((lineno, f"job {job_id}: field out of range"))
+            continue
+        jobs.append(Job(job_id, submit, run, procs, req_time))
+    jobs.sort(key=lambda j: (j.submit_time, j.id))
+    return jobs, dropped, line_errors, max_procs_header
+
+
 def _oracle_parse_swf_block(lines):
     """The one-pass parse of a regular body: (jobs in file order, dropped,
-    [], MaxProcs header), or None."""
+    [], MaxProcs header), or None when a line would be a line error, an id
+    or processor count is 2**63 or more, or numpy cannot read the body."""
     stripped = list(map(str.strip, lines))
     data = [line for line in stripped if line and line[0] != ";"]
     if not data:
@@ -367,19 +429,77 @@ def _oracle_parse_swf_block(lines):
 
 
 def oracle_parse_swf(text, name=""):
-    """``parse_swf`` with the text, its lines and the whole block held to
-    the end, the jobs built from whole columns and then sorted; the line
-    loop is ``workload._parse_swf_lines``."""
+    """``parse_swf`` as two parsers that each state SWF's rules: one numpy
+    pass over a regular body, else ``oracle_parse_swf_lines``; the text,
+    its lines and the whole block are held to the end, and the jobs are
+    built from whole columns and then sorted. A last MaxProcs header below
+    1 counts as none."""
     lines = text.splitlines()
     parsed = _oracle_parse_swf_block(lines) \
-        or workload._parse_swf_lines(lines)
+        or oracle_parse_swf_lines(lines)
     jobs, dropped, line_errors, max_procs_header = parsed
     if not jobs:
         raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
     jobs.sort(key=lambda j: (j.submit_time, j.id))
-    total = max_procs_header if max_procs_header \
+    total = max_procs_header if max_procs_header and max_procs_header >= 1 \
         else max(j.requested_procs for j in jobs)
     trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
                           dropped_jobs=dropped, line_errors=line_errors)
     trace.validate()
     return trace
+
+
+def oracle_backfill_easy(state, head, stats=None, entries=None):
+    """``simulator.backfill_easy`` with the head's reservation recomputed
+    after every backfill, and a check that it never moves later."""
+    if head.id not in state.ready or head.requested_procs <= state.free_procs:
+        raise ContractError(f"job {head.id} is not a blocked ready head")
+    free = state.free_procs
+    counts = state.proc_counts
+    if not counts or counts[0] > free:
+        return []
+    clock = state.clock
+    shadow, extra = simulator.compute_reservation(state, head)
+    if entries is None:
+        queue = []
+        for procs in counts[:bisect.bisect_right(counts, free)]:
+            bucket = state.by_procs[procs]
+            if clock + bucket[-1][0] <= shadow:
+                cut = len(bucket)
+            elif clock + bucket[0][0] > shadow:
+                cut = 0
+            else:
+                cut = bisect.bisect_right(bucket, shadow,
+                                          key=lambda e: clock + e[0])
+            queue += bucket[:cut]
+            if procs <= extra and cut < len(bucket):
+                queue += heapq.nsmallest(min(extra, free) // procs,
+                                         bucket[cut:], key=itemgetter(1))
+        queue.sort(key=itemgetter(1))
+    else:
+        queue = [e for e in entries
+                 if (cand := e[-1]).requested_procs <= free
+                 and (clock + cand.requested_time <= shadow
+                      or cand.requested_procs <= extra)]
+        queue.sort()
+    started = []
+    for entry in queue:
+        cand = entry[-1]
+        if cand.requested_procs > state.free_procs:
+            continue
+        if not (clock + cand.requested_time <= shadow
+                or cand.requested_procs <= extra):
+            continue
+        simulator.start_job(state, cand, clock)
+        started.append(cand.id)
+        if stats is not None:
+            stats.backfilled += 1
+        new_shadow, extra = simulator.compute_reservation(state, head)
+        if new_shadow > shadow:
+            raise AssertionError(
+                f"backfill of job {cand.id} delayed the head reservation "
+                f"({shadow} -> {new_shadow})")
+        shadow = new_shadow
+        if not state.free_procs:
+            break
+    return started

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import (B, BLOCK_COUNTS, boundary_jobs, ends, make_job,
-                     make_schedule, make_trace, oracle_job_csv_rows,
-                     oracle_write_jobs_csv, starts)
+                     make_schedule, make_trace, oracle_backfill_easy,
+                     oracle_job_csv_rows, oracle_write_jobs_csv, starts)
 from marsched import heuristics, simulator
 from marsched.agent import Hyperparameters, MarsAgent, make_random_selector
 from marsched.decision import Thresholds, decide, run_plan
@@ -362,6 +362,26 @@ def burst_trace(seed, n=40, procs=8):
                              req_time=max(1, int(run * factor)),
                              procs=int(rng.choice([1, 1, 2, 3, 4, 8]))))
     return sorted(jobs, key=lambda j: (j.submit_time, j.id)), procs
+
+
+@pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+def test_one_reservation_per_pass_equals_recompute(monkeypatch, kind):
+    # the oracle recomputes the reservation after every backfill and fails
+    # if it moves later; bursts with half and triple estimates put
+    # overrunning jobs and spare processors in the passes
+    backfilled = 0
+    for seed in range(20):
+        for n, procs in ((40, 8), (120, 32)):
+            jobs, procs = burst_trace(seed, n, procs)
+            got = run_episode(jobs, kind, total_procs=procs)
+            with monkeypatch.context() as patched:
+                patched.setattr(simulator, "backfill_easy",
+                                oracle_backfill_easy)
+                want = run_episode(jobs, kind, total_procs=procs)
+            assert starts(got.schedule) == starts(want.schedule), seed
+            assert got.stats.backfilled == want.stats.backfilled
+            backfilled += got.stats.backfilled
+    assert backfilled
 
 
 def full_cycle_probe(full):

@@ -100,6 +100,15 @@ def test_infinite_maxprocs_header_is_a_line_error():
     assert trace.total_procs == 4
 
 
+@pytest.mark.parametrize("header", ["0", "-1", "-64"])
+def test_maxprocs_header_below_one_reads_as_absent(header):
+    # SWF writes -1 for an unknown value; the widest job gives the count
+    text = f"; MaxProcs: {header}\n" + "\n".join(
+        [swf_line(1, 0, 100, 4), swf_line(2, 5, 100, 16)])
+    trace = parse_swf(text, "t")
+    assert (trace.total_procs, trace.line_errors) == (16, [])
+
+
 SWF_TOKENS = st.one_of(
     st.sampled_from(["-1", "0", "1", "4", "nan", "inf", "-inf", "1e400",
                      "-1e400", "1e300", "2.5", "-0", "x", ";"]),
@@ -135,10 +144,21 @@ def parse_outcome(text, parse=parse_swf):
                  trace.line_errors, trace.total_procs))
 
 
-def line_loop_outcome(text):
-    """parse_outcome with the one-pass parser switched off."""
-    with mock.patch.object(workload, "_parse_swf_block", return_value=None):
+def line_reader_outcome(text):
+    """parse_outcome with ``np.loadtxt`` made to raise, so that every body
+    goes through the line-by-line reader."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
         return parse_outcome(text)
+
+
+def reader_outcomes(text):
+    """parse_outcome through both readers, the oracle's outcome, and
+    whether the line-by-line reader ran without ``np.loadtxt`` raising."""
+    want = parse_outcome(text, oracle_parse_swf)
+    with mock.patch.object(workload, "_read_swf_lines",
+                           wraps=workload._read_swf_lines) as lines_reader:
+        got = parse_outcome(text)
+    return got, line_reader_outcome(text), want, lines_reader.called
 
 
 # tokens float() reads differently from numpy, or that read as a value no
@@ -178,14 +198,16 @@ def swf_texts(draw):
 @given(swf_texts())
 @settings(max_examples=400, deadline=None)
 def test_one_pass_parse_equals_line_loop(text):
-    # warnings as errors in the body only: numpy warns on a text with no
-    # data line, and the parser must not ask it to read one
+    # both readers against the oracle's two parsers; warnings as errors in
+    # the body only: numpy warns on a text with no data line, and the
+    # parser must not ask it to read one
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert parse_outcome(text) == line_loop_outcome(text)
+        got, by_lines, want, _ = reader_outcomes(text)
+    assert got == by_lines == want
 
 
-# (text, whether the one-pass parser reads it); each text has a valid job
+# (text, whether np.loadtxt reads its body); each text has a valid job
 REGULAR = "\n".join(swf_line(i, 10 * i, 100, 4) for i in range(1, 4))
 UNREAD_HUGE = " ".join(["4", "0", "-1", "100", "4", "-1", "-1", "-1", "-1",
                         "1e400"] + ["-1"] * 8)
@@ -202,24 +224,21 @@ BLOCK_CASES = [
     (HEADER + REGULAR + "\n" + swf_line("\u0661\u0662", 0, 100, 4), False),
     (HEADER + REGULAR + " ; done", False),
     (HEADER + REGULAR + "\n" + swf_line(7, 0, "0x1p3", 4), False),
+    # faults of the field rules, not of the reading
     (HEADER + REGULAR + "\n" + swf_line(7, 0, 100, 4, req_time="inf"),
-     False),
-    (HEADER + REGULAR + "\n" + swf_line(0, 0, 100, 4), False),  # id < 1
-    (swf_line(1, 0, 100, "1e19"), False),                       # > int64
-    ("; MaxProcs: x\n" + REGULAR, False),
+     True),
+    (HEADER + REGULAR + "\n" + swf_line(0, 0, 100, 4), True),   # id < 1
+    (swf_line(1, 0, 100, "1e19"), True),                        # > int64
+    ("; MaxProcs: x\n" + REGULAR, True),
 ]
 
 
 @pytest.mark.parametrize("text, one_pass", BLOCK_CASES)
 def test_one_pass_parser_reads_only_regular_text(text, one_pass):
-    block = workload._parse_swf_block(text.splitlines())
-    assert (block is not None) == one_pass
-    if one_pass:
-        columns, dropped, header = block
-        assert (workload._jobs_from_columns(*columns), dropped, [], header) \
-            == workload._parse_swf_lines(text.splitlines())
-    assert parse_outcome(text) == line_loop_outcome(text)
-    assert not parse_outcome(text).startswith("error")
+    got, by_lines, want, lines_read = reader_outcomes(text)
+    assert lines_read != one_pass
+    assert got == by_lines == want
+    assert not got.startswith("error")
 
 
 @pytest.mark.filterwarnings("error")
@@ -653,28 +672,29 @@ def shuffled_swf(n, kind, seed=0):
 @pytest.mark.parametrize("kind", ["integral", "fraction", "huge"])
 @pytest.mark.parametrize("n", BLOCK_COUNTS)
 def test_parse_swf_equals_oracle_at_block_boundaries(n, kind):
-    # ids of 2**63 and more take the line loop, the others one numpy pass
+    # np.loadtxt reads every body, ids of 2**63 and more included; the
+    # oracle's line loop reads those
     text = shuffled_swf(n, kind)
-    assert (workload._parse_swf_block(text.splitlines()) is None) == \
-        (kind == "huge" and n > 1 or n == 0)
-    got = parse_outcome(text)
-    assert got == parse_outcome(text, oracle_parse_swf)
+    got, by_lines, want, lines_read = reader_outcomes(text)
+    assert lines_read == (n == 0)
+    assert got == by_lines == want
     assert got.startswith("error") == (n == 0)
 
 
 @pytest.mark.parametrize("n", [B + 1, 3 * B + 7])
 def test_parse_swf_equals_oracle_on_irregular_text(n):
-    # a short line, a non-numeric field, a dropped job and a bad header
-    # past the first block send the whole text through the line loop
+    # a short line and a non-numeric field past the first block send the
+    # whole body through the line-by-line reader; a dropped job and a bad
+    # header go with it
     lines = shuffled_swf(n, "fraction").splitlines()
     lines[B] = "1 2 3"
     lines[B - 1] = lines[B - 1].replace(" -1 1 ", " x 1 ", 1)
     lines.insert(2, swf_line(n + 5, 3, 0, 4))
     lines.insert(B + 3, "; MaxProcs: many")
     text = "\n".join(lines)
-    assert workload._parse_swf_block(text.splitlines()) is None
-    got = parse_outcome(text)
-    assert got == parse_outcome(text, oracle_parse_swf)
+    got, by_lines, want, lines_read = reader_outcomes(text)
+    assert lines_read
+    assert got == by_lines == want
     trace = parse_swf(text, "d")
     assert (len(trace.jobs), trace.dropped_jobs, len(trace.line_errors)) == \
         (n - 2, 1, 3)

@@ -6,10 +6,12 @@
 A ``gen`` row times ``workload.generate_synthetic`` of the synthetic trace
 below plus ``workload.write_swf`` of it; its output is the sha256 of the
 SWF file. A ``parse`` row writes that trace to an SWF file (untimed) and
-times ``workload.load_swf`` of it. A ``costs`` row loads that file
-(untimed), then times ``workload.assign_costs`` with the synthetic cost
-defaults and the trace's seed, as the CLI draws them for a command that runs
-the agent.
+times ``workload.load_swf`` of it; a ``parse irregular`` row does the same
+with a short line (``1 2 3``) before each block of 1,024 jobs, so that the
+line-by-line reader runs and reports one line error per block. A ``costs``
+row loads the plain file (untimed), then times ``workload.assign_costs`` with
+the synthetic cost defaults and the trace's seed, as the CLI draws them for
+a command that runs the agent.
 A ``simulate`` row simulates one synthetic trace (128 processors, 0.05
 jobs/s, seed 1, so the ready queue grows with the job count) under one
 policy, with EASY backfilling on or off, and times ``simulator.run_episode``.
@@ -74,6 +76,7 @@ import time
 # (row, job counts); a simulate row names its policy and backfill setting
 ROWS = (("gen", (1000, 4000, 16000)),
         ("parse", (1000, 4000, 16000)),
+        ("parse irregular", (1000, 4000, 16000)),
         ("costs", (1000, 4000, 16000)),
         ("simulate fcfs off", (1000, 4000, 16000)),
         ("cli simulate fcfs off", (1000, 4000, 16000)),
@@ -95,6 +98,7 @@ C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
 TRAIN_RATE, BURST_RATE = 0.005, 2.0
 TRAIN_EPOCHS = 3
 REPEATS = 5
+IRREGULAR_EVERY = 1024     # jobs per short line of a ``parse irregular`` row
 
 
 def _digest(value) -> str:
@@ -144,11 +148,20 @@ def _random_episode(hyper, steps: int):
     return traj
 
 
-def write_trace(path: str, jobs: int) -> None:
-    """Write the synthetic trace of ``jobs`` jobs to an SWF file."""
+def write_trace(path: str, jobs: int, irregular: bool = False) -> None:
+    """Write the synthetic trace of ``jobs`` jobs to an SWF file; when
+    ``irregular``, a short line opens each block of ``IRREGULAR_EVERY``
+    jobs after the header."""
     from marsched import workload
     workload.write_swf(path, workload.generate_synthetic(
         workload.SyntheticConfig(job_count=jobs, **TRACE)))
+    if irregular:
+        with open(path) as fp:
+            lines = fp.readlines()
+        with open(path, "w") as fp:
+            fp.write(lines[0])
+            for lo in range(1, len(lines), IRREGULAR_EVERY):
+                fp.writelines(["1 2 3\n", *lines[lo:lo + IRREGULAR_EVERY]])
 
 
 def _max_rss_mb() -> float:
@@ -178,7 +191,7 @@ def worker(row: str, jobs: int) -> dict:
         cfg = workload.SyntheticConfig(job_count=jobs, **TRACE)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.swf")
-            write_trace(path, jobs)
+            write_trace(path, jobs, irregular=setting == ["irregular"])
             t0 = time.perf_counter()
             trace = workload.load_swf(path, name="trace")
             seconds = time.perf_counter() - t0
@@ -378,6 +391,8 @@ def main(argv=None) -> int:
               "timed": {"gen": "workload.generate_synthetic + "
                                "workload.write_swf",
                         "parse": "workload.load_swf",
+                        "parse irregular": "workload.load_swf, one short "
+                                           "line per 1,024 jobs",
                         "costs": "workload.assign_costs",
                         "simulate": "simulator.run_episode",
                         "cli simulate": "cli.main simulate: parse, run, "
