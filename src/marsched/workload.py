@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -156,22 +155,24 @@ def _max_procs_header(line: str) -> int | None:
 
 def _scan_swf_lines(lines: list[str]):
     """One scan of the lines; (data lines, their line numbers, the last
-    MaxProcs header or 0, line errors of unreadable headers). The line
-    numbers are machine ints, not a Python int object per line."""
-    data, linenos, line_errors, max_procs = [], array("q"), [], 0
-    for lineno, line in enumerate(map(str.strip, lines), start=1):
-        if line[:1] != ";":
-            if line:
-                data.append(line)
-                linenos.append(lineno)
+    MaxProcs header or 0, line errors of unreadable headers). Only the
+    comment and blank lines are listed on the way, so a data line costs no
+    Python int."""
+    data, skipped, line_errors, max_procs = [], [], [], 0
+    for i, line in enumerate(map(str.strip, lines)):
+        if line and line[0] != ";":
+            data.append(line)
             continue
+        skipped.append(i)
         try:
-            header = _max_procs_header(line)
+            header = _max_procs_header(line)      # None for a blank line
         except (ValueError, OverflowError):
-            line_errors.append((lineno, "unreadable MaxProcs header"))
+            line_errors.append((i + 1, "unreadable MaxProcs header"))
         else:
             max_procs = max_procs if header is None else header
-    return data, np.frombuffer(linenos, dtype=np.int64), max_procs, line_errors
+    linenos = np.delete(np.arange(1, len(lines) + 1),
+                        np.array(skipped, dtype=np.intp))
+    return data, linenos, max_procs, line_errors
 
 
 def _read_swf_lines(data: list[str], linenos: np.ndarray,
