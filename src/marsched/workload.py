@@ -32,20 +32,6 @@ class Job:
     requested_time: float      # r_t, user estimate
     cost_rate: float = 0.0     # currency per processor-second
 
-    def validate(self) -> None:
-        if self.id < 1:
-            raise TraceFormatError(f"job id must be positive, got {self.id}")
-        if self.requested_procs < 1:
-            raise TraceFormatError(f"job {self.id}: requested_procs must be >= 1")
-        if self.run_time <= 0:
-            raise TraceFormatError(f"job {self.id}: run_time must be > 0")
-        if self.requested_time <= 0:
-            raise TraceFormatError(f"job {self.id}: requested_time must be > 0")
-        if self.submit_time < 0:
-            raise TraceFormatError(f"job {self.id}: submit_time must be >= 0")
-        if self.cost_rate < 0:
-            raise TraceFormatError(f"job {self.id}: cost_rate must be >= 0")
-
 
 @dataclass
 class WorkloadTrace:
@@ -54,28 +40,6 @@ class WorkloadTrace:
     name: str = ""
     dropped_jobs: int = 0                               # filtered at parse time
     line_errors: list[tuple[int, str]] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if self.total_procs < 1:
-            raise TraceFormatError(f"trace {self.name!r}: total_procs must be >= 1")
-        seen: set[int] = set()
-        prev = -math.inf
-        for job in self.jobs:
-            job.validate()
-            if job.id in seen:
-                raise TraceFormatError(f"trace {self.name!r}: duplicate job id {job.id}")
-            seen.add(job.id)
-            if job.submit_time < prev:
-                raise TraceFormatError(
-                    f"trace {self.name!r}: jobs not sorted by submit_time at id {job.id}")
-            prev = job.submit_time
-            if job.requested_procs > self.total_procs:
-                raise TraceFormatError(
-                    f"trace {self.name!r}: job {job.id} requests {job.requested_procs} "
-                    f"processors but the system has {self.total_procs}")
-
-    def __len__(self) -> int:
-        return len(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -262,6 +226,27 @@ def _jobs_from_columns(*columns: np.ndarray) -> list[Job]:
     return jobs
 
 
+def _check_ids_and_width(job_id: np.ndarray, procs: np.ndarray, total: int,
+                         name: str) -> None:
+    """Raise for the first job in the columns' order whose id an earlier
+    job has, or that requests more than ``total`` processors; a job with
+    both faults is a repeat. Either column is int64 or Python ints."""
+    by_id = np.argsort(job_id, kind="stable")
+    sorted_ids = job_id[by_id]
+    # stable: the job that first has an id sorts before its repeats
+    repeats = by_id[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    first = int(repeats.min()) if len(repeats) else len(job_id)
+    wide = np.flatnonzero(procs[:first] > total)
+    if len(wide):
+        i = wide[0]
+        raise TraceFormatError(
+            f"trace {name!r}: job {job_id[i]} requests {procs[i]} "
+            f"processors but the system has {total}")
+    if first < len(job_id):
+        raise TraceFormatError(
+            f"trace {name!r}: duplicate job id {job_id[first]}")
+
+
 def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     """Parse SWF text into a trace.
 
@@ -274,10 +259,14 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     header gives the processor count, or the widest job when there is none
     or it is below 1. A reader turns the body into a block of the read
     fields, and one pass of column rules turns that block into jobs.
+    Two rules hold for the whole trace and are checked on the sorted
+    columns before any job is built: no two jobs share an id, and no job
+    requests more processors than the count; the first job in (submit
+    time, id) order that breaks one is a TraceFormatError.
 
     The text, its lines and numpy's block are dropped before the jobs are
-    built, and the columns before the jobs are checked; the text goes only
-    when the caller passed its last reference, as ``load_swf`` does.
+    built; the text goes only when the caller passed its last reference,
+    as ``load_swf`` does.
     """
     lines = text.splitlines()
     del text
@@ -287,15 +276,16 @@ def parse_swf(text: str, name: str = "") -> WorkloadTrace:
     del data
     columns, dropped = _swf_columns(fields, linenos, line_errors)
     del fields, linenos
+    job_id, procs = columns[0], columns[3]
+    if not len(job_id):
+        raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
+    total = max_procs if max_procs >= 1 else int(procs.max())
+    _check_ids_and_width(job_id, procs, total, name)
+    del job_id, procs
     jobs = _jobs_from_columns(*columns)
     del columns
-    if not jobs:
-        raise TraceFormatError(f"trace {name!r}: no valid jobs parsed")
-    total = max_procs if max_procs >= 1 else max(j.requested_procs for j in jobs)
-    trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
-                          dropped_jobs=dropped, line_errors=line_errors)
-    trace.validate()
-    return trace
+    return WorkloadTrace(jobs=jobs, total_procs=total, name=name,
+                         dropped_jobs=dropped, line_errors=line_errors)
 
 
 def _read_utf8(path) -> str:
@@ -373,7 +363,10 @@ def _truncated_gauss_block(rng, mean: float, std: float, count: int,
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
-    """Seeded synthetic trace; identical config gives an identical trace."""
+    """Seeded synthetic trace; identical config gives an identical trace.
+    Valid as drawn, so not checked again: ids 1..n, floored submit times
+    that never fall, whole runtimes >= 1, estimates >= runtimes, 2**k
+    processors with k <= log2(P), and costs >= 0."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n = cfg.job_count
@@ -413,9 +406,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
         rng, cfg.cost_mean, cfg.cost_std, n, 2 * n + 16 * math.isqrt(n) + 64))
     jobs = _jobs_from_columns(np.arange(1, n + 1), submits, runtimes, cores,
                               req_times, costs)
-    trace = WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs, name=cfg.name)
-    trace.validate()
-    return trace
+    return WorkloadTrace(jobs=jobs, total_procs=cfg.total_procs, name=cfg.name)
 
 
 def check_cost_distribution(mean: float, std: float) -> None:
@@ -443,7 +434,8 @@ def assign_costs(trace: WorkloadTrace, mean: float, std: float, seed: int) -> No
 
 def slice_trace(trace: WorkloadTrace, start_index: int,
                 count: int) -> WorkloadTrace:
-    """Take a contiguous slice re-based to t=0."""
+    """Take a contiguous slice re-based to t=0; a slice of a valid trace
+    is valid, as subtracting its first submit time keeps their order."""
     jobs = trace.jobs
     if start_index < 0 or count < 0 or start_index + count > len(jobs):
         raise ConfigError(
@@ -455,6 +447,5 @@ def slice_trace(trace: WorkloadTrace, start_index: int,
     rebased = [Job(j.id, j.submit_time - base, j.run_time, j.requested_procs,
                    j.requested_time, j.cost_rate)
                for j in selected]
-    out = WorkloadTrace(jobs=rebased, total_procs=trace.total_procs, name=label)
-    out.validate()
-    return out
+    return WorkloadTrace(jobs=rebased, total_procs=trace.total_procs,
+                         name=label)

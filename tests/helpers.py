@@ -56,9 +56,49 @@ def ends(schedule):
                     (schedule.start + schedule.run).tolist()))
 
 
+def oracle_check_trace(trace) -> None:
+    """Every rule of a valid trace, job by job: positive ids, processor
+    counts, run and requested times, non-negative submit times and cost
+    rates, distinct ids, submit times that never decrease, and no job wider
+    than the machine; raises TraceFormatError for the first job that breaks
+    one, with ``parse_swf``'s messages for a repeated id and a wide job."""
+    if trace.total_procs < 1:
+        raise TraceFormatError(
+            f"trace {trace.name!r}: total_procs must be >= 1")
+    seen = set()
+    prev = -math.inf
+    for job in trace.jobs:
+        if job.id < 1:
+            raise TraceFormatError(f"job id must be positive, got {job.id}")
+        if job.requested_procs < 1:
+            raise TraceFormatError(
+                f"job {job.id}: requested_procs must be >= 1")
+        if job.run_time <= 0:
+            raise TraceFormatError(f"job {job.id}: run_time must be > 0")
+        if job.requested_time <= 0:
+            raise TraceFormatError(f"job {job.id}: requested_time must be > 0")
+        if job.submit_time < 0:
+            raise TraceFormatError(f"job {job.id}: submit_time must be >= 0")
+        if job.cost_rate < 0:
+            raise TraceFormatError(f"job {job.id}: cost_rate must be >= 0")
+        if job.id in seen:
+            raise TraceFormatError(
+                f"trace {trace.name!r}: duplicate job id {job.id}")
+        seen.add(job.id)
+        if job.submit_time < prev:
+            raise TraceFormatError(f"trace {trace.name!r}: jobs not sorted "
+                                   f"by submit_time at id {job.id}")
+        prev = job.submit_time
+        if job.requested_procs > trace.total_procs:
+            raise TraceFormatError(
+                f"trace {trace.name!r}: job {job.id} requests "
+                f"{job.requested_procs} processors but the system has "
+                f"{trace.total_procs}")
+
+
 def make_trace(jobs, total_procs, name="test"):
     trace = WorkloadTrace(jobs=list(jobs), total_procs=total_procs, name=name)
-    trace.validate()
+    oracle_check_trace(trace)
     return trace
 
 
@@ -445,7 +485,7 @@ def oracle_parse_swf(text, name=""):
         else max(j.requested_procs for j in jobs)
     trace = WorkloadTrace(jobs=jobs, total_procs=total, name=name,
                           dropped_jobs=dropped, line_errors=line_errors)
-    trace.validate()
+    oracle_check_trace(trace)
     return trace
 
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BLOCK_COUNTS, B, boundary_jobs, make_job, make_trace,
-                     oracle_parse_swf, oracle_swf_text, oracle_synthetic,
-                     oracle_write_swf, per_value_text)
+                     oracle_check_trace, oracle_parse_swf, oracle_swf_text,
+                     oracle_synthetic, oracle_write_swf, per_value_text)
 from marsched import workload
 from marsched.errors import ConfigError, TraceFormatError
 from marsched.workload import (Job, SyntheticConfig,
@@ -128,7 +128,7 @@ def test_any_text_parses_or_raises_trace_format_error(text):
         trace = parse_swf(text, "fuzz")
     except TraceFormatError:
         return
-    trace.validate()
+    oracle_check_trace(trace)
     for j in trace.jobs:
         assert all(np.isfinite([j.submit_time, j.run_time, j.requested_time]))
 
@@ -239,6 +239,70 @@ def test_one_pass_parser_reads_only_regular_text(text, one_pass):
     assert lines_read != one_pass
     assert got == by_lines == want
     assert not got.startswith("error")
+
+
+def swf_body(*jobs):
+    """SWF lines of (id, submit, processors) jobs under the 64-processor
+    header, each running 100 s."""
+    return HEADER + "\n".join(swf_line(i, t, 100, p) for i, t, p in jobs)
+
+
+def dup(job_id):
+    return f"error: trace 'd': duplicate job id {job_id}"
+
+
+def wide(job_id, procs):
+    return (f"error: trace 'd': job {job_id} requests {procs} processors "
+            "but the system has 64")
+
+
+BIG = 2 ** 63
+# jobs 1..B+6, one a second, but the one at B+2 repeats the id of job 3
+ACROSS = [(i, i, 4) for i in range(1, B + 7)]
+ACROSS[B + 1] = (3, B + 2, 4)
+# ids 1..50 over and over, and the eleventh job too wide
+CYCLE = [(k % 50 + 1, k, 65 if k == 10 else 4) for k in range(B + 6)]
+# (text, the first fault in (submit, id) order, or None); a job that both
+# repeats an id and is too wide is a repeat
+TRACE_FAULT_CASES = {
+    "duplicate": (swf_body((1, 0, 4), (1, 1, 4)), dup(1)),
+    "wide": (swf_body((1, 0, 65)), wide(1, 65)),
+    "as_wide_as_header": (swf_body((1, 0, 64), (2, 1, 1)), None),
+    "repeat_before_wide": (swf_body((2, 9, 65), (1, 0, 4), (1, 5, 4)),
+                           dup(1)),
+    "wide_before_repeat": (swf_body((1, 9, 4), (2, 5, 65), (1, 0, 4)),
+                           wide(2, 65)),
+    "both_at_one_job": (swf_body((1, 0, 4), (1, 5, 65)), dup(1)),
+    "first_of_two_repeats": (swf_body((1, 0, 4), (2, 1, 4), (2, 2, 4),
+                                      (1, 3, 4)), dup(2)),
+    "wide_then_its_repeat": (swf_body((1, 0, 65), (1, 5, 4)), wide(1, 65)),
+    "id_breaks_submit_tie": (swf_body((5, 0, 4), (3, 0, 65), (5, 0, 4)),
+                             wide(3, 65)),
+    "huge_ids_distinct": (swf_body((BIG, 0, 4), (2 * BIG, 0, 4), (1, 0, 4)),
+                          None),
+    "huge_id_repeat": (swf_body((BIG, 0, 4), (1, 1, 4), (BIG, 2, 65)),
+                       dup(BIG)),
+    # the ids differ as text but read as one float
+    "huge_ids_one_float": (swf_body((BIG, 0, 4), (BIG + 1, 1, 4)), dup(BIG)),
+    "huge_id_wide": (swf_body((1, 0, 4), (BIG, 1, 65)), wide(BIG, 65)),
+    "huge_procs_wide": (swf_body((2, 1, 4), (1, 0, "1e19")),
+                        wide(1, 10 ** 19)),
+    "repeat_across_blocks": (swf_body(*ACROSS, (B + 7, B + 7, 65)), dup(3)),
+    "wide_across_blocks": (swf_body(*ACROSS[:B + 1], (B + 2, B + 2, 65),
+                                    (3, B + 3, 4)),
+                           wide(B + 2, 65)),
+    "wide_before_many_repeats": (swf_body(*CYCLE), wide(11, 65)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_FAULT_CASES))
+def test_parse_swf_trace_faults_equal_oracle(case):
+    # the repeat and width rules run on the parser's sorted columns; the
+    # oracle checks its jobs one by one
+    text, fault = TRACE_FAULT_CASES[case]
+    got, by_lines, want, _ = reader_outcomes(text)
+    assert got == by_lines == want
+    assert (got if got.startswith("error") else None) == fault
 
 
 @pytest.mark.filterwarnings("error")
@@ -537,14 +601,49 @@ def test_slice_out_of_range():
         slice_trace(trace, 0, 2)
 
 
-def test_trace_validate_rejects_oversized_job():
-    with pytest.raises(TraceFormatError):
-        make_trace([make_job(1, 0, 10, procs=16)], 8)
+@st.composite
+def synthetic_configs(draw):
+    """Configs that ``SyntheticConfig.validate`` accepts, out to its bounds:
+    2**60 to 2**70 processors, rates around the one whose last submit time
+    reaches 2**63 s, runtimes up to 1e300 and estimates up to 1e200 times
+    them, and cost draws from zero to 1e300."""
+    procs = draw(st.one_of(st.integers(1, 256),
+                           st.integers(2 ** 60, 2 ** 70)))
+    count = draw(st.integers(0, 1500))
+    rate = draw(st.one_of(
+        st.floats(1e-6, 1e3),
+        st.floats(0.5, 4.0).map(lambda m: m * max(count - 1, 1) / 2.0 ** 63)))
+    run_lo = draw(st.floats(-3, 300))
+    run_hi = draw(st.floats(run_lo, 300))
+    over_hi = draw(st.floats(0, min(200, 307 - run_hi)))
+    costs = st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0, 1e300))
+    return SyntheticConfig(
+        job_count=count, arrival_rate=rate, total_procs=procs,
+        runtime_min=10.0 ** run_lo, runtime_max=10.0 ** run_hi,
+        overestimate_max=10.0 ** over_hi,
+        overestimate_min=draw(st.floats(1.0, 10.0 ** over_hi)),
+        max_cores_exp=draw(st.sampled_from([None, 0,
+                                            int(math.log2(procs))])),
+        cost_mean=draw(costs), cost_std=draw(costs),
+        seed=draw(st.integers(0, 2 ** 64)))
 
 
-def test_trace_validate_rejects_duplicates():
-    with pytest.raises(TraceFormatError):
-        make_trace([make_job(1, 0, 10), make_job(1, 1, 10)], 8)
+@given(synthetic_configs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_generated_and_sliced_traces_keep_every_trace_rule(cfg, data):
+    # neither generate_synthetic nor slice_trace checks its trace again:
+    # the config's rules and the way the columns are drawn make it valid,
+    # and a slice rebased by its first submit time stays valid
+    try:
+        trace = generate_synthetic(cfg)
+    except ConfigError as exc:
+        assert "arrival_rate" in str(exc)
+        return
+    oracle_check_trace(trace)
+    n = len(trace.jobs)
+    start = data.draw(st.integers(0, n))
+    oracle_check_trace(slice_trace(trace, start,
+                                   data.draw(st.integers(0, n - start))))
 
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(1, 5000),
