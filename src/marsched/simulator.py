@@ -11,15 +11,15 @@ time once (``next_event_time``), then applies every event at that time, one
 the next arrival is at that time. A ``SimEvent`` is built only for an
 ``on_event`` probe.
 
-State per kind of run. Every run keeps the ready set, the run heap, the
-finished jobs and the start times (``ClusterState.start``); it writes no
-job, and returns its schedule as columns (``metrics.Schedule``). A
-time-invariant heuristic also keeps its rank heap. Only an EASY run (a
-heuristic with backfill on) keeps the release profile
-(``ClusterState.releases``) and the processor index (``by_procs``,
-``proc_counts``, and an aging kind's ``rank_key``); in runs without EASY,
-selector runs included, they are None and no start or completion pays for
-them.
+State per kind of run. Every run keeps the ready set, the run heap and
+the finished jobs. A running job's only record is its run-heap entry (end,
+id, job, start), and its completion appends (job, start) to
+``ClusterState.finished``; a run writes no job, and returns its schedule as
+columns (``metrics.Schedule``). A time-invariant heuristic also keeps its
+rank heap. Only an EASY run (a heuristic with backfill on) keeps the release
+profile (``ClusterState.releases``), and only one of a time-invariant kind
+the processor index (``by_procs``, ``proc_counts``); in other runs, selector
+runs included, they are None and no start or completion pays for them.
 
 Ready set. ``ClusterState.ready`` holds the waiting jobs in arrival order:
 a job enters when it arrives and leaves when it starts. ``ready_jobs``
@@ -64,14 +64,14 @@ them, and walking them in order with the same tests until no processor is
 free starts the same jobs as walking the whole sorted queue. The blocked
 head needs more than the free processors, so it is never a candidate.
 
-Every EASY run keeps a processor index of its ready set:
-``ClusterState.by_procs`` buckets the ready jobs by requested processors,
-each bucket sorted by (requested time, rank, job), and
+An EASY run of a time-invariant kind keeps a processor index of its
+ready set: ``ClusterState.by_procs`` buckets the ready jobs by requested
+processors, each bucket sorted by (requested time, rank, job), and
 ``ClusterState.proc_counts`` holds the bucket keys in order, with no empty
-bucket. The rank is the run's priority rank for the time-invariant kinds and
-the job id for the aging kinds. A job enters its bucket when it enters the
-ready set and leaves it when it starts. A pass that finds the smallest key
-above the free processors has no candidate and computes no reservation.
+bucket. A job enters its bucket when it enters the ready set and leaves it
+when it starts. A pass with no ready job that fits the free processors (the
+smallest key above them, or no scored entry within them) has no candidate
+and computes no reservation.
 
 The time-invariant kinds collect the candidates from the index. A pass
 visits only the buckets with ``procs <= free``. From each it takes the
@@ -127,10 +127,9 @@ class ClusterState:
     free_procs: int
     clock: float = 0.0
     ready: dict[int, Job] = field(default_factory=dict)       # arrival order
-    running: dict[int, Job] = field(default_factory=dict)
-    start: dict[int, float] = field(default_factory=dict)     # id -> start time
-    run_heap: list[tuple[float, int]] = field(default_factory=list)
-    finished: list[Job] = field(default_factory=list)
+    # a running job's one record: (start + run_time, id, job, start)
+    run_heap: list[tuple[float, int, Job, float]] = field(default_factory=list)
+    finished: list[tuple[Job, float]] = field(default_factory=list)  # (job, start)
     arrivals: list[Job] = field(default_factory=list)         # (submit, id) order
     next_arrival: int = 0
     # time-invariant kinds: rank_key is the priority rank, and rank_heap
@@ -138,11 +137,11 @@ class ClusterState:
     rank_key: Callable[[Job], int] | None = None
     rank_heap: list[tuple[int, Job]] | None = None
     # EASY runs only (a heuristic with backfill on), None otherwise: the
-    # running jobs' (start + requested_time, id, procs), sorted; and the
-    # processor index of the ready set (buckets of (requested_time,
-    # rank_key(job), job) by requested procs, and the sorted keys of the
-    # nonempty buckets), where an aging kind's rank_key is the id
+    # running jobs' (start + requested_time, id, procs), sorted
     releases: list[tuple[float, int, int]] | None = None
+    # EASY runs of time-invariant kinds only, None otherwise: the processor
+    # index of the ready set (buckets of (requested_time, rank_key(job), job)
+    # by requested procs, and the sorted keys of the nonempty buckets)
     by_procs: dict[int, list[tuple[float, int, Job]]] | None = None
     proc_counts: list[int] | None = None
 
@@ -184,11 +183,10 @@ def ready_jobs(state: ClusterState) -> list[Job]:
 
 
 def _index_ready(state: ClusterState, job: Job) -> None:
-    """Put a newly ready job in the run's rank heap and processor index,
-    whichever of them the run keeps."""
+    """Put a newly ready job in the run's rank heap and, in an EASY run, its
+    processor index."""
     rank = state.rank_key(job)
-    if state.rank_heap is not None:
-        heapq.heappush(state.rank_heap, (rank, job))
+    heapq.heappush(state.rank_heap, (rank, job))
     if state.by_procs is None:
         return
     procs = job.requested_procs
@@ -221,12 +219,11 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
     if job.requested_procs > state.free_procs:
         return False
     del state.ready[job.id]
-    state.start[job.id] = now
     state.free_procs -= job.requested_procs
-    state.running[job.id] = job
-    heapq.heappush(state.run_heap, (now + job.run_time, job.id))
-    if state.releases is not None:          # EASY runs
+    heapq.heappush(state.run_heap, (now + job.run_time, job.id, job, now))
+    if state.by_procs is not None:
         _unindex_started(state, job)
+    if state.releases is not None:          # EASY runs
         bisect.insort(state.releases,
                       (now + job.requested_time, job.id, job.requested_procs))
     return True
@@ -247,15 +244,14 @@ def advance_to_next_event(state: ClusterState) -> tuple[EventKind, int]:
     arriving = (state.arrivals[state.next_arrival]
                 if state.next_arrival < len(state.arrivals) else None)
     if heap and (arriving is None or heap[0][0] <= arriving.submit_time):
-        t, jid = heapq.heappop(heap)
+        t, jid, job, start = heapq.heappop(heap)
         state.clock = t
-        job = state.running.pop(jid)
         releases = state.releases
         if releases is not None:
             del releases[bisect.bisect_left(
-                releases, (state.start[jid] + job.requested_time, jid))]
+                releases, (start + job.requested_time, jid))]
         state.free_procs += job.requested_procs
-        state.finished.append(job)
+        state.finished.append((job, start))
         return EventKind.COMPLETION, jid
     job = arriving
     if job is None:
@@ -331,14 +327,19 @@ def backfill_easy(state: ClusterState, head: Job,
     with the job as its last field, as an aging cycle's heap does, and is
     filtered and sorted without keying a job again; otherwise the candidates
     come from the processor index of a time-invariant run, in rank order
-    (module docstring). The reservation is computed once per pass; a
-    backfill that runs past the shadow takes its processors from ``extra``.
+    (module docstring). The reservation is computed once, and only when a
+    ready job fits the free processors; a backfill that runs past the
+    shadow takes its processors from ``extra``.
     """
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
     counts = state.proc_counts
-    if not counts or counts[0] > free:
+    if entries is not None:
+        entries = [e for e in entries if e[-1].requested_procs <= free]
+        if not entries:
+            return []
+    elif not counts or counts[0] > free:
         return []
     clock = state.clock
     shadow, extra = compute_reservation(state, head)
@@ -361,9 +362,8 @@ def backfill_easy(state: ClusterState, head: Job,
         queue.sort(key=itemgetter(1))
     else:
         queue = [e for e in entries
-                 if (cand := e[-1]).requested_procs <= free
-                 and (clock + cand.requested_time <= shadow
-                      or cand.requested_procs <= extra)]
+                 if clock + (cand := e[-1]).requested_time <= shadow
+                 or cand.requested_procs <= extra]
         queue.sort()
     started: list[int] = []
     for entry in queue:
@@ -488,14 +488,14 @@ class Simulation:
                 raise ContractError("RL runs need a selector, not a policy name")
             # before any job has arrived
             if self.backfill:
-                state.releases, state.by_procs, state.proc_counts = [], {}, []
+                state.releases = []
             if kind in heuristics.TIME_INVARIANT_KINDS:
                 state.rank_key = heuristics.priority_key(kind, state)
                 state.rank_heap = []
+                if self.backfill:
+                    state.by_procs, state.proc_counts = {}, []
                 schedule = self._schedule_heuristic
             else:
-                if self.backfill:
-                    state.rank_key = attrgetter("id")
                 score_all = heuristics.AGING_ENTRIES[kind]
                 schedule = lambda: self._schedule_heuristic(score_all)
         elif callable(policy):
@@ -538,16 +538,15 @@ def _int_column(jobs: list[Job], name: str) -> np.ndarray:
 
 
 def _finished_schedule(state: ClusterState) -> Schedule:
-    """The finished jobs' columns, in end order, each filled straight from
-    the jobs."""
-    finished, start = state.finished, state.start
-    n = len(finished)
+    """The finished jobs' columns, in end order, from the (job, start) pairs."""
+    jobs = list(map(itemgetter(0), state.finished))
+    n = len(jobs)
     return Schedule(
-        _int_column(finished, "id"),
-        np.fromiter(map(attrgetter("submit_time"), finished), float, n),
-        np.fromiter((start[j.id] for j in finished), float, n),
-        np.fromiter(map(attrgetter("run_time"), finished), float, n),
-        _int_column(finished, "requested_procs"))
+        _int_column(jobs, "id"),
+        np.fromiter(map(attrgetter("submit_time"), jobs), float, n),
+        np.fromiter(map(itemgetter(1), state.finished), float, n),
+        np.fromiter(map(attrgetter("run_time"), jobs), float, n),
+        _int_column(jobs, "requested_procs"))
 
 
 def run_episode(trace: WorkloadTrace | list[Job], policy="fcfs", *,

@@ -49,7 +49,7 @@ class SyntheticConfig:
     runtime_min: float = 30.0           # log-uniform runtime bounds, seconds
     runtime_max: float = 8000.0
     total_procs: int = 128
-    max_cores_exp: int | None = None    # cores = 2**k, k in [0, exp]; default log2(P)
+    max_cores_exp: int | None = None    # cores = 2**k, k in [0, exp]; default the largest
     overestimate_min: float = 1.0       # r_t = ceil(T_r * factor); 1.0/1.0 = exact
     overestimate_max: float = 5.0
     cost_mean: float = 1.0
@@ -64,8 +64,8 @@ class SyntheticConfig:
             raise ConfigError("arrival_rate must be > 0")
         if not (0 < self.runtime_min <= self.runtime_max):
             raise ConfigError("need 0 < runtime_min <= runtime_max")
-        if self.total_procs < 1:
-            raise ConfigError("total_procs must be >= 1")
+        if not 1 <= self.total_procs < 2 ** 63:     # cores column is int64
+            raise ConfigError("total_procs must be >= 1 and < 2**63")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_cost_distribution(self.cost_mean, self.cost_std)
@@ -79,7 +79,8 @@ class SyntheticConfig:
                 f"must be finite; got runtime_max {self.runtime_max!r} and "
                 f"overestimate_max {self.overestimate_max!r}")
         exp = self.max_cores_exp
-        if exp is not None and not (0 <= exp <= math.log2(self.total_procs)):
+        # 2**exp <= P exactly when exp < P.bit_length(), with no float log
+        if exp is not None and not 0 <= exp < self.total_procs.bit_length():
             raise ConfigError("max_cores_exp must satisfy 2**exp <= total_procs")
 
 
@@ -390,7 +391,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
 
     max_exp = cfg.max_cores_exp
     if max_exp is None:
-        max_exp = int(math.log2(cfg.total_procs))
+        max_exp = cfg.total_procs.bit_length() - 1
     weights = np.array([2.0 ** -k for k in range(max_exp + 1)])
     weights /= weights.sum()
     exps = rng.choice(max_exp + 1, size=n, p=weights)

@@ -257,7 +257,7 @@ def oracle_synthetic(cfg):
     runtimes = np.maximum(np.round(runtimes), 1.0)
     max_exp = cfg.max_cores_exp
     if max_exp is None:
-        max_exp = int(math.log2(cfg.total_procs))
+        max_exp = cfg.total_procs.bit_length() - 1
     weights = np.array([2.0 ** -k for k in range(max_exp + 1)])
     weights /= weights.sum()
     exps = rng.choice(max_exp + 1, size=n, p=weights)
@@ -495,9 +495,9 @@ def oracle_backfill_easy(state, head, stats=None, entries=None):
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
-    counts = state.proc_counts
-    if not counts or counts[0] > free:
+    if all(j.requested_procs > free for j in state.ready.values()):
         return []
+    counts = state.proc_counts
     clock = state.clock
     shadow, extra = simulator.compute_reservation(state, head)
     if entries is None:

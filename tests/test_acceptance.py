@@ -161,13 +161,13 @@ def test_c03_conservation_invariants_on_200_traces(capsys):
                          backfill=bool(i % 2))
 
         def probe(state, event):
-            used = sum(j.requested_procs for j in state.running.values())
+            used = sum(j.requested_procs for _, _, j, _ in state.run_heap)
             if not (0 <= state.free_procs <= state.total_procs):
                 violations.append((i, "free out of range"))
             if used + state.free_procs != state.total_procs:
                 violations.append((i, "processors not conserved"))
-            for j in state.running.values():
-                if state.start[j.id] < j.submit_time:
+            for _, _, j, start in state.run_heap:
+                if start < j.submit_time:
                     violations.append((i, f"job {j.id} started early"))
 
         sim.on_event = probe

@@ -155,9 +155,10 @@ def test_sjf_orders_by_requested_time():
 
 def waiting(state):
     """The jobs that have arrived and not started, in arrival order, read
-    off the arrivals and the start times alone."""
+    off the arrivals and the run-heap and finished records alone."""
+    started = {e[1] for e in state.run_heap} | {j.id for j, _ in state.finished}
     return [j for j in state.arrivals[:state.next_arrival]
-            if j.id not in state.start]
+            if j.id not in started]
 
 
 def ready_probe(log):
@@ -236,8 +237,8 @@ def test_arriving_job_enters_the_ready_set_at_once(policy):
 def naive_reservation(state, head):
     """The head's (shadow, extra), rebuilt from the running set."""
     releases = {}
-    for job in state.running.values():
-        t = max(state.start[job.id] + job.requested_time, state.clock)
+    for _, _, job, start in state.run_heap:
+        t = max(start + job.requested_time, state.clock)
         releases[t] = releases.get(t, 0) + job.requested_procs
     avail = state.free_procs
     for t in sorted(releases):
@@ -263,8 +264,8 @@ def naive_heuristic(kind, backfill, counts):
         if not backfill:
             return None
         shadow, extra = naive_reservation(state, head)
-        if any(state.start[j.id] + j.requested_time < clock
-               for j in state.running.values()):
+        if any(start + j.requested_time < clock
+               for _, _, j, start in state.run_heap):
             counts["clamped"] += 1
         for cand in queue[1:]:
             if cand.requested_procs <= state.free_procs and (
@@ -293,8 +294,9 @@ def tangled_trace(seed, n=40, procs=8):
 
 def state_probe(events, backfill=True):
     """on_event probe: the release profile, the rank heap and the processor
-    index hold what the module docstring says they hold, and a run without
-    EASY keeps neither the profile nor the index; every event goes to
+    index hold what the module docstring says they hold, a run without
+    EASY keeps neither the profile nor the index, and an EASY run of an
+    aging kind (no rank key) keeps no index; every event goes to
     ``events``."""
     def probe(state, event):
         events.append(event)
@@ -306,10 +308,10 @@ def state_probe(events, backfill=True):
             assert state.by_procs is None and state.proc_counts is None
             return
         assert state.releases == sorted(
-            (state.start[j.id] + j.requested_time, j.id, j.requested_procs)
-            for j in state.running.values())
-        if state.rank_key is None:
-            assert not state.by_procs and not state.proc_counts
+            (start + j.requested_time, j.id, j.requested_procs)
+            for _, _, j, start in state.run_heap)
+        if state.rank_key is None:          # WFP3 and UNICEF: no index
+            assert state.by_procs is None and state.proc_counts is None
             return
         # every ready job sits in exactly one bucket, the one of its procs,
         # under its rank; buckets are sorted and none is empty
@@ -384,6 +386,52 @@ def test_one_reservation_per_pass_equals_recompute(monkeypatch, kind):
     assert backfilled
 
 
+@pytest.mark.parametrize("kind", HEURISTIC_KINDS)
+def test_reservation_only_in_passes_with_a_fitting_job(monkeypatch, kind):
+    # the early exit: an EASY pass computes the head's reservation once when
+    # a ready job fits the free processors, and not at all otherwise; the
+    # probe sees the last event of every instant, after which a cycle runs
+    passes, instants = [], []   # passes: [clock, a job fits, reservations]
+    open_pass = []
+    real_backfill = simulator.backfill_easy
+    real_reservation = simulator.compute_reservation
+
+    def backfill(state, head, *args):
+        free = state.free_procs
+        passes.append([state.clock, any(j.requested_procs <= free
+                                        for j in state.ready.values()), 0])
+        open_pass.append(passes[-1])
+        try:
+            return real_backfill(state, head, *args)
+        finally:
+            open_pass.pop()
+
+    def reservation(state, head):
+        assert open_pass, "reservation outside an EASY pass"
+        open_pass[-1][2] += 1
+        return real_reservation(state, head)
+
+    def probe(state, event):
+        if next_event_time(state) != state.clock:
+            instants.append(state.clock)
+
+    monkeypatch.setattr(simulator, "backfill_easy", backfill)
+    monkeypatch.setattr(simulator, "compute_reservation", reservation)
+    for seed in range(10):
+        for n, procs in ((40, 8), (120, 32)):
+            jobs, procs = burst_trace(seed, n, procs)
+            instants.clear()
+            before = len(passes)
+            run_episode(jobs, kind, total_procs=procs, on_event=probe)
+            # one cycle per instant, so at most one pass, after its events
+            clocks = [p[0] for p in passes[before:]]
+            assert len(set(clocks)) == len(clocks)
+            assert set(clocks) <= set(instants)
+    assert [p[2] for p in passes] == [int(p[1]) for p in passes]
+    fits = sum(p[1] for p in passes)
+    assert 0 < fits < len(passes)   # both kinds of pass occurred
+
+
 def full_cycle_probe(full):
     """on_event probe: counts the instants whose scheduling cycle finds no
     processor free and a ready job waiting."""
@@ -437,12 +485,14 @@ def test_aging_cycle_scores_each_ready_job_once(monkeypatch):
 
 
 @pytest.mark.parametrize("policy, backfill",
-                         [(k, b) for k in ("fcfs", "sjf", "wfp3")
+                         [(k.value, b) for k in HEURISTIC_KINDS
                           for b in (True, False)] + [("random", False)])
 def test_next_event_time_looked_up_once_per_cycle(monkeypatch, policy,
                                                   backfill):
     # every event at the next instant is applied after one lookup; the
-    # tangled traces put completions and arrivals at shared instants
+    # tangled traces put completions and arrivals at shared instants.
+    # RunStats.events counts every event: one arrival and one completion a
+    # job, as many as the on_event probe sees
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -459,15 +509,17 @@ def test_next_event_time_looked_up_once_per_cycle(monkeypatch, policy,
     for seed in range(10):
         jobs, procs = tangled_trace(seed)
         calls.clear()
+        seen = []
         if policy == "random":
             # a selector run keeps no release profile and no processor index
             res = run_episode(
                 jobs, make_random_selector(np.random.default_rng(seed), 4),
-                total_procs=procs, on_event=state_probe([], backfill=False))
+                total_procs=procs, on_event=state_probe(seen, backfill=False))
         else:
             res = run_episode(jobs, policy, backfill=backfill,
-                              total_procs=procs)
-        assert res.stats.events == 2 * len(jobs)
+                              total_procs=procs,
+                              on_event=lambda state, ev: seen.append(ev))
+        assert res.stats.events == len(seen) == 2 * len(jobs)
         assert 0 < calls["lookups"] <= calls["cycles"], (seed, calls)
 
 
@@ -539,9 +591,9 @@ def test_forced_start_passes_over_a_job_that_can_never_start():
         sim.run(lambda state: None)                 # policy always passes
     # the older job is too wide, so the stall starts the younger one; once
     # it has finished, the wide job is all that is left
-    assert sim.state.start == {2: 0.0}
+    assert not sim.state.run_heap
+    assert [(j.id, start) for j, start in sim.state.finished] == [(2, 0.0)]
     assert sim.stats.forced_starts == 1
-    assert [j.id for j in sim.state.finished] == [2]
 
 
 def test_run_episode_bare_list_needs_procs():
@@ -561,7 +613,7 @@ def conservation_check(trace, policy, backfill=True):
     probes = []
 
     def probe(state, event):
-        used = sum(j.requested_procs for j in state.running.values())
+        used = sum(j.requested_procs for _, _, j, _ in state.run_heap)
         assert state.free_procs == state.total_procs - used
         assert 0 <= state.free_procs <= state.total_procs
         probes.append(event)

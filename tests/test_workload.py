@@ -581,6 +581,48 @@ def test_synthetic_negative_seed_rejected():
         generate_synthetic(SyntheticConfig(job_count=5, seed=-1))
 
 
+@pytest.mark.parametrize("k", [49, 53, 62])
+def test_max_cores_exp_bound_is_exact(monkeypatch, k):
+    # float log2 rounds 2**k - 1 up to k from k = 49 on; the bound and the
+    # default exponent are k - 1 there, so no job can be wider than P
+    procs = 2 ** k - 1
+    SyntheticConfig(job_count=1, total_procs=procs,
+                    max_cores_exp=k - 1).validate()
+    with pytest.raises(ConfigError, match="max_cores_exp"):
+        SyntheticConfig(job_count=1, total_procs=procs,
+                        max_cores_exp=k).validate()
+    # the default draws among the exponents 0..k - 1, and 0..k at 2**k
+    drawn = []
+    make_rng = np.random.default_rng
+
+    class ChoiceSpy:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def choice(self, a, *args, **kwargs):
+            drawn.append(a)
+            return self.rng.choice(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", ChoiceSpy)
+    for total in (procs, procs + 1):
+        trace = generate_synthetic(SyntheticConfig(job_count=50,
+                                                   total_procs=total))
+        assert max(j.requested_procs for j in trace.jobs) <= total
+    assert drawn == [k, k + 1]
+
+
+def test_total_procs_past_int64_rejected():
+    # the cores column is int64, so 2**63 processors cannot be drawn
+    SyntheticConfig(job_count=1, total_procs=2 ** 63 - 1).validate()
+    for procs in (2 ** 63, 2 ** 70):
+        with pytest.raises(ConfigError, match="total_procs"):
+            generate_synthetic(SyntheticConfig(job_count=1,
+                                               total_procs=procs))
+
+
 def test_slice_contiguous_rebased():
     trace = make_trace([make_job(i, 10 * i, 5 + i, procs=i, req_time=9 * i,
                                  cost=0.5 * i)
@@ -604,11 +646,14 @@ def test_slice_out_of_range():
 @st.composite
 def synthetic_configs(draw):
     """Configs that ``SyntheticConfig.validate`` accepts, out to its bounds:
-    2**60 to 2**70 processors, rates around the one whose last submit time
-    reaches 2**63 s, runtimes up to 1e300 and estimates up to 1e200 times
-    them, and cost draws from zero to 1e300."""
+    2**60 to 2**63 - 1 processors, ``2**k - 1`` where a float log2 rounds
+    up, rates around the one whose last submit time reaches 2**63 s,
+    runtimes up to 1e300 and estimates up to 1e200 times them, and cost
+    draws from zero to 1e300."""
     procs = draw(st.one_of(st.integers(1, 256),
-                           st.integers(2 ** 60, 2 ** 70)))
+                           st.integers(2 ** 60, 2 ** 63 - 1),
+                           st.sampled_from([2 ** k - 1
+                                            for k in (49, 53, 62, 63)])))
     count = draw(st.integers(0, 1500))
     rate = draw(st.one_of(
         st.floats(1e-6, 1e3),
@@ -623,7 +668,7 @@ def synthetic_configs(draw):
         overestimate_max=10.0 ** over_hi,
         overestimate_min=draw(st.floats(1.0, 10.0 ** over_hi)),
         max_cores_exp=draw(st.sampled_from([None, 0,
-                                            int(math.log2(procs))])),
+                                            procs.bit_length() - 1])),
         cost_mean=draw(costs), cost_std=draw(costs),
         seed=draw(st.integers(0, 2 ** 64)))
 

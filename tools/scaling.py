@@ -42,8 +42,7 @@ take turns run by run, so a slow stretch of a shared machine hits them
 alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
-and start times, read from the finished jobs or from the run's columns,
-whichever layout the checkout returns), the output files, the parsed
+and start times, read from the run's columns), the output files, the parsed
 trace (every job's input fields, the dropped jobs and the line errors),
 the drawn cost rates (of the sorted job ids and cost rates), the SWF
 text, the training curve's rewards or the bytes of every array of the
@@ -111,20 +110,10 @@ def _fields(job) -> tuple:
             job.requested_time, job.cost_rate)
 
 
-def _schedule(finished) -> str:
-    """Digest of a run's sorted (id, start time) pairs; ``finished`` is the
-    run's columns, or a list of finished jobs that hold their start times."""
-    if hasattr(finished, "start"):
-        pairs = zip(finished.id.tolist(), finished.start.tolist())
-    else:
-        pairs = ((j.id, j.start_time) for j in finished)
-    return _digest(sorted(pairs))
-
-
-def _run_schedule(result) -> str:
-    """``_schedule`` of a ``RunResult`` in either layout."""
-    return _schedule(result.schedule if hasattr(result, "schedule")
-                     else result.jobs)
+def _schedule(schedule) -> str:
+    """Digest of a run's sorted (id, start time) pairs, read from its
+    columns (``metrics.Schedule``)."""
+    return _digest(sorted(zip(schedule.id.tolist(), schedule.start.tolist())))
 
 
 def _random_episode(hyper, steps: int):
@@ -213,7 +202,7 @@ def worker(row: str, jobs: int) -> dict:
         result = simulator.run_episode(trace, policy,
                                        backfill=backfill == "on")
         return {"seconds": time.perf_counter() - t0,
-                "output": _run_schedule(result)}
+                "output": _schedule(result.schedule)}
     if kind == "cli":
         from marsched import cli
         command, policy, backfill = setting
