@@ -61,7 +61,7 @@ class Hyperparameters:
     time_norm: float = 86400.0    # one day caps the w_t / r_t features
     cost_norm: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.gamma <= 1.0):
             raise ConfigError("gamma must be in (0, 1]")
         if self.actor_lr <= 0 or self.critic_lr <= 0:
@@ -336,7 +336,6 @@ def _network_dims(hyper: Hyperparameters) -> tuple[list[int], list[int]]:
 
 def new_model(hyper: Hyperparameters,
               rng: np.random.Generator | None = None) -> AgentModel:
-    hyper.validate()
     rng = rng if rng is not None else np.random.default_rng(hyper.seed)
     dims_a, dims_c = _network_dims(hyper)
     actor = neural.init_network(dims_a, rng=rng)
@@ -437,7 +436,6 @@ def load_model(path) -> AgentModel:
             epoch=int(payload["epoch"]),
             format_version=version,
         )
-        hyper.validate()
         _check_arrays(model)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc}") from exc
@@ -614,13 +612,12 @@ class MarsAgent:
 
     def __init__(self, hyper: Hyperparameters | None = None,
                  model: AgentModel | None = None):
-        if model is not None:
-            self.model = model
-            self.hyper = model.hyper
-        else:
-            self.hyper = hyper if hyper is not None else Hyperparameters()
-            self.hyper.validate()
-            self.model = new_model(self.hyper)
+        self.model = model if model is not None else new_model(
+            hyper if hyper is not None else Hyperparameters())
+
+    @property
+    def hyper(self) -> Hyperparameters:
+        return self.model.hyper
 
     def make_selector(self, rng: np.random.Generator, *, greedy: bool = False,
                       traj: EpisodeTrajectory | None = None):
@@ -748,7 +745,6 @@ def train(env_factory, hyper: Hyperparameters,
     rollback. An error from either factory propagates; nothing is retried.
     Runs are bit-deterministic under a fixed seed.
     """
-    hyper.validate()
     agent = agent if agent is not None else MarsAgent(hyper)
     versions = versions if versions is not None else ModelVersions(
         hyper.rollback_patience)

@@ -204,7 +204,7 @@ def _procs(args, settings: Settings, trace: WorkloadTrace) -> int:
 
 
 def _thresholds(settings: Settings) -> decision.Thresholds:
-    th = decision.Thresholds(
+    return decision.Thresholds(
         min_size=settings.get("decision", "min", None,
                               decision.DEFAULT_MIN, as_int),
         median_size=settings.get("decision", "median", None,
@@ -212,16 +212,12 @@ def _thresholds(settings: Settings) -> decision.Thresholds:
         max_size=settings.get("decision", "max", None,
                               decision.DEFAULT_MAX, as_int),
     )
-    th.validate()
-    return th
 
 
 def _hyper(args, settings: Settings, seed: int, tau: float) -> Hyperparameters:
     flags = {"epochs": getattr(args, "epochs", None),
              "workers": getattr(args, "workers", None)}
-    hyper = settings.fill(Hyperparameters, "agent", flags, seed=seed, tau=tau)
-    hyper.validate()
-    return hyper
+    return settings.fill(Hyperparameters, "agent", flags, seed=seed, tau=tau)
 
 
 def _load_agent(args, settings: Settings) -> MarsAgent | None:
@@ -277,8 +273,9 @@ def _write_run_outputs(out: str, results, reports) -> None:
 
 def _print_report(report) -> None:
     print(f"policy={report.policy} jobs={report.job_count} "
-          f"mean_bounded_slowdown={report.mean_bounded:.4f} "
-          f"median={report.median_bounded:.4f} p95={report.p95_bounded:.4f} "
+          f"mean_bounded_slowdown={report.mean_bounded_slowdown:.4f} "
+          f"median={report.median_bounded_slowdown:.4f} "
+          f"p95={report.p95_bounded_slowdown:.4f} "
           f"makespan={report.makespan:.0f}s")
 
 
@@ -321,7 +318,7 @@ def cmd_evaluate(args, settings: Settings) -> int:
     _write_run_outputs(out, results, reports)
     _print_report(reports[0])
     # episode_reward(schedule, tau), from the report's own mean
-    print(f"episode_reward={-reports[0].mean_bounded:.4f}")
+    print(f"episode_reward={-reports[0].mean_bounded_slowdown:.4f}")
     return EXIT_OK
 
 
@@ -341,7 +338,6 @@ def cmd_train(args, settings: Settings) -> int:
                     "seed": hyper.seed, "tau": hyper.tau,
                     "validate_every": hyper.validate_every}
         hyper = dataclasses.replace(model.hyper, **run_keys)
-        hyper.validate()
         model = dataclasses.replace(model, hyper=hyper)
         agent = MarsAgent(model=model)
     else:
@@ -424,8 +420,10 @@ def cmd_compare(args, settings: Settings) -> int:
               f"{'wall_s':>8}")
     print(header)
     for rep, wall in zip(reports, walls):
-        print(f"{rep.policy:<8} {rep.job_count:>6} {rep.mean_bounded:>10.4f} "
-              f"{rep.median_bounded:>12.4f} {rep.p95_bounded:>10.4f} "
+        print(f"{rep.policy:<8} {rep.job_count:>6} "
+              f"{rep.mean_bounded_slowdown:>10.4f} "
+              f"{rep.median_bounded_slowdown:>12.4f} "
+              f"{rep.p95_bounded_slowdown:>10.4f} "
               f"{rep.makespan:>12.0f} {wall:>8.2f}")
     return EXIT_OK
 

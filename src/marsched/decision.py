@@ -30,7 +30,7 @@ class Thresholds:
     median_size: int = DEFAULT_MEDIAN
     max_size: int = DEFAULT_MAX
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 < self.min_size < self.median_size < self.max_size):
             raise ConfigError(
                 f"thresholds must satisfy 0 < MIN < MEDIAN < MAX, got "
@@ -80,7 +80,6 @@ def decide(current: list[Job], nxt: list[Job] | None = None,
     clear MEDIAN; SJF below MIN; UNICEF below MEDIAN; the learned policy up
     to MAX; above MAX, recursive halving into learned-policy chunks.
     """
-    thresholds.validate()
     current = list(current)
     if not current:
         return Plan(chunks=[])

@@ -80,39 +80,21 @@ def bounded_slowdowns(schedule: Schedule,
 
 @dataclass
 class MetricsReport:
+    """One run's report; the fields are report.csv's columns, in order."""
     policy: str
-    tau: float
-    total_procs: int | None
     job_count: int
-    makespan: float
+    mean_bounded_slowdown: float
+    median_bounded_slowdown: float
+    p95_bounded_slowdown: float
     mean_slowdown: float
     median_slowdown: float
     p95_slowdown: float
-    mean_bounded: float
-    median_bounded: float
-    p95_bounded: float
-    mean_pp: float
-    median_pp: float
-    p95_pp: float
-
-    def summary_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "policy": self.policy,
-            "tau": self.tau,
-            "total_procs": self.total_procs,
-            "job_count": self.job_count,
-            "makespan": self.makespan,
-            "mean_slowdown": self.mean_slowdown,
-            "median_slowdown": self.median_slowdown,
-            "p95_slowdown": self.p95_slowdown,
-            "mean_bounded_slowdown": self.mean_bounded,
-            "median_bounded_slowdown": self.median_bounded,
-            "p95_bounded_slowdown": self.p95_bounded,
-            "mean_pp_slowdown": self.mean_pp,
-            "median_pp_slowdown": self.median_pp,
-            "p95_pp_slowdown": self.p95_pp,
-        }
+    mean_pp_slowdown: float
+    median_pp_slowdown: float
+    p95_pp_slowdown: float
+    makespan: float
+    tau: float
+    total_procs: int | None
 
 
 def aggregate(schedule: Schedule, tau: float = DEFAULT_TAU, policy: str = "",
@@ -125,42 +107,32 @@ def aggregate(schedule: Schedule, tau: float = DEFAULT_TAU, policy: str = "",
     makespan = float((submit + wait + run).max() - submit.min())
     return MetricsReport(
         policy=policy,
-        tau=tau,
-        total_procs=total_procs,
         job_count=len(schedule),
-        makespan=makespan,
+        mean_bounded_slowdown=float(np.mean(bsds)),
+        median_bounded_slowdown=float(np.median(bsds)),
+        p95_bounded_slowdown=float(np.percentile(bsds, 95.0)),
         mean_slowdown=float(np.mean(sds)),
         median_slowdown=float(np.median(sds)),
         p95_slowdown=float(np.percentile(sds, 95.0)),
-        mean_bounded=float(np.mean(bsds)),
-        median_bounded=float(np.median(bsds)),
-        p95_bounded=float(np.percentile(bsds, 95.0)),
-        mean_pp=float(np.mean(ppsds)),
-        median_pp=float(np.median(ppsds)),
-        p95_pp=float(np.percentile(ppsds, 95.0)),
+        mean_pp_slowdown=float(np.mean(ppsds)),
+        median_pp_slowdown=float(np.median(ppsds)),
+        p95_pp_slowdown=float(np.percentile(ppsds, 95.0)),
+        makespan=makespan,
+        tau=tau,
+        total_procs=total_procs,
     )
 
 
-REPORT_CSV_COLUMNS = [
-    "policy", "job_count", "mean_bounded_slowdown", "median_bounded_slowdown",
-    "p95_bounded_slowdown", "mean_slowdown", "median_slowdown", "p95_slowdown",
-    "mean_pp_slowdown", "median_pp_slowdown", "p95_pp_slowdown",
-    "makespan", "tau", "total_procs",
-]
-
-
 def report_csv_row(report: MetricsReport) -> list[str]:
-    d = report.summary_dict()
-    row = []
-    for col in REPORT_CSV_COLUMNS:
-        v = d[col]
-        row.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-    return row
+    values = (getattr(report, f.name) for f in fields(report))
+    return ["" if v is None else (repr(v) if isinstance(v, float) else str(v))
+            for v in values]
 
 
 def write_report_csv(path, reports) -> None:
     """Write one CSV row per report; floats use repr for byte-stable output."""
-    lines = [f"# schema: {REPORT_SCHEMA}", ",".join(REPORT_CSV_COLUMNS)]
+    lines = [f"# schema: {REPORT_SCHEMA}",
+             ",".join(f.name for f in fields(MetricsReport))]
     for rep in reports:
         lines.append(",".join(report_csv_row(rep)))
     with open(path, "w") as fp:

@@ -41,13 +41,12 @@ time, id, job); the cycle pops the jobs it starts, and the EASY pass takes
 the entries left, so no job is scored twice at one clock.
 
 No free processor, no cycle. ``Simulation`` rejects a job that requests
-fewer than 1 processor, so every job needs at least one free processor to
-start. A heuristic cycle that finds none free therefore starts nothing, and
-its EASY pass finds no candidate; once the run's first blocked head is
-recorded, such a cycle returns before it scores, pops or backfills. (A
-ready job wider than the cluster is then reported by the next cycle that
-finds a processor free.) A cycle with an empty ready set returns at once
-too.
+fewer than 1 or more than ``total_procs`` processors, so every job needs at
+least one free processor to start, and every job fits the idle cluster. A
+heuristic cycle that finds none free therefore starts nothing, and its EASY
+pass finds no candidate; once the run's first blocked head is recorded, such
+a cycle returns before it scores, pops or backfills. A cycle with an empty
+ready set returns at once too.
 
 EASY reads a processor index, then sorts. Within one pass the shadow time
 stays where it is, so the pass computes the reservation once, and
@@ -287,12 +286,10 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
     Running jobs are projected to release at max(start + requested_time,
     clock); a job past its estimate is projected to release now. Returns
     (shadow, extra): the earliest projected time the head fits, and the
-    processors spare at that time beyond the head's need.
+    processors spare at that time beyond the head's need. The head is no
+    wider than the machine, and the free processors and the releases add
+    up to the machine, so it fits at one of the releases.
     """
-    if head.requested_procs > state.total_procs:
-        raise SchedulingError(
-            f"job {head.id} requests {head.requested_procs} processors, "
-            f"system has {state.total_procs}: it can never start")
     clock = state.clock
     need = head.requested_procs
     avail = state.free_procs
@@ -301,10 +298,6 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
         avail += procs
         if avail >= need:
             break
-    else:
-        raise SchedulingError(
-            f"job {head.id} never fits under the current projection "
-            f"(free {state.free_procs} of {state.total_procs})")
     # the releases projected to the same time as the one the head fits at
     # are spare too; every release before the clock is projected to it
     at = t if t > clock else clock
@@ -389,12 +382,19 @@ class Simulation:
 
     def __init__(self, jobs: list[Job], total_procs: int, *,
                  backfill: bool = True):
-        for job in jobs:
-            if job.requested_procs < 1:
-                raise ContractError(
-                    f"job {job.id} requests {job.requested_procs} processors;"
-                    f" every job needs at least 1")
+        """Every job must request between 1 and ``total_procs``
+        processors; the first that does not, in (submit time, id) order, is
+        rejected here, so no run meets a job that cannot start."""
         self.state = new_cluster(total_procs, jobs)
+        for job in self.state.arrivals:
+            if not 1 <= job.requested_procs <= total_procs:
+                if job.requested_procs < 1:
+                    raise ContractError(
+                        f"job {job.id} requests {job.requested_procs} "
+                        f"processors; every job needs at least 1")
+                raise SchedulingError(
+                    f"job {job.id} requests {job.requested_procs} processors, "
+                    f"system has {total_procs}: it can never start")
         self.backfill = backfill
         self.stats = RunStats()
         self.total_jobs = len(self.state.arrivals)
@@ -440,10 +440,6 @@ class Simulation:
             return
         if stats.first_blocked_head is None:
             stats.first_blocked_head = head.id
-        if head.requested_procs > state.total_procs:
-            raise SchedulingError(
-                f"job {head.id} requests {head.requested_procs} processors, "
-                f"system has {state.total_procs}: it can never start")
         if self.backfill:
             started = backfill_easy(state, head, stats,
                                     None if score_all is None else heap)
@@ -454,21 +450,14 @@ class Simulation:
         self.stats.started += len(started)
 
     def _force_start_one(self) -> None:
-        """Break a no-event stall by starting the oldest runnable job.
+        """Break a no-event stall by starting the oldest ready job.
 
         Happens when a selector keeps passing with an idle cluster and no
         future arrivals; without this the episode could never terminate.
+        The cluster is idle, so the job fits.
         """
         state = self.state
-        ready = ready_jobs(state)
-        job = next((j for j in ready if j.requested_procs <= state.free_procs),
-                   None)
-        if job is None:
-            raise SchedulingError(
-                f"job {ready[0].id} requests {ready[0].requested_procs} "
-                f"processors, system has {state.total_procs}: it can never "
-                f"start")
-        start_job(state, job, state.clock)
+        start_job(state, ready_jobs(state)[0], state.clock)
         self.stats.started += 1
         self.stats.forced_starts += 1
 
@@ -510,9 +499,7 @@ class Simulation:
             schedule()
             t = next_event_time(state)
             if t == math.inf:
-                if not state.ready:
-                    raise SchedulingError(
-                        "event loop stalled with no ready jobs")
+                # no job runs or is still to arrive, so the unfinished wait
                 self._force_start_one()
                 continue
             while True:

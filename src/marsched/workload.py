@@ -57,7 +57,7 @@ class SyntheticConfig:
     seed: int = 0
     name: str = "synthetic"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.job_count < 0:
             raise ConfigError("job_count must be >= 0")
         if self.arrival_rate <= 0:
@@ -368,7 +368,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> WorkloadTrace:
     Valid as drawn, so not checked again: ids 1..n, floored submit times
     that never fall, whole runtimes >= 1, estimates >= runtimes, 2**k
     processors with k <= log2(P), and costs >= 0."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n = cfg.job_count
     if n == 0:

@@ -244,7 +244,6 @@ def random_trajectory(hyper, steps, rng):
 def oracle_synthetic(cfg):
     """``generate_synthetic`` job by job: the same column draws, then one
     ``_truncated_gauss`` call per job for its cost rate, and a sort."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n = cfg.job_count
     if n == 0:

@@ -27,7 +27,7 @@ from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             visible_window)
 from marsched.errors import (ConfigError, ContractError, ModelFormatError)
 from marsched.neural import forward, softmax
-from marsched.simulator import Simulation
+from marsched.simulator import Simulation, new_cluster
 from marsched.workload import SyntheticConfig, generate_synthetic
 from test_golden import RL_EVAL, RL_MIX
 
@@ -91,11 +91,11 @@ def test_fit_mask():
 
 
 def test_visible_window_is_the_first_slots_ready_jobs():
-    sim = Simulation([make_job(i + 1, procs=p)
-                      for i, p in enumerate([8, 2, 16, 1, 1])], 8)
-    state = sim.state
+    state = new_cluster(16, [make_job(i + 1, procs=p)
+                             for i, p in enumerate([8, 2, 16, 1, 1])])
+    state.free_procs = 8
     assert visible_window(state, 3) is None        # nothing has arrived
-    for job in sim.state.arrivals:
+    for job in state.arrivals:
         state.ready[job.id] = job
     window, fits = visible_window(state, 3)
     assert [j.id for j in window] == [1, 2, 3]
@@ -753,10 +753,10 @@ def test_train_does_not_retry_contract_errors(error):
 
 def test_hyperparameter_validation():
     with pytest.raises(ConfigError):
-        Hyperparameters(gamma=0.0).validate()
+        Hyperparameters(gamma=0.0)
     with pytest.raises(ConfigError):
-        Hyperparameters(slots=0).validate()
+        Hyperparameters(slots=0)
     with pytest.raises(ConfigError):
-        Hyperparameters(cost_weight=-1).validate()
+        Hyperparameters(cost_weight=-1)
     with pytest.raises(ConfigError):
-        Hyperparameters(hidden=()).validate()
+        Hyperparameters(hidden=())

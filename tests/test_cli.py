@@ -313,6 +313,26 @@ def test_tiny_arrival_rate_exit_2(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("section, key, value, argv, message", [
+    ("agent", "slots", "0", ["train", "--epochs", "1"], "slots must be >= 1"),
+    ("synthetic", "arrival_rate", "0", ["gen", "--count", "20"],
+     "arrival_rate must be > 0"),
+    ("decision", "min", "512", ["simulate", "--policy", "mars"],
+     "0 < MIN < MEDIAN < MAX"),
+], ids=["agent", "synthetic", "decision"])
+def test_invalid_config_class_value_exit_2(tmp_path, trace_file, section, key,
+                                           value, argv, message, capsys):
+    conf = tmp_path / "conf.ini"
+    conf.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    trace = [] if argv[0] == "gen" else ["--trace", trace_file]
+    assert run_cli(*argv, *trace, "--config", str(conf),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_policies_config_key_rejected(tmp_path, trace_file, capsys):
     # compare takes its policies only from --policies
     conf = tmp_path / "conf.ini"

@@ -1,10 +1,15 @@
 """Config file parsing, key validation, and the override precedence chain."""
 
+import dataclasses
+
 import pytest
 
+from marsched.agent import Hyperparameters
 from marsched.config import (ENV_CONFIG, KNOWN_KEYS, Settings, as_bool,
                              as_float, as_int, as_int_tuple, load_config)
+from marsched.decision import Thresholds
 from marsched.errors import ConfigError
+from marsched.workload import SyntheticConfig
 
 
 def write(tmp_path, text):
@@ -112,3 +117,18 @@ def test_known_keys_unchanged_by_deriving_them_from_the_fields():
         },
         "decision": {"min", "median", "max"},
     }
+
+
+@pytest.mark.parametrize("cls, base, bad, message", [
+    (Hyperparameters, {}, {"slots": 0}, "slots must be >= 1"),
+    (SyntheticConfig, {"job_count": 5}, {"arrival_rate": 0.0},
+     "arrival_rate must be > 0"),
+    (Thresholds, {}, {"min_size": 512}, "0 < MIN < MEDIAN < MAX"),
+], ids=["Hyperparameters", "SyntheticConfig", "Thresholds"])
+def test_config_classes_check_themselves(cls, base, bad, message):
+    # no instance holds an invalid value, however it is made
+    valid = cls(**base)
+    with pytest.raises(ConfigError, match=message):
+        cls(**base, **bad)
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(valid, **bad)

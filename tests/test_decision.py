@@ -30,9 +30,9 @@ def test_default_thresholds():
 
 def test_threshold_ordering_enforced():
     with pytest.raises(ConfigError):
-        Thresholds(min_size=512, median_size=512, max_size=20000).validate()
+        Thresholds(min_size=512, median_size=512, max_size=20000)
     with pytest.raises(ConfigError):
-        Thresholds(min_size=0, median_size=512, max_size=20000).validate()
+        Thresholds(min_size=0, median_size=512, max_size=20000)
 
 
 def test_branch_small_goes_sjf():
@@ -200,5 +200,5 @@ def test_run_plan_train_on_demand_deterministic():
                  on_demand_hyper=hyper, seed=9)
     b = run_plan(plan, total_procs=trace.total_procs, train_on_demand=True,
                  on_demand_hyper=hyper, seed=9)
-    assert [r.report.mean_bounded for r in a] == \
-           [r.report.mean_bounded for r in b]
+    assert [r.report.mean_bounded_slowdown for r in a] == \
+           [r.report.mean_bounded_slowdown for r in b]

@@ -118,10 +118,10 @@ def test_aggregate_known_values():
     assert np.array_equal(metrics.bounded_slowdowns(schedule, tau=10.0),
                           expect)
     assert rep.mean_slowdown == float(np.mean(expect))
-    assert rep.mean_pp == float(np.mean(np.maximum(expect / 2, 1.0)))
-    assert rep.mean_bounded == float(np.mean(expect))
-    assert rep.median_bounded == 5.0
-    assert rep.p95_bounded == float(np.percentile(expect, 95.0))
+    assert rep.mean_pp_slowdown == float(np.mean(np.maximum(expect / 2, 1.0)))
+    assert rep.mean_bounded_slowdown == float(np.mean(expect))
+    assert rep.median_bounded_slowdown == 5.0
+    assert rep.p95_bounded_slowdown == float(np.percentile(expect, 95.0))
     assert rep.makespan == 370.0
     assert rep.job_count == 5
     assert rep.policy == "x"
@@ -151,6 +151,6 @@ def test_report_csv_round_trip(tmp_path):
     assert row["policy"] == "fcfs"
     assert int(row["job_count"]) == 2
     # repr round-trips floats exactly
-    assert float(row["mean_bounded_slowdown"]) == rep.mean_bounded
+    assert float(row["mean_bounded_slowdown"]) == rep.mean_bounded_slowdown
     assert float(row["makespan"]) == rep.makespan
     assert int(row["total_procs"]) == 64

@@ -6,6 +6,7 @@ times in the asserts come from that hand simulation, not from the code.
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from marsched.decision import Thresholds, decide, run_plan
 from marsched.errors import ConfigError, ContractError, SchedulingError
 from marsched.heuristics import HEURISTIC_KINDS, PolicyKind, sort_key
 from marsched.simulator import (EventKind, RunResult, RunStats, Simulation,
-                                backfill_easy, compute_reservation,
-                                job_csv_rows, new_cluster, next_event_time,
-                                ready_jobs, run_episode, schedule_cycle,
-                                start_job, write_jobs_csv)
-from marsched.workload import SyntheticConfig, generate_synthetic
+                                backfill_easy, job_csv_rows, new_cluster,
+                                next_event_time, ready_jobs, run_episode,
+                                schedule_cycle, start_job, write_jobs_csv)
+from marsched.workload import (SyntheticConfig, WorkloadTrace,
+                               generate_synthetic)
 
 
 # -- hand-simulated scenarios ------------------------------------------------
@@ -547,21 +548,52 @@ def test_start_job_rejects_and_raises():
 
 
 def test_schedule_cycle_contract_errors():
-    jobs = [make_job(1, submit=0, run=10, procs=8)]
-    sim = Simulation(jobs, 4)
-    sim.state.clock = 0.0
-    sim.state.ready[1] = sim.state.arrivals[0]
-    sim.state.next_arrival = 1
+    state = new_cluster(8, [make_job(1, submit=0, run=10, procs=8)])
+    state.free_procs = 4
+    state.ready[1] = state.arrivals[0]
+    state.next_arrival = 1
     with pytest.raises(ContractError):
-        schedule_cycle(sim.state, lambda s: 99)     # unknown id
+        schedule_cycle(state, lambda s: 99)         # unknown id
     with pytest.raises(ContractError):
-        schedule_cycle(sim.state, lambda s: 1)      # cannot start (8 > 4)
+        schedule_cycle(state, lambda s: 1)          # cannot start (8 > 4)
 
 
-def test_compute_reservation_never_fits():
-    state = new_cluster(4)
-    with pytest.raises(SchedulingError):
-        compute_reservation(state, make_job(1, procs=8))
+def _passing_selector(probe):
+    """A selector that records each call and passes."""
+    return lambda state: probe(state, None)
+
+
+# every way into a run, on 8 processors; each gets an on_event probe
+WIDE_RUNS = {
+    "bare-list": lambda jobs, probe: Simulation(jobs, 8),
+    "fcfs-easy": lambda jobs, probe: run_episode(
+        jobs, "fcfs", total_procs=8, on_event=probe),
+    "fcfs-no-easy": lambda jobs, probe: run_episode(
+        jobs, "fcfs", backfill=False, total_procs=8, on_event=probe),
+    "wfp3": lambda jobs, probe: run_episode(
+        jobs, "wfp3", total_procs=8, on_event=probe),
+    "selector": lambda jobs, probe: run_episode(
+        jobs, _passing_selector(probe), total_procs=8, on_event=probe),
+    "procs-override": lambda jobs, probe: run_episode(
+        WorkloadTrace(jobs, total_procs=16), "fcfs", total_procs=8,
+        on_event=probe),
+}
+
+
+@pytest.mark.parametrize("jobs, named", [
+    ([make_job(1, procs=1), make_job(2, submit=5, procs=16)], (2, 16)),
+    # listed wide-first; the first in (submit time, id) order is named
+    ([make_job(1, procs=1), make_job(4, submit=5, procs=16),
+      make_job(3, submit=5, procs=12)], (3, 12)),
+], ids=["one-wide", "two-wide"])
+@pytest.mark.parametrize("run", list(WIDE_RUNS), ids=list(WIDE_RUNS))
+def test_job_wider_than_the_cluster_rejected_before_the_run(run, jobs, named):
+    seen = []
+    message = (f"job {named[0]} requests {named[1]} processors, system has "
+               f"8: it can never start")
+    with pytest.raises(SchedulingError, match=f"^{re.escape(message)}$"):
+        WIDE_RUNS[run](jobs, lambda state, event: seen.append(event))
+    assert seen == []       # no event, no selector call
 
 
 def test_oversized_job_is_a_scheduling_error():
@@ -581,19 +613,6 @@ def test_forced_start_breaks_selector_stall():
     # each job finished once; the second waits for the first to end
     assert finished.id.tolist() == [1, 2]
     assert starts(finished) == {1: 0.0, 2: 10.0}
-
-
-def test_forced_start_passes_over_a_job_that_can_never_start():
-    jobs = [make_job(1, submit=0, run=10, procs=16),
-            make_job(2, submit=0, run=5, procs=1)]
-    sim = Simulation(jobs, 8)
-    with pytest.raises(SchedulingError, match="job 1 requests 16"):
-        sim.run(lambda state: None)                 # policy always passes
-    # the older job is too wide, so the stall starts the younger one; once
-    # it has finished, the wide job is all that is left
-    assert not sim.state.run_heap
-    assert [(j.id, start) for j, start in sim.state.finished] == [(2, 0.0)]
-    assert sim.stats.forced_starts == 1
 
 
 def test_run_episode_bare_list_needs_procs():
@@ -683,7 +702,7 @@ def test_deterministic_reruns():
     b = run_episode(trace, "unicef")
     assert a.schedule.id.tolist() == b.schedule.id.tolist()
     assert a.schedule.start.tolist() == b.schedule.start.tolist()
-    assert a.report.mean_bounded == b.report.mean_bounded
+    assert a.report.mean_bounded_slowdown == b.report.mean_bounded_slowdown
 
 
 def test_jobs_csv_output(tmp_path):

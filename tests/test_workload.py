@@ -587,10 +587,10 @@ def test_max_cores_exp_bound_is_exact(monkeypatch, k):
     # default exponent are k - 1 there, so no job can be wider than P
     procs = 2 ** k - 1
     SyntheticConfig(job_count=1, total_procs=procs,
-                    max_cores_exp=k - 1).validate()
+                    max_cores_exp=k - 1)
     with pytest.raises(ConfigError, match="max_cores_exp"):
         SyntheticConfig(job_count=1, total_procs=procs,
-                        max_cores_exp=k).validate()
+                        max_cores_exp=k)
     # the default draws among the exponents 0..k - 1, and 0..k at 2**k
     drawn = []
     make_rng = np.random.default_rng
@@ -616,7 +616,7 @@ def test_max_cores_exp_bound_is_exact(monkeypatch, k):
 
 def test_total_procs_past_int64_rejected():
     # the cores column is int64, so 2**63 processors cannot be drawn
-    SyntheticConfig(job_count=1, total_procs=2 ** 63 - 1).validate()
+    SyntheticConfig(job_count=1, total_procs=2 ** 63 - 1)
     for procs in (2 ** 63, 2 ** 70):
         with pytest.raises(ConfigError, match="total_procs"):
             generate_synthetic(SyntheticConfig(job_count=1,

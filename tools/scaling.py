@@ -38,19 +38,21 @@ reports tracemalloc's peak bytes over a second, traced run of the same step
 from the same parameters. Outside the ``gen`` rows, generating the
 traces is never timed. Every run is a fresh process with the checkout's
 ``src/`` first on ``PYTHONPATH`` and BLAS on one thread, and the checkouts
-take turns run by run, so a slow stretch of a shared machine hits them
-alike. A row reports each checkout's runs,
+take turns run by run, the first of one repeat last in the next, so a slow
+stretch of a shared machine hits them alike. A row reports each checkout's runs,
 their median and their spread (slowest minus fastest run), and whether
 every checkout gave the same output: the schedule (sha256 of the job ids
 and start times, read from the run's columns), the output files, the parsed
 trace (every job's input fields, the dropped jobs and the line errors),
 the drawn cost rates (of the sorted job ids and cost rates), the SWF
 text, the training curve's rewards or the bytes of every array of the
-model read back. A row is ``"resolved": false`` when the checkouts'
-medians differ by less than the first checkout's spread:
-the run-to-run noise is then as large as the difference, which says
-nothing about which checkout is faster. With one checkout no row is
-resolved.
+model read back. The i-th runs of two checkouts are a pair.
+A row is ``"resolved": true`` only when, against the first checkout, every
+other checkout is faster (or slower) in at least 9 of 10 pairs, and the
+medians differ by more than the interquartile range of the first
+checkout's runs; otherwise the noise can explain the difference, which
+then says nothing about which checkout is faster. With one checkout no
+row is resolved.
 The JSON also records nproc, the Python and numpy versions, and the line
 count of every ``src/marsched/*.py`` of each checkout. Standard library and
 numpy only.
@@ -288,6 +290,19 @@ def worker(row: str, jobs: int) -> dict:
             / seconds}
 
 
+def resolved(first: list[float], other: list[float]) -> bool:
+    """Whether ``other``'s runs differ from ``first``'s beyond the noise:
+    one is faster in at least 9 of 10 pairs (``first[i]``, ``other[i]``),
+    and the medians differ by more than the interquartile range of
+    ``first``."""
+    faster = sum(b < a for a, b in zip(first, other))
+    slower = sum(b > a for a, b in zip(first, other))
+    q1, _, q3 = statistics.quantiles(first, n=4, method="inclusive")
+    return (10 * max(faster, slower) >= 9 * len(first)
+            and abs(statistics.median(other) - statistics.median(first))
+            > q3 - q1)
+
+
 def timed_run(root: str, row: str, jobs: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -342,19 +357,21 @@ def main(argv=None) -> int:
     for name, counts in ROWS:
         for jobs in counts:
             runs = {label: [] for label in checkouts}
+            order = list(checkouts.items())
             for _ in range(REPEATS):
-                for label, root in checkouts.items():
+                for label, root in order:
                     runs[label].append(timed_run(root, name, jobs))
+                order.reverse()
             median = lambda key: {label: statistics.median(r[key] for r in rs)
                                   for label, rs in runs.items()}
             seconds = {label: [r["seconds"] for r in rs]
                        for label, rs in runs.items()}
             spread = {label: max(s) - min(s) for label, s in seconds.items()}
-            medians = median("seconds")
+            first, *others = seconds.values()
             row = {"row": name, "jobs": jobs, "seconds": seconds,
-                   "median_s": medians, "spread_s": spread,
-                   "resolved": max(medians.values()) - min(medians.values())
-                   >= spread[next(iter(checkouts))],
+                   "median_s": median("seconds"), "spread_s": spread,
+                   "resolved": bool(others) and all(resolved(first, other)
+                                                    for other in others),
                    "same_output": len({r["output"] for rs in runs.values()
                                        for r in rs}) == 1}
             if name == "evaluate":
