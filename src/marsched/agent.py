@@ -340,12 +340,8 @@ def new_model(hyper: Hyperparameters,
     dims_a, dims_c = _network_dims(hyper)
     actor = neural.init_network(dims_a, rng=rng)
     critic = neural.init_network(dims_c, rng=rng)
-    return AgentModel(
-        actor=actor, critic=critic,
-        actor_adam=AdamState.for_params(actor.parameters(), alpha=hyper.actor_lr),
-        critic_adam=AdamState.for_params(critic.parameters(), alpha=hyper.critic_lr),
-        hyper=hyper,
-    )
+    return AgentModel(actor, critic, AdamState.for_params(actor.parameters()),
+                      AdamState.for_params(critic.parameters()), hyper)
 
 
 def hyper_to_dict(h: Hyperparameters) -> dict:
@@ -397,14 +393,15 @@ def _check_arrays(model: AgentModel) -> None:
 
 
 def save_model(path, model: AgentModel) -> None:
+    hyper = model.hyper
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "hyper": hyper_to_dict(model.hyper),
+        "hyper": hyper_to_dict(hyper),
         "epoch": model.epoch,
         "actor": neural.net_to_dict(model.actor),
         "critic": neural.net_to_dict(model.critic),
-        "actor_adam": neural.adam_to_dict(model.actor_adam),
-        "critic_adam": neural.adam_to_dict(model.critic_adam),
+        "actor_adam": neural.adam_to_dict(model.actor_adam, hyper.actor_lr),
+        "critic_adam": neural.adam_to_dict(model.critic_adam, hyper.critic_lr),
     }
     # compact, so that json uses its C encoder
     with open(path, "w") as fp:
@@ -430,8 +427,10 @@ def load_model(path) -> AgentModel:
         model = AgentModel(
             actor=neural.net_from_dict(payload["actor"], decode),
             critic=neural.net_from_dict(payload["critic"], decode),
-            actor_adam=neural.adam_from_dict(payload["actor_adam"], decode),
-            critic_adam=neural.adam_from_dict(payload["critic_adam"], decode),
+            actor_adam=neural.adam_from_dict(
+                payload["actor_adam"], decode, hyper.actor_lr, "actor_adam"),
+            critic_adam=neural.adam_from_dict(
+                payload["critic_adam"], decode, hyper.critic_lr, "critic_adam"),
             hyper=hyper,
             epoch=int(payload["epoch"]),
             format_version=version,
@@ -441,7 +440,7 @@ def load_model(path) -> AgentModel:
         raise ModelFormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed field ({exc})") from exc
-    except ModelFormatError as exc:
+    except (ModelFormatError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     return model
 
@@ -576,28 +575,31 @@ def actor_critic_step(model: AgentModel, trajs: list[EpisodeTrajectory],
                       hyper: Hyperparameters) -> dict:
     """One Adam step for actor and critic from a batch of episodes.
 
-    Sums ``episode_gradients`` over the episodes and divides by their count.
-    A nonfinite gradient, or a step after which either network could
-    overflow (``_diverged``), aborts the step: neither network nor Adam
-    state changes, and the result reports ``aborted``.
+    Sums ``episode_gradients`` over the episodes and divides by their
+    count, in place. A nonfinite gradient aborts the step before any write,
+    and a step after which either network could overflow (``_diverged``)
+    is undone from a snapshot: neither network nor Adam state changes, and
+    the result reports ``aborted``.
     """
-    actor_sum = _zero_grads(model.actor)
-    critic_sum = _zero_grads(model.critic)
+    actor_grads = _zero_grads(model.actor)
+    critic_grads = _zero_grads(model.critic)
+    grads = actor_grads + critic_grads
     deltas, entropies = [], []
     for traj in trajs:
         ag, cg, diag = episode_gradients(model, traj, hyper)
-        actor_sum = [a + g for a, g in zip(actor_sum, ag)]
-        critic_sum = [a + g for a, g in zip(critic_sum, cg)]
+        for total, g in zip(grads, ag + cg):
+            total += g
         deltas.append(diag["delta_mean"])
         entropies.append(diag["entropy"])
-    m = float(len(trajs))
-    actor_grads = [g / m for g in actor_sum]
-    critic_grads = [g / m for g in critic_sum]
-    aborted = not all(np.all(np.isfinite(g)) for g in actor_grads + critic_grads)
+    for g in grads:
+        g /= len(trajs)
+    aborted = not all(np.all(np.isfinite(g)) for g in grads)
     if not aborted:
         before = model.snapshot()
-        neural.apply_adam(model.actor, actor_grads, model.actor_adam)
-        neural.apply_adam(model.critic, critic_grads, model.critic_adam)
+        neural.apply_adam(model.actor, actor_grads, model.actor_adam,
+                          model.hyper.actor_lr)
+        neural.apply_adam(model.critic, critic_grads, model.critic_adam,
+                          model.hyper.critic_lr)
         aborted = _diverged(model)
         if aborted:
             model.restore(before)

@@ -13,7 +13,7 @@ cached activation's own buffer, skips the multiply for identity layers
 and drops every cached array once it has been read, so the gradient pass
 adds about one activation-sized array to what the cache already holds.
 An actor-critic update over n steps of hidden width h then peaks at about
-four n x h arrays.
+four n x h arrays. Adam then updates the parameters and moments in place.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ModelFormatError, TrainingDiverged
+from .errors import ContractError, ModelFormatError
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -172,53 +172,43 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+# Adam's settings beside the step size, named as a model file stores them
+ADAM_SETTINGS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
 @dataclass
 class AdamState:
-    alpha: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], alpha: float = 3e-4,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
-        return cls(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=0,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
+        return cls(0, [np.zeros_like(p) for p in params],
+                   [np.zeros_like(p) for p in params])
 
     def copy(self) -> "AdamState":
-        return AdamState(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
-                         eps=self.eps, t=self.t,
-                         m=[a.copy() for a in self.m],
-                         v=[a.copy() for a in self.v])
+        return AdamState(self.t, [a.copy() for a in self.m],
+                         [a.copy() for a in self.v])
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState) -> list[np.ndarray]:
-    """One Adam update (minimization); returns new parameter arrays."""
+def apply_adam(net: Network, grads: list[np.ndarray], state: AdamState,
+               alpha: float) -> None:
+    """One Adam update (minimization) of step size ``alpha``, in place in
+    the network's parameters and the state's moments, with the bits of the
+    out-of-place update. The gradients must be finite; the caller checks."""
+    params = net.parameters()
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ContractError("params, grads, and Adam state lengths differ")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged("nonfinite gradient in Adam step")
+    beta1, beta2, eps = ADAM_SETTINGS.values()
     state.t += 1
-    t = state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * (g * g)
-        m_hat = state.m[i] / (1 - state.beta1 ** t)
-        v_hat = state.v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
-
-
-def apply_adam(net: Network, grads: list[np.ndarray], state: AdamState) -> None:
-    net.set_parameters(adam_step(net.parameters(), grads, state))
+    m_scale, v_scale = 1 - beta1 ** state.t, 1 - beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        p -= alpha * (m / m_scale) / (np.sqrt(v / v_scale) + eps)
 
 
 # -- serialization -------------------------------------------------------
@@ -280,20 +270,24 @@ def net_from_dict(d: dict, decode) -> Network:
     return Network(layers=layers)
 
 
-def adam_to_dict(state: AdamState) -> dict:
-    return {
-        "alpha": state.alpha, "beta1": state.beta1, "beta2": state.beta2,
-        "eps": state.eps, "t": state.t,
-        "m": [encode_array(a) for a in state.m],
-        "v": [encode_array(a) for a in state.v],
-    }
+def adam_to_dict(state: AdamState, alpha: float) -> dict:
+    return {"alpha": alpha, **ADAM_SETTINGS, "t": state.t,
+            "m": [encode_array(a) for a in state.m],
+            "v": [encode_array(a) for a in state.v]}
 
 
-def adam_from_dict(d: dict, decode) -> AdamState:
+def adam_from_dict(d: dict, decode, alpha: float, name: str) -> AdamState:
+    """The state of an ``adam_to_dict(state, alpha)`` payload, whose
+    settings are checked, not read: ModelFormatError names the payload
+    ``name`` and a field that ``adam_to_dict`` could not have written."""
     try:
-        return AdamState(alpha=d["alpha"], beta1=d["beta1"], beta2=d["beta2"],
-                         eps=d["eps"], t=d["t"],
-                         m=[decode(a) for a in d["m"]],
-                         v=[decode(a) for a in d["v"]])
+        for key, want in {"alpha": alpha, **ADAM_SETTINGS}.items():
+            if type(d[key]) not in (int, float) or d[key] != want:
+                raise ModelFormatError(
+                    f"{name} {key} is {d[key]!r}, but must be {want!r}")
+        if type(d["t"]) is not int or d["t"] < 0:
+            raise ModelFormatError(f"{name} t is {d['t']!r}, not an int >= 0")
+        return AdamState(d["t"], [decode(a) for a in d["m"]],
+                         [decode(a) for a in d["v"]])
     except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"bad Adam payload: {exc}") from exc
+        raise ModelFormatError(f"{name} is malformed ({exc!r})") from exc

@@ -222,6 +222,29 @@ def oracle_episode_gradients(model, traj, hyper):
     return actor_grads, critic_grads, diag
 
 
+def oracle_adam_step(params, grads, state, alpha):
+    """One Adam update (minimization) of step size ``alpha`` with beta1
+    0.9, beta2 0.999 and eps 1e-8, out of place: returns new parameter
+    arrays and puts new moment arrays in ``state``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state.t += 1
+    t = state.t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = beta1 * state.m[i] + (1 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1 - beta2) * (g * g)
+        m_hat = state.m[i] / (1 - beta1 ** t)
+        v_hat = state.v[i] / (1 - beta2 ** t)
+        out.append(p - alpha * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+def oracle_apply_adam(net, grads, state, alpha):
+    """``neural.apply_adam`` by ``oracle_adam_step``: the network gets new
+    parameter arrays."""
+    net.set_parameters(oracle_adam_step(net.parameters(), grads, state, alpha))
+
+
 def random_trajectory(hyper, steps, rng):
     """A finished episode of ``steps`` random decisions in ``hyper``'s
     shapes: states in [0, 1), masks that keep the last action valid, an

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import (logit_network, make_job, oracle_action,
-                     oracle_episode_gradients, oracle_selector,
-                     random_trajectory)
+                     oracle_apply_adam, oracle_episode_gradients,
+                     oracle_selector, random_trajectory)
 from marsched import agent as agent_module
 from marsched import neural
 from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
@@ -444,7 +444,8 @@ def test_actor_critic_step_equals_out_of_place_oracle(monkeypatch, workers,
                                                       cost_weight, steps,
                                                       hidden):
     # two steps, so the second reads the Adam moments of the first; the
-    # episodes of one batch differ in length
+    # episodes of one batch differ in length; the oracle's Adam step is
+    # out of place
     hyper = Hyperparameters(hidden=hidden, cost_weight=cost_weight, seed=4,
                             workers=workers)
     rng = np.random.default_rng(steps)
@@ -455,6 +456,7 @@ def test_actor_critic_step_equals_out_of_place_oracle(monkeypatch, workers,
         assert not actor_critic_step(mine, trajs, hyper)["aborted"]
     monkeypatch.setattr(agent_module, "episode_gradients",
                         oracle_episode_gradients)
+    monkeypatch.setattr(neural, "apply_adam", oracle_apply_adam)
     for trajs in batches:
         assert not actor_critic_step(oracle, trajs, hyper)["aborted"]
     for net in ("actor", "critic"):
@@ -582,12 +584,24 @@ def test_model_versions_keeps_three():
     assert [e.payload["i"] for e in versions.entries] == [5, 4, 3]
 
 
+def _model_arrays(model):
+    return (model.actor.parameters() + model.critic.parameters()
+            + model.actor_adam.m + model.actor_adam.v
+            + model.critic_adam.m + model.critic_adam.v)
+
+
+def _snapshot_arrays(snap):
+    return (snap["actor"] + snap["critic"]
+            + snap["actor_adam"].m + snap["actor_adam"].v
+            + snap["critic_adam"].m + snap["critic_adam"].v)
+
+
 def test_snapshot_restore_bit_exact():
     hyper = SMALL
     model = new_model(hyper)
     snap = model.snapshot()
     grads = [np.ones_like(p) for p in model.actor.parameters()]
-    neural.apply_adam(model.actor, grads, model.actor_adam)
+    neural.apply_adam(model.actor, grads, model.actor_adam, hyper.actor_lr)
     model.epoch = 7
     model.restore(snap)
     fresh = new_model(hyper)
@@ -596,11 +610,30 @@ def test_snapshot_restore_bit_exact():
     assert model.epoch == 0
     assert model.actor_adam.t == 0
 
-
-def _model_arrays(model):
-    return (model.actor.parameters() + model.critic.parameters()
-            + model.actor_adam.m + model.actor_adam.v
-            + model.critic_adam.m + model.critic_adam.v)
+    # Adam writes in place: a snapshot, also one kept as a version, must
+    # not move while the model trains on, and must restore its own bits
+    rng = np.random.default_rng(8)
+    trajs = [random_trajectory(hyper, 30, rng) for _ in range(2)]
+    assert not actor_critic_step(model, trajs, hyper)["aborted"]
+    snap = model.snapshot()
+    versions = ModelVersions(patience=3)
+    versions.record(snap, -1.0)
+    kept = [a.tobytes() for a in _snapshot_arrays(snap)]
+    assert kept == [a.tobytes() for a in _model_arrays(model)]
+    assert not actor_critic_step(model, trajs, hyper)["aborted"]
+    assert [a.tobytes() for a in _model_arrays(model)] != kept
+    payload = versions.entries[0].payload
+    assert [a.tobytes() for a in _snapshot_arrays(payload)] == kept
+    assert payload["actor_adam"].t == payload["critic_adam"].t == 1
+    for _ in range(2):
+        assert not actor_critic_step(model, trajs, hyper)["aborted"]
+    assert model.actor_adam.t == 4
+    model.restore(payload)
+    assert [a.tobytes() for a in _model_arrays(model)] == kept
+    assert model.actor_adam.t == model.critic_adam.t == 1
+    # the restored model owns its arrays: training it leaves the payload
+    assert not actor_critic_step(model, trajs, hyper)["aborted"]
+    assert [a.tobytes() for a in _snapshot_arrays(payload)] == kept
 
 
 def test_save_load_round_trip(tmp_path):
@@ -656,9 +689,20 @@ def test_load_model_rejects_unknown_version(tmp_path):
          bias=neural.encode_array(np.full(8, np.nan)))),
     ("critic Adam m holds a value that is not finite",
      lambda p: p["critic_adam"]["m"].__setitem__(
-         0, neural.encode_array(np.full((SMALL.state_dim, 8), np.inf))))],
+         0, neural.encode_array(np.full((SMALL.state_dim, 8), np.inf)))),
+    ("slots must be >= 1", lambda p: p["hyper"].update(slots=0)),
+    ("critic_adam alpha is 0.001, but must be 0.01",
+     lambda p: p["critic_adam"].update(alpha=1e-3)),
+    ("actor_adam eps is 1e-07, but must be 1e-08",
+     lambda p: p["actor_adam"].update(eps=1e-7)),
+    ("actor_adam t is True, not an int >= 0",
+     lambda p: p["actor_adam"].update(t=True)),
+    ("critic_adam is malformed (KeyError('beta2'))",
+     lambda p: p["critic_adam"].pop("beta2"))],
     ids=["unknown-key", "missing-key", "not-a-mapping", "malformed",
-         "activation", "list-in-format-2", "nan-bias", "inf-adam"])
+         "activation", "list-in-format-2", "nan-bias", "inf-adam",
+         "bad-hyper-value", "adam-alpha", "adam-eps", "adam-t-bool",
+         "adam-missing-beta2"])
 def test_load_model_rejects_bad_payload(tmp_path, problem, edit):
     import json
     path = tmp_path / "m.json"

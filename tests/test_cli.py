@@ -598,6 +598,77 @@ def test_model_shapes_must_match_hyper_exit_2(tmp_path, edit, capsys):
     assert "Traceback" not in err
 
 
+# sha256 of model.json after `train --synthetic 20 --epochs 2 --resume` of
+# the format-1 file, as the program wrote it when each AdamState kept its
+# own alpha, betas and eps; numpy matmuls, so for the build of test_golden.py
+PPO_MODEL_RESUMED = (
+    'cfa81e649e8cf37f6afedd39d5ddd1756917849b3b6d41e411affcf3ed79a14e')
+# the same for a format-2 file: sha256 of model.json of `train --synthetic
+# 20 --epochs 2` with `[agent] slots = 3, hidden = 4`, of model.json of that
+# file resumed as above, and of jobs.csv and report.csv of `evaluate
+# --synthetic 40 --seed 5` with it
+FRESH_MODEL = (
+    '88077e49d8aba612ce0129318236424df8f8a9a4ad89ea0c8f2697dece7dadf1',
+    '124ef4c39cc8ebdb50ddf88e742a36352dc35c8987128288720c51c59b02145b',
+    '190f7cdf8a1e15053d6a60f02830eb248900f354c0465487ab0152c8de70d05c',
+    '8c5baa799214fb22e4da7d926efb2cb99e5a45ca57a6fa9c381c6d023e269423')
+
+
+def test_model_files_resume_and_evaluate_as_before(tmp_path):
+    resumed = tmp_path / "resumed"
+    assert run_cli("train", "--synthetic", "20", "--epochs", "2", "--resume",
+                   str(PPO_MODEL), "--out", str(resumed)) == 0
+    assert sha256(resumed / "model.json") == PPO_MODEL_RESUMED
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[agent]\nslots = 3\nhidden = 4\n")
+    fresh, again, ev = tmp_path / "fresh", tmp_path / "again", tmp_path / "ev"
+    assert run_cli("train", "--config", str(cfg), "--synthetic", "20",
+                   "--epochs", "2", "--out", str(fresh)) == 0
+    model = str(fresh / "model.json")
+    assert run_cli("train", "--synthetic", "20", "--epochs", "2", "--resume",
+                   model, "--out", str(again)) == 0
+    assert run_cli("evaluate", "--synthetic", "40", "--seed", "5", "--model",
+                   model, "--out", str(ev)) == 0
+    assert (sha256(model), sha256(again / "model.json"), sha256(ev / "jobs.csv"),
+            sha256(ev / "report.csv")) == FRESH_MODEL
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "inspect"])
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", "x", "alpha is 'x', but must be 0.001"),
+    ("alpha", 0.002, "alpha is 0.002, but must be 0.001"),
+    ("eps", None, "eps is None, but must be 1e-08"),
+    ("beta1", 2.0, "beta1 is 2.0, but must be 0.9"),
+    ("t", -3, "t is -3, not an int >= 0"),
+    ("t", 1.5, "t is 1.5, not an int >= 0")],
+    ids=["alpha-text", "alpha-not-lr", "eps-null", "beta1", "t-negative",
+         "t-float"])
+def test_bad_adam_setting_exit_2(tmp_path, command, field, value, message,
+                                 capsys):
+    # the Adam block's settings are checked on load, for every command
+    # that reads a model
+    source = tmp_path / "v2.json"
+    agent.save_model(source, agent.load_model(PPO_MODEL))
+    payload = json.loads(source.read_text())
+    payload["actor_adam"][field] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"train": ["train", "--synthetic", "20", "--epochs", "1",
+                      "--resume", str(bad)],
+            "evaluate": ["evaluate", "--synthetic", "20", "--model",
+                         str(bad)],
+            "inspect": ["inspect", "--model", str(bad)]}[command]
+    out = tmp_path / "out"
+    if command != "inspect":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: actor_adam {message}" in err
+    assert "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
 def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):
     model = tmp_path / "tr" / "model.json"
     assert run_cli("train", "--config", cfg_file, "--out",

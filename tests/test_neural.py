@@ -1,16 +1,19 @@
 """Gradient correctness by central finite differences, Adam against its
-closed form, and bit-exact serialization."""
+closed form and its out-of-place oracle, and bit-exact serialization."""
 
 import json
 
 import numpy as np
 import pytest
 
-from helpers import oracle_backward, oracle_forward
-from marsched.errors import ContractError, ModelFormatError, TrainingDiverged
-from marsched.neural import (AdamState, Layer, Network, adam_from_dict,
-                             adam_step, adam_to_dict, apply_adam, backward,
-                             decode_array, encode_array, forward,
+from helpers import oracle_apply_adam, oracle_backward, oracle_forward
+from marsched import agent as agent_module
+from marsched.agent import (EpisodeTrajectory, Hyperparameters,
+                            actor_critic_step, new_model)
+from marsched.errors import ContractError, ModelFormatError
+from marsched.neural import (ADAM_SETTINGS, AdamState, Layer, Network,
+                             adam_from_dict, adam_to_dict, apply_adam,
+                             backward, decode_array, encode_array, forward,
                              init_network, net_from_dict, net_to_dict,
                              predict, softmax)
 
@@ -165,49 +168,103 @@ def test_softmax_properties():
     assert np.allclose(a, b, atol=1e-15)
 
 
+def one_layer(weights):
+    """A network whose only parameters are ``weights`` (one row) and a
+    zero bias."""
+    w = np.array([weights], dtype=float)
+    return Network([Layer(w, np.zeros(w.shape[1]), "identity")])
+
+
 def test_adam_single_step_closed_form():
     # with fresh moments one step reduces to p - alpha * g/|g| elementwise
-    p = [np.array([1.0, -2.0, 3.0])]
-    g = [np.array([0.5, -0.25, 0.0])]
-    state = AdamState.for_params(p, alpha=0.1)
-    (new,) = adam_step(p, g, state)
-    eps = state.eps
-    expect = p[0] - 0.1 * g[0] / (np.abs(g[0]) + eps)
-    assert np.allclose(new, expect, atol=1e-12)
+    net = one_layer([1.0, -2.0, 3.0])
+    g = [np.array([[0.5, -0.25, 0.0]]), np.zeros(3)]
+    state = AdamState.for_params(net.parameters())
+    apply_adam(net, g, state, 0.1)
+    expect = np.array([[1.0, -2.0, 3.0]]) - 0.1 * g[0] / (np.abs(g[0]) + 1e-8)
+    assert np.allclose(net.layers[0].weights, expect, atol=1e-12)
+    assert np.array_equal(net.layers[0].bias, np.zeros(3))
     assert state.t == 1
 
 
 def test_adam_two_steps_match_hand_rollout():
     alpha, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    p = np.array([0.3])
-    state = AdamState.for_params([p], alpha=alpha, beta1=b1, beta2=b2, eps=eps)
+    assert ADAM_SETTINGS == {"beta1": b1, "beta2": b2, "eps": eps}
+    net = one_layer([0.3])
+    p = 0.3
+    state = AdamState.for_params(net.parameters())
     m = v = 0.0
-    cur = p.copy()
     for t, g in enumerate([0.2, -0.4], start=1):
-        (cur,) = adam_step([cur], [np.array([g])], state)
+        apply_adam(net, [np.array([[g]]), np.zeros(1)], state, alpha)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         p = p - alpha * m_hat / (np.sqrt(v_hat) + eps)
-        assert np.allclose(cur, p, atol=1e-15)
+        assert np.allclose(net.layers[0].weights, p, atol=1e-15)
+        assert state.t == t
 
 
-def test_adam_rejects_nonfinite_gradient():
-    p = [np.zeros(2)]
-    state = AdamState.for_params(p)
-    before_t = state.t
-    with pytest.raises(TrainingDiverged):
-        adam_step(p, [np.array([1.0, np.nan])], state)
-    assert state.t == before_t    # no partial mutation
+def test_apply_adam_equals_out_of_place_oracle():
+    # four steps of the default actor (66-64-64-17), gradients of mixed
+    # scales with zeros, negative zeros and subnormals among them; each
+    # step must give the oracle's bits in every parameter and moment
+    net = new_model(Hyperparameters()).actor
+    assert [l.weights.shape for l in net.layers] == [(66, 64), (64, 64),
+                                                     (64, 17)]
+    oracle = Network([Layer(l.weights.copy(), l.bias.copy(), l.activation)
+                      for l in net.layers])
+    state = AdamState.for_params(net.parameters())
+    want = AdamState.for_params(oracle.parameters())
+    rng = np.random.default_rng(31)
+    for step in range(4):
+        grads = []
+        for p in net.parameters():
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+            g.reshape(-1)[:3] = [0.0, -0.0, 5e-324]
+            grads.append(g)
+        kept = [g.copy() for g in grads]
+        apply_adam(net, grads, state, 1e-3)
+        oracle_apply_adam(oracle, grads, want, 1e-3)
+        assert state.t == want.t == step + 1
+        for got, expect in zip(net.parameters() + state.m + state.v,
+                               oracle.parameters() + want.m + want.v):
+            assert got.tobytes() == expect.tobytes()
+        assert all(g.tobytes() == k.tobytes() for g, k in zip(grads, kept))
+
+
+def test_adam_rejects_nonfinite_gradient(monkeypatch):
+    # the update refuses a nonfinite gradient before Adam writes anything
+    hyper = Hyperparameters(slots=2, hidden=(4,), seed=5)
+    model = new_model(hyper)
+
+    def poisoned(model, traj, hyper):
+        actor = [np.zeros_like(p) for p in model.actor.parameters()]
+        actor[1][0] = np.nan
+        return actor, [np.zeros_like(p) for p in model.critic.parameters()], \
+            {"delta_mean": 0.0, "entropy": 0.0}
+
+    def no_step(*args):
+        raise AssertionError("Adam step on a nonfinite gradient")
+
+    monkeypatch.setattr(agent_module, "episode_gradients", poisoned)
+    monkeypatch.setattr(agent_module.neural, "apply_adam", no_step)
+    before = model.snapshot()
+    assert actor_critic_step(model, [EpisodeTrajectory()], hyper)["aborted"]
+    assert model.actor_adam.t == model.critic_adam.t == 0
+    for got, kept in zip(model.actor.parameters() + model.actor_adam.m
+                         + model.actor_adam.v,
+                         before["actor"] + before["actor_adam"].m
+                         + before["actor_adam"].v):
+        assert got.tobytes() == kept.tobytes()
 
 
 def test_apply_adam_moves_network():
     net = init_network([2, 2], rng=np.random.default_rng(3))
-    state = AdamState.for_params(net.parameters(), alpha=0.05)
+    state = AdamState.for_params(net.parameters())
     before = net.copy_parameters()
     grads = [np.ones_like(p) for p in net.parameters()]
-    apply_adam(net, grads, state)
+    apply_adam(net, grads, state, 0.05)
     after = net.parameters()
     assert all(not np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -215,13 +272,17 @@ def test_apply_adam_moves_network():
 def test_serialization_round_trip_bit_exact():
     rng = np.random.default_rng(9)
     net = init_network([5, 7, 3], rng=rng)
-    state = AdamState.for_params(net.parameters(), alpha=1e-3)
-    apply_adam(net, [rng.normal(size=p.shape) for p in net.parameters()], state)
+    state = AdamState.for_params(net.parameters())
+    apply_adam(net, [rng.normal(size=p.shape) for p in net.parameters()],
+               state, 1e-3)
 
-    blob = json.dumps({"net": net_to_dict(net), "adam": adam_to_dict(state)})
+    blob = json.dumps({"net": net_to_dict(net),
+                       "adam": adam_to_dict(state, 1e-3)})
     loaded = json.loads(blob)
+    assert {k: loaded["adam"][k] for k in ("alpha", "beta1", "beta2", "eps")} \
+        == {"alpha": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
     net2 = net_from_dict(loaded["net"], decode_array)
-    adam2 = adam_from_dict(loaded["adam"], decode_array)
+    adam2 = adam_from_dict(loaded["adam"], decode_array, 1e-3, "adam")
 
     for a, b in zip(net.parameters(), net2.parameters()):
         assert a.tobytes() == b.tobytes()  # bit-exact via the f8 bytes
@@ -242,7 +303,7 @@ def test_malformed_payloads_rejected():
     with pytest.raises(ModelFormatError):
         net_from_dict({}, decode_array)
     with pytest.raises(ModelFormatError):
-        adam_from_dict({"alpha": 1e-3}, decode_array)
+        adam_from_dict({"alpha": 1e-3}, decode_array, 1e-3, "adam")
     good = encode_array(np.zeros((2, 3)))
     for bad in ([[0.0] * 3] * 2, dict(good, shape=[2, True, 1]),
                 dict(good, shape=(2, 3)), dict(good, extra=1),

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -32,3 +33,12 @@ def test_separated_runs_are_resolved(scaling):
     assert scaling.resolved(first, [x * 1.2 for x in first])
     # faster in every pair, but by less than the first's quartiles
     assert not scaling.resolved(first, [x - 0.001 for x in first])
+
+
+def test_repeats_make_a_chance_resolution_rare(scaling):
+    # two checkouts of the same code are each faster in a pair with
+    # probability 1/2; the pair rule must then pass in under 1 row in 40
+    n = scaling.REPEATS
+    need = -(-9 * n // 10)
+    chance = 2 * sum(math.comb(n, k) for k in range(need, n + 1)) / 2 ** n
+    assert n >= 10 and chance <= 22 / 1024

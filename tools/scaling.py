@@ -52,7 +52,10 @@ other checkout is faster (or slower) in at least 9 of 10 pairs, and the
 medians differ by more than the interquartile range of the first
 checkout's runs; otherwise the noise can explain the difference, which
 then says nothing about which checkout is faster. With one checkout no
-row is resolved.
+row is resolved. Each checkout runs ``REPEATS`` (10) times a row: at 5
+the rule needed 5 of 5 pairs, which a row of unchanged code meets by
+chance with probability up to 1/16, and at 10 it needs 9 of 10, at most
+22/1024. A table takes about twice as long as at 5.
 The JSON also records nproc, the Python and numpy versions, and the line
 count of every ``src/marsched/*.py`` of each checkout. Standard library and
 numpy only.
@@ -98,7 +101,7 @@ C08_MIX = dict(runtime_min=5.0, runtime_max=10000.0, total_procs=32,
                overestimate_min=1.0, overestimate_max=1.0, seed=1)
 TRAIN_RATE, BURST_RATE = 0.005, 2.0
 TRAIN_EPOCHS = 3
-REPEATS = 5
+REPEATS = 10
 IRREGULAR_EVERY = 1024     # jobs per short line of a ``parse irregular`` row
 
 
