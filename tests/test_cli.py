@@ -629,8 +629,8 @@ def test_model_files_resume_and_evaluate_as_before(tmp_path):
                    model, "--out", str(again)) == 0
     assert run_cli("evaluate", "--synthetic", "40", "--seed", "5", "--model",
                    model, "--out", str(ev)) == 0
-    assert (sha256(model), sha256(again / "model.json"), sha256(ev / "jobs.csv"),
-            sha256(ev / "report.csv")) == FRESH_MODEL
+    assert (sha256(model), sha256(again / "model.json"),
+            sha256(ev / "jobs.csv"), sha256(ev / "report.csv")) == FRESH_MODEL
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "inspect"])
