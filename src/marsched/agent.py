@@ -424,6 +424,9 @@ def load_model(path) -> AgentModel:
             f"{', '.join(map(str, ARRAY_DECODERS))})")
     try:
         hyper = hyper_from_dict(payload["hyper"])
+        epoch = payload["epoch"]
+        if type(epoch) is not int or epoch < 0:
+            raise ModelFormatError(f"epoch is {epoch!r}, not an int >= 0")
         model = AgentModel(
             actor=neural.net_from_dict(payload["actor"], decode),
             critic=neural.net_from_dict(payload["critic"], decode),
@@ -432,7 +435,7 @@ def load_model(path) -> AgentModel:
             critic_adam=neural.adam_from_dict(
                 payload["critic_adam"], decode, hyper.critic_lr, "critic_adam"),
             hyper=hyper,
-            epoch=int(payload["epoch"]),
+            epoch=epoch,
             format_version=version,
         )
         _check_arrays(model)

@@ -1,9 +1,11 @@
 """Closed-form priority policies and the one ordering of a ready queue.
 
-All eight formulas are compared min-first: the two aging formulas (WFP3,
+All eight scores are compared min-first: the two aging formulas (WFP3,
 UNICEF) carry leading minus signs so that waiting drives their scores down,
 which makes min-first consistent with FCFS (min submit) and SJF (min
-requested time).
+requested time). A simulator's aging cycle reads the same formulas without
+the sign, as urgencies, and takes the most urgent job: negation is exact,
+so the order is the same.
 """
 
 from __future__ import annotations
@@ -67,38 +69,80 @@ RANK_SCORES = {
 TIME_INVARIANT_KINDS = frozenset(RANK_SCORES)
 
 
-# The aging kinds score every ready job in every cycle, so each formula is
-# written once, as a batch: the entries (score, submit time, id, job) of an
-# iterable of jobs at one clock, built by one list comprehension; a
-# simulator's aging cycle orders by them. ``score`` takes the entry of a
-# one-job batch. The wait is clamped at 0 by a test, which gives max(w,
-# 0.0)'s value without a call per job.
+# The aging kinds score every ready job in every cycle. Each formula is split
+# in two: a divisor that does not age, computed once per job when it joins an
+# ``AgingQueue``, and an urgency, the score without its minus sign, computed
+# for the whole queue at one clock by one list comprehension
+# (``AGING_URGENCY``). The urgency reads the wait as ``now - submit``
+# unclamped, since a ready job's wait is never negative; ``score`` clamps it
+# by scoring at ``max(now, submit)``.
 
-def _wfp3_entries(jobs, now: float) -> list[tuple]:
-    return [(-(((0.0 if (w := now - j.submit_time) < 0.0 else w)
-                / j.requested_time) ** 3) * j.requested_procs,
-             j.submit_time, j.id, j) for j in jobs]
-
-
-def _unicef_entries(jobs, now: float) -> list[tuple]:
-    log2 = math.log2
-    return [(-(0.0 if (w := now - j.submit_time) < 0.0 else w)
-             / ((log2(n) if (n := j.requested_procs) > 1 else 1.0)
-                * j.requested_time),
-             j.submit_time, j.id, j) for j in jobs]
+def _unicef_divisor(job: Job) -> float:
+    n = job.requested_procs
+    return (math.log2(n) if n > 1 else 1.0) * job.requested_time
 
 
-# kind -> batch scorer (jobs, now) -> entries (score, submit, id, job)
-AGING_ENTRIES = {PolicyKind.WFP3: _wfp3_entries,
-                 PolicyKind.UNICEF: _unicef_entries}
+# kind -> divisor of one job
+AGING_DIVISORS = {PolicyKind.WFP3: attrgetter("requested_time"),
+                  PolicyKind.UNICEF: _unicef_divisor}
+
+
+class AgingQueue:
+    """The ready set of an aging run as parallel lists in arrival order,
+    which is (submit time, id) order: ids, submit times, divisors, weights
+    (requested processors as floats), requested processors and requested
+    times. A job is added when it arrives and dropped when it starts."""
+
+    __slots__ = ("divisor_of", "ids", "submit", "divisor", "weight", "procs",
+                 "req_time")
+
+    def __init__(self, kind: PolicyKind, jobs=()):
+        self.divisor_of = AGING_DIVISORS[kind]
+        self.ids, self.submit, self.divisor, self.weight = [], [], [], []
+        self.procs, self.req_time = [], []
+        for job in jobs:
+            self.add(job)
+
+    def add(self, job: Job) -> None:
+        self.ids.append(job.id)
+        self.submit.append(job.submit_time)
+        self.divisor.append(self.divisor_of(job))
+        self.weight.append(float(job.requested_procs))
+        self.procs.append(job.requested_procs)
+        self.req_time.append(job.requested_time)
+
+    def drop(self, job_id) -> None:
+        i = self.ids.index(job_id)
+        del (self.ids[i], self.submit[i], self.divisor[i], self.weight[i],
+             self.procs[i], self.req_time[i])
+
+
+# WFP3 multiplies by the weight, a float, and raises to 3.0: a float times
+# an int converts the int first, and x ** 3 computes x ** 3.0, so the bits
+# are those of the formula in ints, on Python's faster float paths.
+
+def _wfp3_urgency(queue: AgingQueue, now: float) -> list[float]:
+    return [((now - s) / d) ** 3.0 * n
+            for s, d, n in zip(queue.submit, queue.divisor, queue.weight)]
+
+
+def _unicef_urgency(queue: AgingQueue, now: float) -> list[float]:
+    return [(now - s) / d for s, d in zip(queue.submit, queue.divisor)]
+
+
+# kind -> urgencies (queue, now) -> one float per queued job, in queue order
+AGING_URGENCY = {PolicyKind.WFP3: _wfp3_urgency,
+                 PolicyKind.UNICEF: _unicef_urgency}
 
 
 def score(job: Job, now: float, kind: PolicyKind) -> float:
     """Priority score; lower runs first. Pure in (job, now)."""
     if kind is PolicyKind.RL:
         raise ContractError("RL has no closed-form score; use the agent module")
-    if kind in AGING_ENTRIES:
-        return AGING_ENTRIES[kind]((job,), now)[0][0]
+    if kind in AGING_URGENCY:
+        # before its submit time a job has waited 0
+        return -AGING_URGENCY[kind](AgingQueue(kind, (job,)),
+                                    max(now, job.submit_time))[0]
     if kind in RANK_SCORES:
         return RANK_SCORES[kind](job)
     raise ContractError(f"unhandled policy kind {kind}")
@@ -116,8 +160,8 @@ def priority_key(kind: PolicyKind, state):
     every job is keyed once, up front, by ``RANK_SCORES`` in one
     comprehension of (score, submit, id) and one sort, and ranked by its
     place in that order: an int, which compares faster than the key it
-    stands for. The aging kinds are ordered by their ``AGING_ENTRIES``
-    batch instead.
+    stands for. The aging kinds are ordered by their ``AGING_URGENCY``
+    instead.
     """
     score_of = RANK_SCORES[kind]
     keys = [(score_of(j), j.submit_time, j.id) for j in state.arrivals]

@@ -16,10 +16,12 @@ the finished jobs. A running job's only record is its run-heap entry (end,
 id, job, start), and its completion appends (job, start) to
 ``ClusterState.finished``; a run writes no job, and returns its schedule as
 columns (``metrics.Schedule``). A time-invariant heuristic also keeps its
-rank heap. Only an EASY run (a heuristic with backfill on) keeps the release
-profile (``ClusterState.releases``), and only one of a time-invariant kind
-the processor index (``by_procs``, ``proc_counts``); in other runs, selector
-runs included, they are None and no start or completion pays for them.
+rank heap, and an aging one its ready set as columns (``ClusterState.aging``,
+a ``heuristics.AgingQueue``). Only an EASY run (a heuristic with backfill
+on) keeps the release profile (``ClusterState.releases``), and only one of a
+time-invariant kind the processor index (``by_procs``, ``proc_counts``); in
+other runs, selector runs included, they are None and no start or
+completion pays for them.
 
 Ready set. ``ClusterState.ready`` holds the waiting jobs in arrival order:
 a job enters when it arrives and leaves when it starts. ``ready_jobs``
@@ -36,9 +38,15 @@ entry in ``ClusterState.rank_heap``, pushed when it entered the ready set;
 any other entry belongs to a job an EASY pass started, and it is dropped when
 it reaches the top. A cycle then pops only the jobs it starts. WFP3 and
 UNICEF age, so each of their cycles scores every ready job once, in one batch
-(``heuristics.AGING_ENTRIES``), into a fresh heap of entries (score, submit
-time, id, job); the cycle pops the jobs it starts, and the EASY pass takes
-the entries left, so no job is scored twice at one clock.
+(``heuristics.AGING_URGENCY``), into one float per job of the run's
+``AgingQueue``: parallel lists of the ready jobs' ids, submit times,
+divisors, weights, processors and requested times, in arrival order. A job
+is added when it arrives and dropped when it starts, so the queue's order is
+(submit time, id) order, and taking the first most urgent job,
+``scores.index(max(scores))``, breaks ties as that order does. The cycle
+deletes the score of each job it starts, and the EASY pass reuses the rest,
+so no job is scored twice at one clock. A lone ready job heads the queue
+unscored.
 
 No free processor, no cycle. ``Simulation`` rejects a job that requests
 fewer than 1 or more than ``total_procs`` processors, so every job needs at
@@ -68,9 +76,10 @@ ready set: ``ClusterState.by_procs`` buckets the ready jobs by requested
 processors, each bucket sorted by (requested time, rank, job), and
 ``ClusterState.proc_counts`` holds the bucket keys in order, with no empty
 bucket. A job enters its bucket when it enters the ready set and leaves it
-when it starts. A pass with no ready job that fits the free processors (the
-smallest key above them, or no scored entry within them) has no candidate
-and computes no reservation.
+when it starts. A pass with no ready job that fits the free processors has
+no candidate and computes no reservation: it reads that off the index's
+smallest key, and an aging run off its queue's smallest requested
+processors.
 
 The time-invariant kinds collect the candidates from the index. A pass
 visits only the buckets with ``procs <= free``. From each it takes the
@@ -82,10 +91,12 @@ start only on spare processors. The walk meets them in rank order and starts
 them until the first one that no longer fits the spare or the free
 processors, and each start uses ``procs`` of both, so only the first
 ``min(extra, free) // procs`` of them by rank can start, and only those are
-taken. The aging kinds filter the entries their cycle already scored, with
-both tests in one pass. ``ClusterState.releases`` keeps the running jobs'
-projected releases sorted as jobs start and finish, so a reservation walks a
-list instead of sorting the running set.
+taken. The aging kinds filter the queue's columns, with both tests in one
+pass, and sort the candidates' positions by the cycle's scores, most urgent
+first; the sort is stable, so equal scores keep arrival order.
+``ClusterState.releases`` keeps the running jobs' projected releases sorted
+as jobs start and finish, so a reservation walks a list instead of sorting
+the running set.
 """
 
 from __future__ import annotations
@@ -143,6 +154,8 @@ class ClusterState:
     # by requested procs, and the sorted keys of the nonempty buckets)
     by_procs: dict[int, list[tuple[float, int, Job]]] | None = None
     proc_counts: list[int] | None = None
+    # aging kinds only, None otherwise: the ready set as columns
+    aging: heuristics.AgingQueue | None = None
 
 
 @dataclass
@@ -222,6 +235,8 @@ def start_job(state: ClusterState, job: Job, now: float) -> bool:
     heapq.heappush(state.run_heap, (now + job.run_time, job.id, job, now))
     if state.by_procs is not None:
         _unindex_started(state, job)
+    elif state.aging is not None:
+        state.aging.drop(job.id)
     if state.releases is not None:          # EASY runs
         bisect.insort(state.releases,
                       (now + job.requested_time, job.id, job.requested_procs))
@@ -260,6 +275,8 @@ def advance_to_next_event(state: ClusterState) -> tuple[EventKind, int]:
     state.ready[job.id] = job
     if state.rank_key is not None:
         _index_ready(state, job)
+    elif state.aging is not None:
+        state.aging.add(job)
     return EventKind.ARRIVAL, job.id
 
 
@@ -310,34 +327,41 @@ def compute_reservation(state: ClusterState, head: Job) -> tuple[float, int]:
 
 def backfill_easy(state: ClusterState, head: Job,
                   stats: RunStats | None = None,
-                  entries: list[tuple] | None = None) -> list[int]:
+                  scores: list[float] | None = None) -> list[int]:
     """One EASY pass behind a blocked head; returns the started ids.
 
     The head gets a reservation; other ready jobs start now, in priority
     order, only if they fit free processors and either finish (by their own
     estimate) before the shadow time or use no more than the spare
-    processors. ``entries``, when given, holds one keyed entry per ready job
-    with the job as its last field, as an aging cycle's heap does, and is
-    filtered and sorted without keying a job again; otherwise the candidates
-    come from the processor index of a time-invariant run, in rank order
-    (module docstring). The reservation is computed once, and only when a
-    ready job fits the free processors; a backfill that runs past the
-    shadow takes its processors from ``extra``.
+    processors. ``scores``, when given, holds an aging cycle's urgency of
+    every job of ``state.aging``, in its order, and the candidates are
+    filtered on the queue's columns and started most urgent first, ties in
+    arrival order; otherwise they come from the processor index of a
+    time-invariant run, in rank order (module docstring). The reservation
+    is computed once, and only when a ready job fits the free processors; a
+    backfill that runs past the shadow takes its processors from ``extra``.
     """
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
-    counts = state.proc_counts
-    if entries is not None:
-        entries = [e for e in entries if e[-1].requested_procs <= free]
-        if not entries:
-            return []
-    elif not counts or counts[0] > free:
-        return []
     clock = state.clock
-    shadow, extra = compute_reservation(state, head)
-    if entries is None:
-        queue = []
+    if scores is not None:
+        aging = state.aging
+        procs, req_time = aging.procs, aging.req_time
+        if min(procs) > free:
+            return []
+        shadow, extra = compute_reservation(state, head)
+        fits = [i for i, p in enumerate(procs) if p <= free
+                and (clock + req_time[i] <= shadow or p <= extra)]
+        fits.sort(key=scores.__getitem__, reverse=True)    # stable
+        ready, ids = state.ready, aging.ids
+        queue = [ready[ids[i]] for i in fits]
+    else:
+        counts = state.proc_counts
+        if not counts or counts[0] > free:
+            return []
+        shadow, extra = compute_reservation(state, head)
+        entries = []
         for procs in counts[:bisect.bisect_right(counts, free)]:
             bucket = state.by_procs[procs]
             if clock + bucket[-1][0] <= shadow:
@@ -347,20 +371,15 @@ def backfill_easy(state: ClusterState, head: Job,
             else:
                 cut = bisect.bisect_right(bucket, shadow,
                                           key=lambda e: clock + e[0])
-            queue += bucket[:cut]
+            entries += bucket[:cut]
             if procs <= extra and cut < len(bucket):
                 # past the shadow: only the first few by rank can start
-                queue += heapq.nsmallest(min(extra, free) // procs,
-                                         bucket[cut:], key=itemgetter(1))
-        queue.sort(key=itemgetter(1))
-    else:
-        queue = [e for e in entries
-                 if clock + (cand := e[-1]).requested_time <= shadow
-                 or cand.requested_procs <= extra]
-        queue.sort()
+                entries += heapq.nsmallest(min(extra, free) // procs,
+                                           bucket[cut:], key=itemgetter(1))
+        entries.sort(key=itemgetter(1))
+        queue = map(itemgetter(2), entries)
     started: list[int] = []
-    for entry in queue:
-        cand = entry[-1]
+    for cand in queue:
         if cand.requested_procs > state.free_procs:
             continue
         if not (clock + cand.requested_time <= shadow
@@ -402,29 +421,20 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_heuristic(self, score_all=None) -> None:
-        """Start ready jobs in priority order until the head does not fit,
-        then run EASY behind it.
-
-        A time-invariant kind passes no ``score_all`` and uses the run's
-        (rank, job) heap; its entries of jobs no longer ready are dropped. An
-        aging kind passes its batch scorer from ``heuristics.AGING_ENTRIES``:
-        the cycle scores every ready job once into a fresh heap of entries
-        (score, submit, id, job), and EASY reuses what is left of it. A
-        cycle with no ready job, or with no free processor after the first
-        blocked head, starts nothing, so it returns at once (module
-        docstring).
+    def _schedule_heuristic(self) -> None:
+        """Start ready jobs in rank order until the head does not fit, then
+        run EASY behind it: the cycle of a time-invariant kind, over the
+        run's (rank, job) heap, whose entries of jobs no longer ready are
+        dropped. A cycle with no ready job, or with no free processor after
+        the first blocked head, starts nothing, so it returns at once
+        (module docstring).
         """
         state = self.state
         stats = self.stats
         if not state.ready or (not state.free_procs
                                and stats.first_blocked_head is not None):
             return
-        if score_all is None:
-            heap = state.rank_heap
-        else:
-            heap = score_all(state.ready.values(), state.clock)
-            heapq.heapify(heap)
+        heap = state.rank_heap
         ready = state.ready
         while heap:
             head = heap[0][-1]
@@ -438,12 +448,45 @@ class Simulation:
             stats.started += 1
         else:
             return
+        self._blocked(head)
+
+    def _schedule_aging(self, urgency) -> None:
+        """The cycle of an aging kind: ``urgency`` (from
+        ``heuristics.AGING_URGENCY``) scores every job of the run's
+        ``AgingQueue`` once, and the cycle starts the most urgent job, the
+        first in arrival order among equals, until it does not fit; EASY
+        then reuses the scores. It returns at once as
+        ``_schedule_heuristic`` does.
+        """
+        state = self.state
+        stats = self.stats
+        ids, procs = state.aging.ids, state.aging.procs
+        if not ids or (not state.free_procs
+                       and stats.first_blocked_head is not None):
+            return
+        clock, ready = state.clock, state.ready
+        # a lone ready job heads the queue whatever its score
+        scores = urgency(state.aging, clock) if len(ids) > 1 else [0.0]
+        while True:
+            i = scores.index(max(scores))
+            head = ready[ids[i]]
+            if procs[i] > state.free_procs:
+                break
+            del scores[i]
+            start_job(state, head, clock)
+            stats.started += 1
+            if not ids:
+                return
+        self._blocked(head, scores)
+
+    def _blocked(self, head: Job, scores: list[float] | None = None) -> None:
+        """Record the run's first blocked head, and run EASY behind it."""
+        stats = self.stats
         if stats.first_blocked_head is None:
             stats.first_blocked_head = head.id
         if self.backfill:
-            started = backfill_easy(state, head, stats,
-                                    None if score_all is None else heap)
-            stats.started += len(started)
+            stats.started += len(backfill_easy(self.state, head, stats,
+                                               scores))
 
     def _schedule_selector(self, selector) -> None:
         started = schedule_cycle(self.state, selector)
@@ -485,8 +528,9 @@ class Simulation:
                     state.by_procs, state.proc_counts = {}, []
                 schedule = self._schedule_heuristic
             else:
-                score_all = heuristics.AGING_ENTRIES[kind]
-                schedule = lambda: self._schedule_heuristic(score_all)
+                state.aging = heuristics.AgingQueue(kind)
+                urgency = heuristics.AGING_URGENCY[kind]
+                schedule = lambda: self._schedule_aging(urgency)
         elif callable(policy):
             schedule = lambda: self._schedule_selector(policy)
         else:

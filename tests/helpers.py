@@ -511,9 +511,12 @@ def oracle_parse_swf(text, name=""):
     return trace
 
 
-def oracle_backfill_easy(state, head, stats=None, entries=None):
+def oracle_backfill_easy(state, head, stats=None, scores=None):
     """``simulator.backfill_easy`` with the head's reservation recomputed
-    after every backfill, and a check that it never moves later."""
+    after every backfill, and a check that it never moves later. With an
+    aging cycle's ``scores`` (the urgencies of ``state.aging``'s jobs, in
+    its order), the candidates are taken most urgent first, the first in
+    arrival order among equals."""
     if head.id not in state.ready or head.requested_procs <= state.free_procs:
         raise ContractError(f"job {head.id} is not a blocked ready head")
     free = state.free_procs
@@ -522,7 +525,7 @@ def oracle_backfill_easy(state, head, stats=None, entries=None):
     counts = state.proc_counts
     clock = state.clock
     shadow, extra = simulator.compute_reservation(state, head)
-    if entries is None:
+    if scores is None:
         queue = []
         for procs in counts[:bisect.bisect_right(counts, free)]:
             bucket = state.by_procs[procs]
@@ -537,16 +540,16 @@ def oracle_backfill_easy(state, head, stats=None, entries=None):
             if procs <= extra and cut < len(bucket):
                 queue += heapq.nsmallest(min(extra, free) // procs,
                                          bucket[cut:], key=itemgetter(1))
-        queue.sort(key=itemgetter(1))
+        queue = [e[-1] for e in sorted(queue, key=itemgetter(1))]
     else:
-        queue = [e for e in entries
-                 if (cand := e[-1]).requested_procs <= free
+        jobs = [state.ready[jid] for jid in state.aging.ids]
+        order = sorted(range(len(jobs)), key=lambda i: (-scores[i], i))
+        queue = [cand for cand in map(jobs.__getitem__, order)
+                 if cand.requested_procs <= free
                  and (clock + cand.requested_time <= shadow
                       or cand.requested_procs <= extra)]
-        queue.sort()
     started = []
-    for entry in queue:
-        cand = entry[-1]
+    for cand in queue:
         if cand.requested_procs > state.free_procs:
             continue
         if not (clock + cand.requested_time <= shadow

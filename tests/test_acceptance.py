@@ -21,8 +21,8 @@ from marsched.agent import (EpisodeTrajectory, Hyperparameters, MarsAgent,
                             ModelVersions, actor_critic_step, new_model,
                             random_baseline, select_action, train)
 from marsched.decision import Thresholds, decide, run_plan
-from marsched.heuristics import (AGING_ENTRIES, HEURISTIC_KINDS, PolicyKind,
-                                 priority_key)
+from marsched.heuristics import (AGING_URGENCY, HEURISTIC_KINDS,
+                                 AgingQueue, PolicyKind, priority_key)
 from marsched.neural import (backward, forward, init_network, softmax)
 from marsched.simulator import Simulation, new_cluster, run_episode
 from marsched.workload import SyntheticConfig, generate_synthetic
@@ -108,9 +108,15 @@ def _select_oracle(queue, now, kind, free):
 def _select_shared(queue, now, kind, free):
     """Head of the run ordering the simulator and the heuristic trajectory
     selector share; None (pass) when it does not fit."""
-    if kind in AGING_ENTRIES:
-        # the batch an aging cycle of the simulator orders by
-        head = min(AGING_ENTRIES[kind](queue, now))[3]
+    if kind in AGING_URGENCY:
+        # an aging cycle's pick: the most urgent job, the first in arrival
+        # order among equals; each job is scored by the cycle's batch at
+        # the clock from which its wait counts
+        queue = sorted(queue, key=lambda j: (j.submit_time, j.id))
+        urgency = [AGING_URGENCY[kind](AgingQueue(kind, [j]),
+                                       max(now, j.submit_time))[0]
+                   for j in queue]
+        head = queue[urgency.index(max(urgency))]
     else:
         head = min(queue, key=priority_key(kind, new_cluster(1, queue)))
     return head if head.requested_procs <= free else None

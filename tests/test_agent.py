@@ -679,7 +679,11 @@ def test_load_model_rejects_unknown_version(tmp_path):
     ("unknown hyper key(s): bogus", lambda p: p["hyper"].update(bogus=1)),
     ("missing hyper key(s): slots", lambda p: p["hyper"].pop("slots")),
     ("hyper is not a mapping", lambda p: p.update(hyper=[1, 2])),
-    ("malformed field", lambda p: p.update(epoch="two")),
+    ("malformed field", lambda p: p["hyper"].update(hidden=5)),
+    ("epoch is 'two', not an int >= 0", lambda p: p.update(epoch="two")),
+    ("epoch is -5, not an int >= 0", lambda p: p.update(epoch=-5)),
+    ("epoch is 2.0, not an int >= 0", lambda p: p.update(epoch=2.0)),
+    ("epoch is True, not an int >= 0", lambda p: p.update(epoch=True)),
     ("bad network payload: unknown activation 'sigmoid'",
      lambda p: p["actor"]["layers"][0].update(activation="sigmoid")),
     ("expected an encoded array (shape and data), got list",
@@ -700,6 +704,7 @@ def test_load_model_rejects_unknown_version(tmp_path):
     ("critic_adam is malformed (KeyError('beta2'))",
      lambda p: p["critic_adam"].pop("beta2"))],
     ids=["unknown-key", "missing-key", "not-a-mapping", "malformed",
+         "epoch-text", "epoch-negative", "epoch-float", "epoch-bool",
          "activation", "list-in-format-2", "nan-bias", "inf-adam",
          "bad-hyper-value", "adam-alpha", "adam-eps", "adam-t-bool",
          "adam-missing-beta2"])

@@ -669,6 +669,31 @@ def test_bad_adam_setting_exit_2(tmp_path, command, field, value, message,
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "inspect"])
+@pytest.mark.parametrize("value", [-5, 2.7, True],
+                         ids=["negative", "float", "bool"])
+def test_bad_epoch_exit_2(tmp_path, command, value, capsys):
+    # a model file's epoch is checked on load, as Adam's t is: an int >= 0
+    payload = json.loads(PPO_MODEL.read_text())
+    payload["epoch"] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"train": ["train", "--synthetic", "20", "--epochs", "1",
+                      "--resume", str(bad)],
+            "evaluate": ["evaluate", "--synthetic", "20", "--model",
+                         str(bad)],
+            "inspect": ["inspect", "--model", str(bad)]}[command]
+    out = tmp_path / "out"
+    if command != "inspect":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: epoch is {value!r}, not an int >= 0" in err
+    assert "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
 def test_simulate_rl_and_evaluate_write_the_same_files(tmp_path, cfg_file):
     model = tmp_path / "tr" / "model.json"
     assert run_cli("train", "--config", cfg_file, "--out",

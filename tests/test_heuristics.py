@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import make_job, starts
 from marsched.errors import ContractError
-from marsched.heuristics import (AGING_ENTRIES, HEURISTIC_KINDS,
-                                 TIME_INVARIANT_KINDS, PolicyKind,
-                                 priority_key, score, sort_key)
+from marsched.heuristics import (AGING_URGENCY, HEURISTIC_KINDS,
+                                 TIME_INVARIANT_KINDS, AgingQueue,
+                                 PolicyKind, priority_key, score, sort_key)
 from marsched.simulator import new_cluster, run_episode
 
 # -- oracle: same math, written from the formulas, no shared helpers --------
@@ -53,9 +53,15 @@ def oracle_select(queue, now, kind, free):
 def shared_select(queue, now, kind, free):
     """First job of the run ordering at ``now``; None when it does not fit,
     which is how the heuristic selectors pass."""
-    if kind in AGING_ENTRIES:
-        # the batch an aging cycle of the simulator orders by
-        head = min(AGING_ENTRIES[kind](queue, now))[3]
+    if kind in AGING_URGENCY:
+        # an aging cycle's pick: the most urgent job, the first in arrival
+        # order among equals; each job is scored by the cycle's batch at
+        # the clock from which its wait counts
+        queue = sorted(queue, key=lambda j: (j.submit_time, j.id))
+        urgency = [AGING_URGENCY[kind](AgingQueue(kind, [j]),
+                                       max(now, j.submit_time))[0]
+                   for j in queue]
+        head = queue[urgency.index(max(urgency))]
     else:
         head = min(queue, key=priority_key(kind, new_cluster(1, queue)))
     return head if head.requested_procs <= free else None

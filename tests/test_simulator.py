@@ -294,16 +294,28 @@ def tangled_trace(seed, n=40, procs=8):
 
 
 def state_probe(events, backfill=True):
-    """on_event probe: the release profile, the rank heap and the processor
-    index hold what the module docstring says they hold, a run without
-    EASY keeps neither the profile nor the index, and an EASY run of an
-    aging kind (no rank key) keeps no index; every event goes to
-    ``events``."""
+    """on_event probe: the release profile, the rank heap, the aging
+    queue and the processor index hold what the module docstring says
+    they hold, a run without EASY keeps neither the profile nor the index,
+    and an EASY run of an aging kind (no rank key) keeps no index; every
+    event goes to ``events``."""
     def probe(state, event):
         events.append(event)
         if state.rank_heap is not None:
             live = [j.id for _, j in state.rank_heap if j.id in state.ready]
             assert sorted(live) == sorted(state.ready)
+        if state.aging is not None:
+            # the ready set's columns, in arrival order
+            assert state.rank_key is None
+            jobs = list(state.ready.values())
+            assert state.aging.ids == [j.id for j in jobs]
+            assert state.aging.submit == [j.submit_time for j in jobs]
+            assert state.aging.divisor == list(map(state.aging.divisor_of,
+                                                   jobs))
+            assert state.aging.weight == [float(j.requested_procs)
+                                          for j in jobs]
+            assert state.aging.procs == [j.requested_procs for j in jobs]
+            assert state.aging.req_time == [j.requested_time for j in jobs]
         if not backfill:
             assert state.releases is None
             assert state.by_procs is None and state.proc_counts is None
@@ -465,17 +477,75 @@ def test_aging_cycle_on_a_full_cluster_matches_naive_reference(kind,
     assert counts["backfilled"] or not backfill
 
 
+def tie_trace(zero):
+    """Aging scores that tie exactly, on 8 processors. A burst of 12 jobs
+    at the start, submitted at ``zero`` and 0.0 in turn, the last at
+    ``zero``, so every wait is 0 when the first cycle runs and the clock
+    is ``zero``: with -0.0, the waits are -0.0 and 0.0. Then 30 identical
+    jobs submitted together, three processors each, so a deep queue of
+    equal scores drains two at a time, and 1-processor jobs that arrive
+    just after them to fill the spare processors."""
+    burst = [make_job(i, submit=zero if i % 2 == 0 else 0.0, run=3 + i % 4,
+                      req_time=2 + i % 5, procs=(3, 2, 4, 1, 8, 1)[i % 6])
+             for i in range(1, 13)]
+    same = [make_job(i, submit=50, run=7, procs=3) for i in range(101, 131)]
+    small = [make_job(i, submit=51 + i % 3, run=2 + i % 5, procs=1)
+             for i in range(201, 211)]
+    return burst + same + small
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("backfill", [True, False])
+@pytest.mark.parametrize("kind", [PolicyKind.WFP3, PolicyKind.UNICEF])
+def test_aging_ties_start_in_arrival_order(monkeypatch, kind, backfill,
+                                           zero):
+    # equal scores start in (submit time, id) order, as sort_key orders
+    # them and the naive reference starts them, job by job
+    jobs = tie_trace(zero)
+    order, clocks = [], []
+    real_start = simulator.start_job
+
+    def recording(state, job, now):
+        started = real_start(state, job, now)
+        if started:
+            order.append(job.id)
+        return started
+
+    monkeypatch.setattr(simulator, "start_job", recording)
+    got = run_episode(jobs, kind, backfill=backfill, total_procs=8,
+                      on_event=lambda state, ev: clocks.append(state.clock))
+    got_order = order[:]
+    order.clear()
+    counts = {"clamped": 0, "backfilled": 0}
+    want = run_episode(jobs, naive_heuristic(kind, backfill, counts),
+                       total_procs=8)
+    assert got_order == order
+    assert starts(got.schedule) == starts(want.schedule)
+    assert math.copysign(1.0, clocks[11]) == math.copysign(1.0, zero)
+    # the burst's first cycle: every wait is 0, so jobs 1 and 2 start, job
+    # 3 (4 processors, 3 free) blocks, and EASY takes the rest by id
+    start_at = starts(got.schedule)
+    first = [jid for jid in got_order if start_at[jid] == 0.0]
+    assert first[:2] == [1, 2] and first == sorted(first)
+    assert len(first) > 2 or not backfill
+    same = [jid for jid in got_order if 101 <= jid <= 130]
+    assert same == sorted(same)
+    at = {j.id: j for j in jobs}
+    t = got.schedule.start[got.schedule.id == 101][0]
+    assert same == sorted(same, key=lambda jid: sort_key(at[jid], t, kind))
+    assert counts["backfilled"] or not backfill
+
+
 def test_aging_cycle_scores_each_ready_job_once(monkeypatch):
     # one cycle runs per distinct clock value; the EASY pass must reuse the
     # cycle's scores instead of scoring its candidates again
     scored = collections.Counter()
-    for kind, fn in list(heuristics.AGING_ENTRIES.items()):
-        def counting(jobs, now, fn=fn, kind=kind):
-            jobs = list(jobs)
-            for job in jobs:
-                scored[kind, now, job.id] += 1
-            return fn(jobs, now)
-        monkeypatch.setitem(heuristics.AGING_ENTRIES, kind, counting)
+    for kind, fn in list(heuristics.AGING_URGENCY.items()):
+        def counting(queue, now, fn=fn, kind=kind):
+            for jid in queue.ids:
+                scored[kind, now, jid] += 1
+            return fn(queue, now)
+        monkeypatch.setitem(heuristics.AGING_URGENCY, kind, counting)
     for kind in (PolicyKind.WFP3, PolicyKind.UNICEF):
         for seed in range(5):
             jobs, procs = burst_trace(seed)
@@ -504,7 +574,8 @@ def test_next_event_time_looked_up_once_per_cycle(monkeypatch, policy,
 
     monkeypatch.setattr(simulator, "next_event_time",
                         counted("lookups", simulator.next_event_time))
-    for method in ("_schedule_heuristic", "_schedule_selector"):
+    for method in ("_schedule_heuristic", "_schedule_aging",
+                   "_schedule_selector"):
         monkeypatch.setattr(Simulation, method,
                             counted("cycles", getattr(Simulation, method)))
     for seed in range(10):

@@ -89,6 +89,8 @@ ROWS = (("gen", (1000, 4000, 16000)),
         ("simulate sjf on", (1000, 4000, 16000)),
         ("simulate wfp3 on", (1000, 4000)),
         ("simulate unicef on", (1000, 4000)),
+        ("simulate wfp3 off", (1000, 4000)),
+        ("simulate unicef off", (1000, 4000)),
         ("train", (512, 2048)),
         ("evaluate", (500,)),
         ("model io", (512,)),
