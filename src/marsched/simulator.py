@@ -448,7 +448,7 @@ class Simulation:
             stats.started += 1
         else:
             return
-        self._blocked(head)
+        self._blocked_head(head)
 
     def _schedule_aging(self, urgency) -> None:
         """The cycle of an aging kind: ``urgency`` (from
@@ -477,9 +477,10 @@ class Simulation:
             stats.started += 1
             if not ids:
                 return
-        self._blocked(head, scores)
+        self._blocked_head(head, scores)
 
-    def _blocked(self, head: Job, scores: list[float] | None = None) -> None:
+    def _blocked_head(self, head: Job,
+                      scores: list[float] | None = None) -> None:
         """Record the run's first blocked head, and run EASY behind it."""
         stats = self.stats
         if stats.first_blocked_head is None:
